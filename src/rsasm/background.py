@@ -36,10 +36,7 @@ from .treealg import Tree
 class TermFunction:
     name: str
     arity: int | None  # None means variadic
-    fn: Callable
-
-    def apply(self, state: State, vals: tuple[Value, ...], reads) -> Value:
-        return self.fn(state, vals, reads)
+    fn: Callable  # (state, argument values, reads) -> value
 
 
 TERM_FUNCTIONS: dict[str, TermFunction] = {}
@@ -63,10 +60,6 @@ def _set(v: Value, what: str) -> frozenset:
     if not isinstance(v, SetVal):
         raise EvalError(f"{what} expects a set value, got {v!r}")
     return v.members
-
-
-def make_set(items) -> SetVal:
-    return SetVal(frozenset(items))
 
 
 @_register("+", 2)
@@ -167,10 +160,8 @@ def _root_node(state, vals, reads):
 @_register("label", 1)
 def _label(state, vals, reads):
     tree = _self_tree(state, reads)
-    path = _node(vals[0], "label")
-    if not tree.has_path(path):
-        return UNDEF
-    return Atom(tree.node_at_path(path).label)
+    node = tree.find(_node(vals[0], "label"))
+    return UNDEF if node is None else Atom(node.label)
 
 
 @_register("child", 2)
@@ -198,25 +189,21 @@ def _child_n(state, vals, reads):
     if i < 1:
         return UNDEF
     target = path + (i - 1,)
-    return NodeRef(target) if tree.has_path(target) else UNDEF
+    return UNDEF if tree.find(target) is None else NodeRef(target)
 
 
 @_register("n_children", 1)
 def _n_children(state, vals, reads):
     tree = _self_tree(state, reads)
-    path = _node(vals[0], "n_children")
-    if not tree.has_path(path):
-        return UNDEF
-    return NatVal(len(tree.node_at_path(path).children))
+    node = tree.find(_node(vals[0], "n_children"))
+    return UNDEF if node is None else NatVal(len(node.children))
 
 
 @_register("subtree", 1)
 def _subtree(state, vals, reads):
     tree = _self_tree(state, reads)
-    path = _node(vals[0], "subtree")
-    if not tree.has_path(path):
-        return UNDEF
-    return TreeValue(tree.node_at_path(path))
+    node = tree.find(_node(vals[0], "subtree"))
+    return UNDEF if node is None else TreeValue(node)
 
 
 @_register("context_of", 2)
@@ -225,18 +212,10 @@ def _context_of(state, vals, reads):
     p1, p2 = _node(vals[0], "context_of"), _node(vals[1], "context_of")
     if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
         return UNDEF
-    if not tree.has_path(p2):
+    sub, rel = tree.find(p1), p2[len(p1) :]
+    if sub is None or sub.find(rel) is None:
         return UNDEF
-    sub = tree.node_at_path(p1)
-    ctx = treealg.subst_tc(sub, _preorder_id(sub, p2[len(p1):]))
-    return TreeValue(ctx.tree)
-
-
-def _preorder_id(tree: Tree, path: tuple[int, ...]) -> int:
-    for nid, p, _ in tree.preorder():
-        if p == path:
-            return nid
-    raise EvalError(f"path {path} missing")
+    return TreeValue(treealg.punch_hole(sub, rel).tree)
 
 
 # -- tree construction functions -------------------------------------------------
@@ -446,7 +425,8 @@ def apply_operator(state: State, op, current: Value, args: tuple[Value, ...]) ->
     """Apply a collapse operator to a location's current value."""
     if isinstance(op, SpliceOp):
         tree = _current_tree(current)
-        if not tree.has_path(op.path):
+        node = tree.find(op.path)
+        if node is None:
             # Writes at vanished nodes are absorbed; needed so that folds of
             # nested node updates are total in every order.
             return current
@@ -455,11 +435,10 @@ def apply_operator(state: State, op, current: Value, args: tuple[Value, ...]) ->
                 raise OperatorFailure(f"splice expects one tree operand, got {args!r}")
             new_sub = args[0].tree
         else:
-            sub = TreeValue(tree.node_at_path(op.path))
             inner = COLLAPSE_OPERATORS.get(op.inner)
             if inner is None:
                 raise OperatorFailure(f"unknown operator {op.inner!r}")
-            result = inner(state, sub, args)
+            result = inner(state, TreeValue(node), args)
             if not isinstance(result, TreeValue):
                 raise OperatorFailure(f"operator {op.inner!r} did not produce a tree")
             new_sub = result.tree

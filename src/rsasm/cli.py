@@ -50,8 +50,10 @@ def _cmd_run(args) -> int:
             if loc.symbol == "self":
                 continue
             print(f"  {loc!r} = {final.interp[loc]!r}")
-    clashed = any(s.clashed for s in trace.steps)
-    if trace.status == "error" or (args.strict and clashed):
+    if trace.status == "error":
+        print(f"error: {trace.detail}", file=sys.stderr)
+        return 1
+    if args.strict and any(s.clashed for s in trace.steps):
         return 1
     return 0
 

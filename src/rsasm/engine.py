@@ -1,9 +1,10 @@
 """The execution loop: decode self, execute, collapse, apply; runs and probes.
 
-Every step re-decodes the signature and rule from the tree stored at ``self``,
-so a step that rewrites the representation changes the machine's behaviour
-from the next step on.  A run ends at a fixpoint (empty collapsed update set),
-at the step cap, or on an error; a clash leaves the state unchanged and, since
+Every step decodes the signature and rule from the tree stored at ``self``.
+Decoding is memoized on the tree object; a step that rewrites the
+representation makes a new tree, so it changes the machine's behaviour from
+the next step on.  A run ends at a fixpoint (empty collapsed update set), at
+the step cap, or on an error; a clash leaves the state unchanged and, since
 stepping an unchanged state can only repeat the clash, stalls the run.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ReflectError
+from .errors import EngineError, ReflectError, RsasmError
 from .reflect import beta, decode_signature, decode_rule, rule_of_self, signature_of_self
 from .rules import (
     ClashReport,
@@ -52,7 +53,6 @@ class StepRecord:
     after: State
     multiset: UpdateMultiset
     result: UpdateSet | ClashReport
-    rule_summary: str
     signature_added: tuple[str, ...]
 
     @property
@@ -115,13 +115,8 @@ class Trace:
         return canonical_dumps(self.to_json_obj())
 
 
-def _summarize(rule) -> str:
-    text = repr(rule)
-    return text if len(text) <= 120 else text[:117] + "..."
-
-
-def step(state: State) -> tuple[State, StepRecord]:
-    """One machine step: decode, execute, collapse, apply."""
+def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
+    """One machine step: decode, execute, collapse, apply; ``index`` numbers the record."""
     selfval = state.value_at(SELF_LOCATION)
     if not isinstance(selfval, TreeValue):
         raise ReflectError("location 'self' does not hold a tree")
@@ -144,37 +139,31 @@ def step(state: State) -> tuple[State, StepRecord]:
             sorted(new_signature.names() - signature.names())
         )
     record = StepRecord(
-        index=0,
+        index=index,
         before=exec_state,
         after=successor,
         multiset=multiset,
         result=result,
-        rule_summary=_summarize(rule),
         signature_added=added,
     )
     return successor, record
 
 
 def run(machine: Machine) -> Trace:
-    """Iterate steps until fixpoint, the step cap, or a stalled clash."""
+    """Iterate steps until fixpoint, the step cap, a stalled clash, or a program fault.
+
+    A fault raised in a step ends the run with status ``error`` and the detail
+    ``step N: <cause>``; the steps before it are kept.
+    """
     state = machine.initial_state
     records: list[StepRecord] = []
     status, detail = "max_steps", ""
     for i in range(1, machine.max_steps + 1):
         try:
-            successor, record = step(state)
-        except (ReflectError, EngineError) as exc:
-            status, detail = "error", str(exc)
+            successor, record = step(state, i)
+        except RsasmError as exc:
+            status, detail = "error", f"step {i}: {exc}"
             break
-        record = StepRecord(
-            index=i,
-            before=record.before,
-            after=record.after,
-            multiset=record.multiset,
-            result=record.result,
-            rule_summary=record.rule_summary,
-            signature_added=record.signature_added,
-        )
         records.append(record)
         if record.clashed:
             if successor == state:

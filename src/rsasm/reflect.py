@@ -264,9 +264,21 @@ def _decode_rule_at(t: Tree, path) -> Rule:
     _fail(path, f"label {t.label!r} does not start a rule encoding")
 
 
+def _memoized(t: Tree, key: str, decode):
+    """``decode(t)``, computed once per tree object and kept on it.
+
+    Trees are immutable, so the result lives exactly as long as the tree; a
+    tree that fails to decode raises again on every call.
+    """
+    memo = t.__dict__
+    if key not in memo:
+        object.__setattr__(t, key, decode(t))
+    return memo[key]
+
+
 def decode_rule(t: Tree) -> Rule:
     """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism)."""
-    return _decode_rule_at(t, ())
+    return _memoized(t, "_decoded_rule", lambda t: _decode_rule_at(t, ()))
 
 
 def is_rule_encoding(t: Tree) -> bool:
@@ -295,6 +307,11 @@ def encode_signature(sig: Signature) -> Tree:
 
 
 def decode_signature(t: Tree) -> Signature:
+    """Decode a signature tree; memoized on the tree object like ``decode_rule``."""
+    return _memoized(t, "_decoded_signature", _decode_signature)
+
+
+def _decode_signature(t: Tree) -> Signature:
     if t.label != L_SIGNATURE:
         raise ReflectError(f"expected a signature tree, found {t.label!r}")
     symbols = []

@@ -84,9 +84,6 @@ class PartialAssign(Rule):
     operands: tuple[Term, ...]
 
 
-SKIP = Par(())
-
-
 def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
     """Substitute a term for a variable in all terms of a rule."""
     if isinstance(rule, Assign):
@@ -335,15 +332,13 @@ def _splice_fold(state: State, loc, current: Value, shareds) -> Value:
             raise _Clash(f"malformed splice operand at {outer.op.path}")
         written = outer.args[0].tree
         rel = inner.op.path[len(outer.op.path) :]
-        if not written.has_path(rel):
+        if written.find(rel) is None:
             continue  # inner write lands outside the new value: absorbed
-        sub = written.node_at_path(rel)
         after = apply_operator(state, SpliceOp(rel, inner.op.inner), TreeValue(written), inner.args)
         if after != TreeValue(written):
             raise _Clash(
                 f"overlapping writes at nodes {outer.op.path} and {inner.op.path} disagree"
             )
-        del sub
     ordered = sorted(shareds, key=lambda s: (len(s.op.path), s.op.path))
     return _fold_in_order(state, current, ordered)
 

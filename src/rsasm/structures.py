@@ -316,9 +316,6 @@ class UpdateSet:
         return not self.updates
 
 
-EMPTY_UPDATE_SET = UpdateSet(frozenset())
-
-
 def is_consistent(delta: UpdateSet) -> bool:
     """True iff no two updates write different values to one location."""
     seen: dict[object, Value] = {}
@@ -629,10 +626,6 @@ def value_sort_key(value: Value) -> tuple:
     return (6, canonical_dumps(value_to_json(value)))
 
 
-def make_set(items) -> SetVal:
-    return SetVal(frozenset(items))
-
-
 def location_sort_key(loc: Location | NodeLocation) -> tuple:
     if isinstance(loc, NodeLocation):
         return (1, "", tuple(loc.path))
@@ -677,109 +670,134 @@ def eval_term(
     """The value of a term in a state.
 
     Function application is strict: an undefined argument makes the whole
-    application undefined.  Equality and the connectives are total.  ``reads``
-    optionally collects the locations whose values the evaluation consulted.
+    application undefined.  Equality and the connectives are total.  The
+    connectives are three-valued and evaluate every operand, left to right,
+    even once the result is decided, so an operand's evaluation error always
+    surfaces and ``reads`` covers every operand, which the bounded-exploration
+    probe relies on.  ``reads`` optionally collects the locations whose values
+    the evaluation consulted.
     """
-    from . import background as bg
+    evaluate = _EVALUATORS.get(type(term))
+    if evaluate is None:
+        raise EvalError(f"unknown term {term!r}")
+    return evaluate(state, term, env, reads)
 
-    if isinstance(term, Constant):
-        return term.value
 
-    if isinstance(term, Variable):
-        if env and term.name in env:
-            return env[term.name]
-        raise EvalError(f"unbound variable {term.name!r}")
+def _eval_constant(state, term, env, reads) -> Value:
+    return term.value
 
-    if isinstance(term, Equality):
-        left = eval_term(state, term.left, env, reads)
-        right = eval_term(state, term.right, env, reads)
-        return TRUE if left == right else FALSE
 
-    if isinstance(term, BoolConnective):
-        # three-valued connectives: a false conjunct (true disjunct) decides
-        # the result even when another operand is undefined
-        vals = [eval_term(state, a, env, reads) for a in term.operands]
-        defined = all(isinstance(v, BoolVal) for v in vals)
-        if term.op == "not":
-            if not defined:
+def _eval_variable(state, term, env, reads) -> Value:
+    if env and term.name in env:
+        return env[term.name]
+    raise EvalError(f"unbound variable {term.name!r}")
+
+
+def _eval_equality(state, term, env, reads) -> Value:
+    left = eval_term(state, term.left, env, reads)
+    right = eval_term(state, term.right, env, reads)
+    return TRUE if left == right else FALSE
+
+
+def _eval_connective(state, term, env, reads) -> Value:
+    # three-valued connectives: a false conjunct (true disjunct) decides the
+    # result even when another operand is undefined (flag None)
+    flags = []
+    for a in term.operands:
+        v = eval_term(state, a, env, reads)
+        flags.append(v.flag if isinstance(v, BoolVal) else None)
+    if term.op == "not":
+        return UNDEF if flags[0] is None else FALSE if flags[0] else TRUE
+    if term.op == "and":
+        if False in flags:
+            return FALSE
+        return UNDEF if None in flags else TRUE
+    if True in flags:
+        return TRUE
+    return UNDEF if None in flags else FALSE
+
+
+def _eval_iota(state, term, env, reads) -> Value:
+    if term.domain == NODES_DOMAIN:
+        if reads is not None:
+            reads.add(SELF_LOCATION)
+        members = (NodeRef(path) for _, path, _ in state.self_tree.preorder())
+    else:
+        members = state.background.domain(term.domain)
+        if members is None:
+            raise EvalError(f"unknown search domain {term.domain!r}")
+    inner = dict(env) if env else {}
+    witnesses = []
+    for m in members:
+        inner[term.var] = m
+        if eval_term(state, term.condition, inner, reads) == TRUE:
+            witnesses.append(m)
+            if len(witnesses) > 1:
                 return UNDEF
-            return FALSE if vals[0].flag else TRUE
-        if term.op == "and":
-            if any(v == FALSE for v in vals):
-                return FALSE
-            return TRUE if defined else UNDEF
-        if any(v == TRUE for v in vals):
-            return TRUE
-        return FALSE if defined else UNDEF
+    return witnesses[0] if witnesses else UNDEF
 
-    if isinstance(term, Iota):
-        if term.domain == NODES_DOMAIN:
-            if reads is not None:
-                reads.add(SELF_LOCATION)
-            members: tuple[Value, ...] = tuple(
-                NodeRef(path) for _, path, _ in state.self_tree.preorder()
+
+def _eval_args(state, args, env, reads) -> tuple[Value, ...] | None:
+    """Every argument's value in order, or None if one is undefined."""
+    vals = tuple([eval_term(state, a, env, reads) for a in args])
+    for v in vals:
+        if v is UNDEF:
+            return None
+    return vals
+
+
+def _eval_app(state, term, env, reads) -> Value:
+    sym = term.symbol
+
+    if sym.startswith("self@"):
+        # nullary sublocation symbol produced by raising a node value
+        if term.args:
+            raise SignatureError(f"sublocation symbol {sym!r} is nullary")
+        path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
+        if reads is not None:
+            reads.add(SELF_LOCATION)
+        node = state.self_tree.find(path)
+        return UNDEF if node is None else TreeValue(node)
+
+    arity = state.signature.arity_of(sym)
+    if arity is not None:
+        if len(term.args) != arity:
+            raise SignatureError(
+                f"{sym!r} has arity {arity}, got {len(term.args)} arguments"
             )
-        else:
-            declared = state.background.domain(term.domain)
-            if declared is None:
-                raise EvalError(f"unknown search domain {term.domain!r}")
-            members = declared
-        inner = dict(env) if env else {}
-        witnesses = []
-        for m in members:
-            inner[term.var] = m
-            if eval_term(state, term.condition, inner, reads) == TRUE:
-                witnesses.append(m)
-                if len(witnesses) > 1:
-                    return UNDEF
-        return witnesses[0] if len(witnesses) == 1 else UNDEF
+        vals = _eval_args(state, term.args, env, reads)
+        if vals is None:
+            return UNDEF
+        base_name = state.background.projection_base(sym)
+        if base_name is not None:
+            return _eval_projection(state, sym, base_name, vals, reads)
+        loc = Location(sym, vals)
+        if reads is not None:
+            reads.add(loc)
+        return state.value_at(loc)
 
-    if isinstance(term, FunctionApp):
-        sym = term.symbol
+    fn = _bg.TERM_FUNCTIONS.get(sym)
+    if fn is not None:
+        if fn.arity is not None and len(term.args) != fn.arity:
+            raise SignatureError(
+                f"background function {sym!r} takes {fn.arity} arguments"
+            )
+        vals = _eval_args(state, term.args, env, reads)
+        if vals is None:
+            return UNDEF
+        return fn.fn(state, vals, reads)
 
-        if sym.startswith("self@"):
-            # nullary sublocation symbol produced by raising a node value
-            if term.args:
-                raise SignatureError(f"sublocation symbol {sym!r} is nullary")
-            path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
-            if reads is not None:
-                reads.add(SELF_LOCATION)
-            tree = state.self_tree
-            if not tree.has_path(path):
-                return UNDEF
-            return TreeValue(tree.node_at_path(path))
+    raise SignatureError(f"unknown symbol {sym!r}")
 
-        arity = state.signature.arity_of(sym)
-        if arity is not None:
-            if len(term.args) != arity:
-                raise SignatureError(
-                    f"{sym!r} has arity {arity}, got {len(term.args)} arguments"
-                )
-            vals = tuple(eval_term(state, a, env, reads) for a in term.args)
-            if any(v is UNDEF for v in vals):
-                return UNDEF
-            base_name = state.background.projection_base(sym)
-            if base_name is not None:
-                return _eval_projection(state, sym, base_name, vals, reads)
-            loc = Location(sym, vals)
-            if reads is not None:
-                reads.add(loc)
-            return state.value_at(loc)
 
-        fn = bg.TERM_FUNCTIONS.get(sym)
-        if fn is not None:
-            if fn.arity is not None and len(term.args) != fn.arity:
-                raise SignatureError(
-                    f"background function {sym!r} takes {fn.arity} arguments"
-                )
-            vals = tuple(eval_term(state, a, env, reads) for a in term.args)
-            if any(v is UNDEF for v in vals):
-                return UNDEF
-            return fn.apply(state, vals, reads)
-
-        raise SignatureError(f"unknown symbol {sym!r}")
-
-    raise EvalError(f"unknown term {term!r}")
+_EVALUATORS = {
+    Constant: _eval_constant,
+    Variable: _eval_variable,
+    Equality: _eval_equality,
+    BoolConnective: _eval_connective,
+    Iota: _eval_iota,
+    FunctionApp: _eval_app,
+}
 
 
 def _eval_projection(
@@ -802,3 +820,7 @@ def _eval_projection(
     if state.value_at(member_loc) != TRUE:
         return UNDEF
     return row[pos.n - 1]
+
+
+# The background term functions import this module, so they are bound last.
+from . import background as _bg  # noqa: E402

@@ -96,10 +96,10 @@ class Tree:
         stack: list[tuple[Path, Tree]] = [((), self)]
         nid = 0
         while stack:
-            path, node = stack.pop(0)
+            path, node = stack.pop()
             yield nid, path, node
             nid += 1
-            stack[0:0] = [(path + (i,), c) for i, c in enumerate(node.children)]
+            stack.extend(reversed([(path + (i,), c) for i, c in enumerate(node.children)]))
 
     def node_ids(self) -> range:
         return range(self.size)
@@ -116,21 +116,23 @@ class Tree:
                 return node
         raise TreeError(f"no node with id {o} (tree has {self.size} nodes)")
 
-    def node_at_path(self, path: Path) -> "Tree":
+    def find(self, path: Path) -> "Tree | None":
+        """The node at ``path``, or None if the path leaves the tree."""
         node = self
         for i in path:
-            if i < 0 or i >= len(node.children):
-                raise TreeError(f"path {path} leaves the tree at index {i}")
-            node = node.children[i]
+            kids = node.children
+            if i < 0 or i >= len(kids):
+                return None
+            node = kids[i]
         return node
 
-    def has_path(self, path: Path) -> bool:
-        node = self
-        for i in path:
-            if i < 0 or i >= len(node.children):
-                return False
-            node = node.children[i]
-        return True
+    def node_at_path(self, path: Path) -> "Tree":
+        """The node at ``path``; a path that leaves the tree raises TreeError."""
+        node = self.find(path)
+        if node is None:
+            depth = next(d for d in range(len(path)) if self.find(path[: d + 1]) is None)
+            raise TreeError(f"path {path} leaves the tree at index {path[depth]}")
+        return node
 
     def label_of(self, o: int) -> str:
         return self.node_at(o).label
@@ -226,6 +228,11 @@ def _replace_at_path(t: Tree, path: Path, repl: Tree | Hedge) -> Tree:
     return Tree(t.label, new_kids, t.value)
 
 
+def punch_hole(t: Tree, path: Path) -> Context:
+    """The context obtained from ``t`` by replacing the subtree at ``path`` by the hole."""
+    return Context(_replace_at_path(t, path, _HOLE_LEAF))
+
+
 # -- selectors ----------------------------------------------------------------
 
 
@@ -242,8 +249,7 @@ def context_of(t: Tree, o1: int, o2: int) -> Context:
     p1, p2 = t.path_of(o1), t.path_of(o2)
     if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
         raise TreeError(f"node {o1} is not a strict ancestor of node {o2}")
-    sub = t.node_at_path(p1)
-    return Context(_replace_at_path(sub, p2[len(p1) :], _HOLE_LEAF))
+    return punch_hole(t.node_at_path(p1), p2[len(p1) :])
 
 
 # -- the four substitutions ---------------------------------------------------
@@ -522,9 +528,10 @@ def eval_algebra(term: AlgebraTerm, subject: Tree):
     if isinstance(term, TreeLiteral):
         return term.tree
     if isinstance(term, SubtreePath):
-        if not subject.has_path(term.path):
+        node = subject.find(term.path)
+        if node is None:
             raise TreeError(f"selector path {term.path} missing from subject")
-        return subject.node_at_path(term.path)
+        return node
     if isinstance(term, SubtreeKL):
         return _resolve_kl(subject, term.depth, term.sibling_index)
     if isinstance(term, ContextSelector):
@@ -532,7 +539,7 @@ def eval_algebra(term: AlgebraTerm, subject: Tree):
         rel = term.inner[len(term.outer) :]
         if term.inner[: len(term.outer)] != term.outer or not rel:
             raise TreeError("context selector paths are not nested")
-        return Context(_replace_at_path(sub, rel, _HOLE_LEAF))
+        return punch_hole(sub, rel)
     if isinstance(term, LabelHedgeOp):
         h: list[Tree] = []
         for p in term.parts:
@@ -613,20 +620,20 @@ def tree_diff(t: Tree, t2: Tree) -> AlgebraTerm:
         if hit is not None:
             return hit
         # grown child list at the structurally corresponding position
-        if t.has_path(path2):
-            old = t.node_at_path(path2)
-            if (
-                old.label == node2.label
-                and old.value == node2.value
-                and len(old.children) < len(node2.children)
-                and old.children == node2.children[: len(old.children)]
-            ):
-                base = locate(old) or SubtreePath(path2)
-                appended = tuple(
-                    diff_node(c, path2 + (len(old.children) + i,))
-                    for i, c in enumerate(node2.children[len(old.children) :])
-                )
-                return RightExtendOp(base, appended)
+        old = t.find(path2)
+        if (
+            old is not None
+            and old.label == node2.label
+            and old.value == node2.value
+            and len(old.children) < len(node2.children)
+            and old.children == node2.children[: len(old.children)]
+        ):
+            base = locate(old) or SubtreePath(path2)
+            appended = tuple(
+                diff_node(c, path2 + (len(old.children) + i,))
+                for i, c in enumerate(node2.children[len(old.children) :])
+            )
+            return RightExtendOp(base, appended)
         if node2.label in (L_UPDATE, L_PARTIAL) or node2.is_leaf:
             return TreeLiteral(node2)
         return LabelHedgeOp(

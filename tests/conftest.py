@@ -137,3 +137,21 @@ def random_signature(rng: random.Random, extra: int = 0) -> Signature:
 
 def random_self_tree(rng: random.Random, extra_symbols: int = 0) -> Tree:
     return build_self_tree(random_signature(rng, extra_symbols), random_rule(rng))
+
+
+def reference_preorder(tree: Tree, path: tuple[int, ...] = ()):
+    """(path, node) pairs in preorder, by the recursive definition."""
+    yield path, tree
+    for i, child in enumerate(tree.children):
+        yield from reference_preorder(child, path + (i,))
+
+
+# A program whose first step faults: ``+`` on an atom raises an EvalError.
+FAULTY_PROGRAM = """
+SIGNATURE
+  x/0
+INIT
+  x = foo
+RULE
+  x := x + 1
+"""

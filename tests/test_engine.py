@@ -1,8 +1,9 @@
 """Stepping, runs, traces, coincidence, and the postulate probes."""
 
+import hashlib
 import random
 
-from conftest import make_state
+from conftest import FAULTY_PROGRAM, make_state
 from rsasm.engine import (
     Machine,
     SELF_TERM,
@@ -13,18 +14,30 @@ from rsasm.engine import (
     step,
 )
 from rsasm.frontend import parse, load_program
-from rsasm.reflect import decode_rule, decode_signature, rule_of_self, signature_of_self
-from rsasm.rules import Par, PartialAssign, compute_update_multiset
+from rsasm.reflect import (
+    decode_rule,
+    decode_signature,
+    encode_rule,
+    rule_of_self,
+    signature_of_self,
+)
+from rsasm.rules import Assign, If, Let, Par, PartialAssign, compute_update_multiset
 from rsasm.structures import (
     Atom,
     Constant,
+    Equality,
+    FunctionApp,
     Location,
     NatVal,
+    NodeRef,
+    TreeValue,
+    UNDEF,
     Update,
     UpdateSet,
     apply_update_set,
     diff_states,
 )
+from rsasm.treealg import L_RULE, Tree
 
 
 def parity_source(domain, marked):
@@ -293,3 +306,48 @@ RULE
     sig = decode_signature(signature_of_self(final.self_tree))
     assert sig.arity_of("J12") == 1
     assert sig.arity_of("hatJ12") == 2
+
+
+# sha256 of the trace JSON of each bundled program; a change of evaluation,
+# decoding or stepping that alters any trace byte shows here
+GOLDEN_TRACE_SHA256 = {
+    "parity": "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
+    "join": "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
+}
+
+
+def test_bundled_program_traces_match_golden_digests():
+    for name, digest in GOLDEN_TRACE_SHA256.items():
+        trace = run(parse(load_program(name)))
+        assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == digest, name
+
+
+def test_program_fault_ends_the_run_as_an_error_outcome():
+    trace = run(parse(FAULTY_PROGRAM, "faulty"))
+    assert trace.status == "error"
+    assert trace.detail == "step 1: + expects a natural number, got foo"
+    assert trace.steps == ()
+    assert trace.final_state.value_at(Location("x")) == Atom("foo")
+
+
+def test_rewritten_rule_takes_effect_at_the_next_step():
+    # while n0 = 0, set n0 to 1 and append "n1 := 5" to the machine's own PAR
+    appended = Tree(L_RULE, (encode_rule(Assign("n1", (), Constant(NatVal(5)))),))
+    grow = Let(
+        "o",
+        Constant(NodeRef((1, 0))),
+        PartialAssign("o", (), "right_extend", (Constant(TreeValue(appended)),)),
+    )
+    once = If(
+        Equality(FunctionApp("n0"), Constant(NatVal(0))),
+        Par((Assign("n0", (), Constant(NatVal(1))), grow)),
+        Par(()),
+    )
+    state = make_state({"n0": 0, "n1": 0}, {Location("n0"): NatVal(0)}, rule=Par((once,)))
+    assert decode_rule(rule_of_self(state.self_tree)) == Par((once,))
+    first, _ = step(state)
+    assert first.value_at(Location("n1")) is UNDEF
+    grown = Par((once, Assign("n1", (), Constant(NatVal(5)))))
+    assert decode_rule(rule_of_self(first.self_tree)) == grown
+    second, _ = step(first)
+    assert second.value_at(Location("n1")) == NatVal(5)

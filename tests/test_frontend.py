@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import FAULTY_PROGRAM
 from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
@@ -290,6 +291,23 @@ def test_cli_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_run_reports_a_program_fault_without_a_traceback(tmp_path, capsys):
+    faulty = tmp_path / "faulty.rsasm"
+    faulty.write_text(FAULTY_PROGRAM)
+    assert cli_main(["run", str(faulty)]) == 1
+    captured = capsys.readouterr()
+    assert "status: error after 0 step(s)" in captured.out
+    assert captured.err == "error: step 1: + expects a natural number, got foo\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsasm.cli", "run", str(faulty)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "step 1: + expects a natural number" in proc.stderr
 
 
 def test_cli_run_json_format(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_state, random_rule, random_signature, random_term
+from conftest import make_state, random_rule, random_self_tree, random_signature, random_term
 from rsasm.errors import ReflectError
 from rsasm.reflect import (
     ReserveAllocator,
@@ -94,6 +94,31 @@ def test_decode_malformed_update_node():
     )
     with pytest.raises(ReflectError):
         decode_rule(missing_func)
+
+
+def test_decoding_is_memoized_per_tree_object():
+    rng = random.Random(5)
+    for _ in range(20):
+        tree = random_self_tree(rng, extra_symbols=2)
+        rule_tree, sig_tree = rule_of_self(tree), signature_of_self(tree)
+        rule = decode_rule(rule_tree)
+        assert decode_rule(rule_tree) is rule
+        assert decode_signature(sig_tree) is decode_signature(sig_tree)
+        # an equal tree built anew decodes on its own, to an equal rule
+        rebuilt = encode_rule(rule)
+        assert rebuilt is not rule_tree
+        assert decode_rule(rebuilt) == rule
+
+
+def test_malformed_tree_fails_on_every_decode():
+    bad_rule = Tree("update", (Tree("term", (), NatVal(1)), Tree("term", (), NatVal(0))))
+    entry = encode_signature(Signature((SELF_SYMBOL,))).children[0]
+    bad_signature = Tree("signature", (entry, entry))
+    for _ in range(2):
+        with pytest.raises(ReflectError):
+            decode_rule(bad_rule)
+        with pytest.raises(ReflectError):
+            decode_signature(bad_signature)
 
 
 def test_encode_signature_minimal():

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from conftest import GEN_ATOMS, make_state, random_term
+from conftest import GEN_ATOMS, make_state, random_term, reference_preorder
+from rsasm import generate
+from rsasm.frontend import load_program, parse
 from rsasm.errors import EvalError, IsoError, SignatureError, StateError
 from rsasm.structures import (
     Atom,
@@ -15,7 +17,9 @@ from rsasm.structures import (
     FunctionApp,
     Iota,
     Location,
+    NODES_DOMAIN,
     NatVal,
+    NodeRef,
     SELF_LOCATION,
     SetVal,
     TRUE,
@@ -114,6 +118,52 @@ def test_three_valued_connectives():
     assert eval_term(state, BoolConnective("or", (t, undef))) == TRUE
     assert eval_term(state, BoolConnective("or", (f, undef))) is UNDEF
     assert eval_term(state, BoolConnective("not", (undef,))) is UNDEF
+
+
+def test_connectives_evaluate_every_operand():
+    state = make_state({"n0": 0}, {Location("n0"): NatVal(1)})
+    faulty = FunctionApp("+", (Constant(Atom("foo")), Constant(NatVal(1))))
+    # a decided result does not skip a later operand: its error surfaces
+    with pytest.raises(EvalError):
+        eval_term(state, BoolConnective("and", (Constant(FALSE), faulty)))
+    with pytest.raises(EvalError):
+        eval_term(state, BoolConnective("or", (Constant(TRUE), faulty)))
+    # and its reads are recorded, which the bounded-exploration probe uses
+    reads = set()
+    later = Equality(FunctionApp("n0"), Constant(NatVal(1)))
+    assert eval_term(state, BoolConnective("and", (Constant(FALSE), later)), reads=reads) == FALSE
+    assert Location("n0") in reads
+
+
+def _iota_cases(labels):
+    """(condition on w, oracle on (path, node)) pairs over the given labels."""
+    w = Variable("w")
+    for label in labels:
+        has_label = Equality(FunctionApp("label", (w,)), Constant(Atom(label)))
+        at_root = FunctionApp("child", (FunctionApp("root_node", ()), w))
+        yield has_label, lambda path, node, label=label: node.label == label
+        yield (
+            BoolConnective("and", (at_root, has_label)),
+            lambda path, node, label=label: len(path) == 1 and node.label == label,
+        )
+
+
+def test_iota_over_nodes_matches_a_preorder_scan():
+    rng = random.Random(11)
+    states = [parse(load_program("join")).initial_state]
+    states += [generate.random_machine(rng).initial_state for _ in range(8)]
+    outcomes = set()
+    for state in states:
+        nodes = list(reference_preorder(state.self_tree))
+        labels = sorted({node.label for _, node in nodes}) + ["absent"]
+        for condition, oracle in _iota_cases(labels):
+            hits = [NodeRef(path) for path, node in nodes if oracle(path, node)]
+            reads = set()
+            value = eval_term(state, Iota("w", NODES_DOMAIN, condition), reads=reads)
+            assert value == (hits[0] if len(hits) == 1 else UNDEF)
+            assert SELF_LOCATION in reads
+            outcomes.add(min(len(hits), 2))
+    assert outcomes == {0, 1, 2}
 
 
 def test_is_consistent():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_context, random_tree
+from conftest import random_context, random_tree, reference_preorder
 from rsasm.errors import TreeError
 from rsasm.reflect import build_self_tree
 from rsasm.rules import Par
@@ -62,6 +62,29 @@ def test_sibling_pairs_share_parent():
         t = random_tree(rng)
         for left, right in t.sibling_pairs():
             assert t.parent_of(left) == t.parent_of(right)
+
+
+def test_preorder_matches_the_recursive_definition():
+    rng = random.Random(17)
+    for _ in range(200):
+        t = random_tree(rng, 40)
+        expected = list(reference_preorder(t))
+        got = list(t.preorder())
+        assert [nid for nid, _, _ in got] == list(range(t.size))
+        assert [(path, node) for _, path, node in got] == expected
+
+
+def test_find_returns_the_node_or_none():
+    rng = random.Random(19)
+    for _ in range(100):
+        t = random_tree(rng, 30)
+        for path, node in reference_preorder(t):
+            assert t.find(path) is node
+            assert t.node_at_path(path) is node
+            for missing in (path + (len(node.children),), path + (-1,)):
+                assert t.find(missing) is None
+                with pytest.raises(TreeError, match=f"leaves the tree at index {missing[-1]}"):
+                    t.node_at_path(missing)
 
 
 def test_subtree_of_root_is_whole_tree():
