@@ -1,10 +1,11 @@
-"""Background functions and partial-update operators.
+"""Background term functions, which are also the partial-update operators.
 
-Two registries live here: term-level background functions available to rule
-terms, and the whitelist of collapse operators usable in partial assignments.
-Collapse operators are applied as ``op(current_location_value, *operands)``;
-the tree-extending operators therefore take the tree being extended first,
-unlike their hedge-first counterparts in :mod:`rsasm.treealg`.
+``TERM_FUNCTIONS`` holds the functions rule terms may call.  A partial update
+``f <=[op] a1, ..., an`` applies the same function ``op`` to the location's
+current value and the operands (Gurevich & Tillmann, "Partial updates", 2005);
+``COLLAPSE_OPERATORS`` names the functions allowed there.  The tree-building
+functions adapt values to :mod:`rsasm.treealg`, whose operators take the hedge
+first and hold the only hedge extension.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import treealg
-from .errors import EvalError, RuleError
+from .errors import EvalError, RuleError, TreeError
 from .structures import (
     FALSE,
     TRUE,
@@ -218,7 +219,7 @@ def _context_of(state, vals, reads):
     return TreeValue(treealg.punch_hole(sub, rel).tree)
 
 
-# -- tree construction functions -------------------------------------------------
+# -- tree construction functions: thin adapters over the tree algebra ----------
 
 
 def as_hedge(v: Value, what: str) -> tuple[Tree, ...]:
@@ -235,10 +236,21 @@ def as_hedge(v: Value, what: str) -> tuple[Tree, ...]:
     raise EvalError(f"{what} expects trees, got {v!r}")
 
 
+def _hedge(vals, what: str) -> tuple[Tree, ...]:
+    """The hedges of several values, concatenated."""
+    return tuple(t for v in vals for t in as_hedge(v, what))
+
+
 def _label_name(v: Value, what: str) -> str:
     if isinstance(v, Atom):
         return v.name
     raise EvalError(f"{what} expects a label, got {v!r}")
+
+
+def _context(v: Value, what: str) -> treealg.Context:
+    if not isinstance(v, TreeValue):
+        raise EvalError(f"{what} expects a context tree, got {v!r}")
+    return treealg.Context(v.tree)
 
 
 @_register("hole", 0)
@@ -255,67 +267,53 @@ def _leaf(state, vals, reads):
 def _label_hedge(state, vals, reads):
     if not vals:
         raise EvalError("label_hedge needs a label")
-    hedge: list[Tree] = []
-    for v in vals[1:]:
-        hedge.extend(as_hedge(v, "label_hedge"))
-    return TreeValue(Tree(_label_name(vals[0], "label_hedge"), tuple(hedge)))
+    label = _label_name(vals[0], "label_hedge")
+    return TreeValue(treealg.label_hedge(label, _hedge(vals[1:], "label_hedge")))
 
 
 @_register("label_context", 2)
 def _label_context(state, vals, reads):
-    if not isinstance(vals[1], TreeValue):
-        raise EvalError("label_context expects a context tree")
-    return TreeValue(Tree(_label_name(vals[0], "label_context"), (vals[1].tree,)))
+    label = _label_name(vals[0], "label_context")
+    return TreeValue(treealg.label_context(label, _context(vals[1], "label_context")).tree)
 
 
-def _extend(vals, right: bool, what: str) -> Value:
+def _extend(extend, vals, what: str) -> Value:
     if not vals or not isinstance(vals[0], TreeValue):
         raise EvalError(f"{what} expects a tree or context first")
-    base = vals[0].tree
-    hedge: list[Tree] = []
-    for v in vals[1:]:
-        hedge.extend(as_hedge(v, what))
-    if right:
-        return TreeValue(Tree(base.label, base.children + tuple(hedge), base.value))
-    return TreeValue(Tree(base.label, tuple(hedge) + base.children, base.value))
+    return TreeValue(extend(_hedge(vals[1:], what), vals[0].tree))
 
 
 @_register("right_extend", None)
-def _right_extend_fn(state, vals, reads):
-    return _extend(vals, True, "right_extend")
+def _right_extend(state, vals, reads):
+    return _extend(treealg.right_extend, vals, "right_extend")
 
 
 @_register("left_extend", None)
-def _left_extend_fn(state, vals, reads):
-    return _extend(vals, False, "left_extend")
+def _left_extend(state, vals, reads):
+    return _extend(treealg.left_extend, vals, "left_extend")
 
 
 @_register("concat", 2)
-def _concat_fn(state, vals, reads):
-    h = as_hedge(vals[0], "concat") + as_hedge(vals[1], "concat")
+def _concat(state, vals, reads):
+    h = treealg.concat(as_hedge(vals[0], "concat"), as_hedge(vals[1], "concat"))
     return TupleVal(tuple(TreeValue(t) for t in h))
 
 
 @_register("inject_hedge", None)
-def _inject_hedge_fn(state, vals, reads):
-    if not vals or not isinstance(vals[0], TreeValue):
+def _inject_hedge(state, vals, reads):
+    if not vals:
         raise EvalError("inject_hedge expects a context first")
-    ctx = treealg.Context(vals[0].tree)
-    hedge: list[Tree] = []
-    for v in vals[1:]:
-        hedge.extend(as_hedge(v, "inject_hedge"))
-    return TreeValue(treealg.inject_hedge(ctx, tuple(hedge)))
+    ctx = _context(vals[0], "inject_hedge")
+    return TreeValue(treealg.inject_hedge(ctx, _hedge(vals[1:], "inject_hedge")))
 
 
 @_register("inject_context", 2)
-def _inject_context_fn(state, vals, reads):
-    if not isinstance(vals[0], TreeValue) or not isinstance(vals[1], TreeValue):
-        raise EvalError("inject_context expects two contexts")
-    c1, c2 = treealg.Context(vals[0].tree), treealg.Context(vals[1].tree)
+def _inject_context(state, vals, reads):
+    c1, c2 = _context(vals[0], "inject_context"), _context(vals[1], "inject_context")
     return TreeValue(treealg.inject_context(c1, c2).tree)
 
 
-# -- collapse operators -----------------------------------------------------------
+# -- partial-update operators ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ class SpliceOp:
     """Operator rewriting one node of a tree-valued location.
 
     ``inner`` is None for a plain overwrite of the addressed subtree, or the
-    name of a registered operator to fold into that subtree.
+    name of a partial-update operator to apply to that subtree.
     """
 
     path: tuple[int, ...]
@@ -338,114 +336,47 @@ class OperatorFailure(RuleError):
     """Internal: operator application failed; collapse turns this into a clash."""
 
 
-COLLAPSE_OPERATORS: dict[str, Callable] = {}
+# The term functions a partial update may name as its operator.
+COLLAPSE_OPERATORS = frozenset({"+", "-", "union", "right_extend", "left_extend", "concat"})
 COMMUTATIVE_OPERATORS = frozenset({"+", "union"})
 
 
-def _collapse(name: str):
-    def deco(fn):
-        COLLAPSE_OPERATORS[name] = fn
-        return fn
+def _apply_named(state: State, name: str, current: Value, args: tuple[Value, ...]) -> Value:
+    """``name``'s term function over the current value and the operands.
 
-    return deco
-
-
-def is_registered_operator(name: str) -> bool:
-    return name in COLLAPSE_OPERATORS
-
-
-@_collapse("+")
-def _c_add(state, current, args):
-    if not isinstance(current, NatVal) or len(args) != 1 or not isinstance(args[0], NatVal):
-        raise OperatorFailure(f"+ expects naturals, got {current!r} and {args!r}")
-    return NatVal(current.n + args[0].n)
-
-
-@_collapse("-")
-def _c_sub(state, current, args):
-    if not isinstance(current, NatVal) or len(args) != 1 or not isinstance(args[0], NatVal):
-        raise OperatorFailure(f"- expects naturals, got {current!r} and {args!r}")
-    return NatVal(max(0, current.n - args[0].n))
-
-
-@_collapse("union")
-def _c_union(state, current, args):
-    if not isinstance(current, SetVal):
-        raise OperatorFailure(f"union expects a set location, got {current!r}")
-    members = current.members
-    for a in args:
-        if not isinstance(a, SetVal):
-            raise OperatorFailure(f"union expects set operands, got {a!r}")
-        members = members | a.members
-    return SetVal(members)
-
-
-def _current_tree(current) -> Tree:
-    if not isinstance(current, TreeValue):
-        raise OperatorFailure(f"tree operator applied to non-tree value {current!r}")
-    return current.tree
-
-
-@_collapse("right_extend")
-def _c_right_extend(state, current, args):
-    base = _current_tree(current)
-    hedge: list[Tree] = []
-    for a in args:
-        try:
-            hedge.extend(as_hedge(a, "right_extend"))
-        except EvalError as exc:
-            raise OperatorFailure(str(exc)) from exc
-    return TreeValue(Tree(base.label, base.children + tuple(hedge), base.value))
-
-
-@_collapse("left_extend")
-def _c_left_extend(state, current, args):
-    base = _current_tree(current)
-    hedge: list[Tree] = []
-    for a in args:
-        try:
-            hedge.extend(as_hedge(a, "left_extend"))
-        except EvalError as exc:
-            raise OperatorFailure(str(exc)) from exc
-    return TreeValue(Tree(base.label, tuple(hedge) + base.children, base.value))
-
-
-@_collapse("concat")
-def _c_concat(state, current, args):
+    A variadic function takes them all in one call; a binary one folds the
+    operands in from the left.
+    """
+    if name not in COLLAPSE_OPERATORS:
+        raise OperatorFailure(f"unknown operator {name!r}")
+    fn = TERM_FUNCTIONS[name]
     try:
-        h = as_hedge(current, "concat")
+        if fn.arity is None:
+            return fn.fn(state, (current,) + args, None)
         for a in args:
-            h = h + as_hedge(a, "concat")
-    except EvalError as exc:
+            current = fn.fn(state, (current, a), None)
+        return current
+    except (EvalError, TreeError) as exc:
         raise OperatorFailure(str(exc)) from exc
-    return TupleVal(tuple(TreeValue(t) for t in h))
 
 
 def apply_operator(state: State, op, current: Value, args: tuple[Value, ...]) -> Value:
-    """Apply a collapse operator to a location's current value."""
-    if isinstance(op, SpliceOp):
-        tree = _current_tree(current)
-        node = tree.find(op.path)
-        if node is None:
-            # Writes at vanished nodes are absorbed; needed so that folds of
-            # nested node updates are total in every order.
-            return current
-        if op.inner is None:
-            if len(args) != 1 or not isinstance(args[0], TreeValue):
-                raise OperatorFailure(f"splice expects one tree operand, got {args!r}")
-            new_sub = args[0].tree
-        else:
-            inner = COLLAPSE_OPERATORS.get(op.inner)
-            if inner is None:
-                raise OperatorFailure(f"unknown operator {op.inner!r}")
-            result = inner(state, TreeValue(node), args)
-            if not isinstance(result, TreeValue):
-                raise OperatorFailure(f"operator {op.inner!r} did not produce a tree")
-            new_sub = result.tree
-        if not op.path:
-            return TreeValue(new_sub)
-        return TreeValue(treealg._replace_at_path(tree, op.path, new_sub))
-    fn = COLLAPSE_OPERATORS.get(op)
-    if fn is None:
-        raise OperatorFailure(f"unknown operator {op!r}")
-    return fn(state, current, args)
+    """Apply a partial-update operator to a location's current value."""
+    if not isinstance(op, SpliceOp):
+        return _apply_named(state, op, current, args)
+    if not isinstance(current, TreeValue):
+        raise OperatorFailure(f"tree operator applied to non-tree value {current!r}")
+    node = current.tree.find(op.path)
+    if node is None:
+        # Writes at vanished nodes are absorbed; needed so that folds of
+        # nested node updates are total in every order.
+        return current
+    if op.inner is None:
+        if len(args) != 1 or not isinstance(args[0], TreeValue):
+            raise OperatorFailure(f"splice expects one tree operand, got {args!r}")
+        new_sub = args[0]
+    else:
+        new_sub = _apply_named(state, op.inner, TreeValue(node), args)
+        if not isinstance(new_sub, TreeValue):
+            raise OperatorFailure(f"operator {op.inner!r} did not produce a tree")
+    return TreeValue(treealg._replace_at_path(current.tree, op.path, new_sub.tree))

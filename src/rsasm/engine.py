@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ReflectError, RsasmError
+from .errors import EngineError, RsasmError
 from .reflect import beta, decode_signature, decode_rule, rule_of_self, signature_of_self
 from .rules import (
     ClashReport,
@@ -63,7 +63,6 @@ class StepRecord:
         obj: dict = {
             "index": self.index,
             "updates": [],
-            "shared": [],
             "signature_added": list(self.signature_added),
             "self_digest": self_digest(self.after),
             "self": tree_to_json(self.after.self_tree),
@@ -117,10 +116,7 @@ class Trace:
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
     """One machine step: decode, execute, collapse, apply; ``index`` numbers the record."""
-    selfval = state.value_at(SELF_LOCATION)
-    if not isinstance(selfval, TreeValue):
-        raise ReflectError("location 'self' does not hold a tree")
-    tree = selfval.tree
+    tree = state.self_tree
     signature = decode_signature(signature_of_self(tree))
     rule = decode_rule(rule_of_self(tree))
     exec_state = state.with_signature(signature)

@@ -17,7 +17,7 @@ from . import background as bg
 from .engine import Machine
 from .errors import ParseError
 from .reflect import build_self_tree, decode_rule, drop, rule_of_self
-from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_substitute
+from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_children, rule_substitute
 from .structures import (
     Atom,
     BackgroundConfig,
@@ -32,7 +32,6 @@ from .structures import (
     Iota,
     Location,
     NatVal,
-    NodeRef,
     NODES_DOMAIN,
     SELF_LOCATION,
     SELF_SYMBOL,
@@ -47,6 +46,8 @@ from .structures import (
     UNDEF,
     Value,
     Variable,
+    term_children,
+    term_substitute,
     value_sort_key,
 )
 from .treealg import Tree, XI
@@ -84,6 +85,12 @@ RESERVED_WORDS = {"true", "false", "undef"}
 
 DEFAULT_MAX_STEPS = 1000
 MAX_STEPS_ENV = "RSASM_MAX_STEPS"
+
+# Deepest nesting of rules, parenthesised terms, negations and tree literals a
+# program may use.  Parsing, evaluation, encoding, decoding and trace
+# serialization each recurse a few frames per level; at this depth all of them
+# stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 64
 
 
 @dataclass
@@ -182,6 +189,20 @@ class ProgramSource:
     name: str = "program"
 
 
+def _nested(parse):
+    """Count one nesting level around a parse method; too deep a program is a ParseError."""
+
+    def nested(self, *args):
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        result = parse(self, *args)
+        self.depth -= 1
+        return result
+
+    return nested
+
+
 class Parser:
     def __init__(self, tokens: list[Token], name: str = "program"):
         self.tokens = tokens
@@ -191,6 +212,7 @@ class Parser:
         self.signature_symbols: dict[str, int] = {}
         self.projections: dict[str, str] = {}
         self.bound: list[str] = []
+        self.depth = 0
 
     # -- token helpers --
 
@@ -265,13 +287,7 @@ class Parser:
                 self.fail(f"{name!r} is reserved")
             self.expect("EQ")
             self.expect("LBRACE")
-            members: list[Value] = []
-            if self.peek().kind != "RBRACE":
-                while True:
-                    members.append(Atom(self.ident("domain member")))
-                    if not self._take("COMMA"):
-                        break
-            self.expect("RBRACE")
+            members = self._items(lambda: Atom(self.ident("domain member")), "RBRACE")
             if len(set(members)) != len(members):
                 self.fail(f"domain {name!r} lists a member twice")
             self.domains[name] = tuple(sorted(members, key=value_sort_key))
@@ -281,6 +297,16 @@ class Parser:
             self.next()
             return True
         return False
+
+    def _items(self, parse_item, close: str) -> list:
+        """Comma-separated items up to the closing token, which is consumed."""
+        items = []
+        if self.peek().kind != close:
+            items.append(parse_item())
+            while self._take("COMMA"):
+                items.append(parse_item())
+        self.expect(close)
+        return items
 
     def parse_signature(self) -> None:
         while self.peek().kind == "IDENT":
@@ -348,14 +374,7 @@ class Parser:
             arity = self.signature_symbols.get(name)
             if arity is None:
                 self.fail(f"unknown symbol {name!r} in INIT")
-            args: list[Value] = []
-            if self._take("LPAREN"):
-                if self.peek().kind != "RPAREN":
-                    while True:
-                        args.append(self.parse_value_literal())
-                        if not self._take("COMMA"):
-                            break
-                self.expect("RPAREN")
+            args = self._items(self.parse_value_literal, "RPAREN") if self._take("LPAREN") else []
             if len(args) != arity:
                 self.fail(f"{name!r} has arity {arity}, got {len(args)} arguments")
             self.expect("EQ")
@@ -393,6 +412,7 @@ class Parser:
         assert self.bound and self.bound[-1] == var
         self.bound.pop()
 
+    @_nested
     def parse_rule(self) -> Rule:
         tok = self.peek()
         if tok.kind == "KEYWORD":
@@ -444,14 +464,7 @@ class Parser:
         if tok.kind != "IDENT":
             self.fail("expected a rule")
         target = self.ident("update target")
-        args: list[Term] = []
-        if self._take("LPAREN"):
-            if self.peek().kind != "RPAREN":
-                while True:
-                    args.append(self.parse_term())
-                    if not self._take("COMMA"):
-                        break
-            self.expect("RPAREN")
+        args = self._items(self.parse_term, "RPAREN") if self._take("LPAREN") else []
         if target in self.signature_symbols:
             if len(args) != self.signature_symbols[target]:
                 self.fail(
@@ -471,7 +484,7 @@ class Parser:
                 op = op_tok.text
             else:
                 raise ParseError("expected an operator name", op_tok.line, op_tok.column)
-            if not bg.is_registered_operator(op):
+            if op not in bg.COLLAPSE_OPERATORS:
                 raise ParseError(f"operator {op!r} is not registered", op_tok.line, op_tok.column)
             self.expect("RBRACKET")
             operands = [self.parse_term()]
@@ -501,8 +514,10 @@ class Parser:
 
     def parse_not(self) -> Term:
         if self.take_keyword("NOT"):
-            return BoolConnective("not", (self.parse_not(),))
+            return BoolConnective("not", (self.parse_negated(),))
         return self.parse_equality()
+
+    parse_negated = _nested(parse_not)
 
     def parse_equality(self) -> Term:
         left = self.parse_additive()
@@ -531,6 +546,7 @@ class Parser:
             self.fail(f"search domain {name!r} is not declared; unbounded search is rejected")
         return name
 
+    @_nested
     def parse_primary(self) -> Term:
         tok = self.peek()
         if tok.kind == "INT":
@@ -587,15 +603,8 @@ class Parser:
             return Constant(UNDEF)
         if self.peek().kind == "LANGLE":
             return self.parse_tree_node(name)
-        if self.peek().kind == "LPAREN":
-            self.next()
-            args: list[Term] = []
-            if self.peek().kind != "RPAREN":
-                while True:
-                    args.append(self.parse_term())
-                    if not self._take("COMMA"):
-                        break
-            self.expect("RPAREN")
+        if self._take("LPAREN"):
+            args = self._items(self.parse_term, "RPAREN")
             arity = self.signature_symbols.get(name)
             if arity is not None and arity != len(args):
                 self.fail(f"{name!r} has arity {arity}, got {len(args)} arguments")
@@ -646,8 +655,6 @@ class Parser:
         cond = self.parse_term()
         self._unbind(var)
         self.expect("RBRACE")
-        from .structures import term_substitute
-
         acc: Term = FunctionApp("emptyset", ())
         for m in members:
             acc = FunctionApp(
@@ -657,15 +664,10 @@ class Parser:
 
     # -- tree literals --
 
+    @_nested
     def parse_tree_node(self, label: str) -> Term:
         self.expect("LANGLE")
-        children: list[Term] = []
-        if self.peek().kind != "RANGLE":
-            while True:
-                children.append(self.parse_tree_item())
-                if not self._take("COMMA"):
-                    break
-        self.expect("RANGLE")
+        children = self._items(self.parse_tree_item, "RANGLE")
         return FunctionApp("label_hedge", (Constant(Atom(label)),) + tuple(children))
 
     def parse_tree_item(self) -> Term:
@@ -707,17 +709,8 @@ class Parser:
 def _collect_atoms_term(term: Term, out: set[Atom]) -> None:
     if isinstance(term, Constant):
         _collect_atoms_value(term.value, out)
-    elif isinstance(term, FunctionApp):
-        for a in term.args:
-            _collect_atoms_term(a, out)
-    elif isinstance(term, Equality):
-        _collect_atoms_term(term.left, out)
-        _collect_atoms_term(term.right, out)
-    elif isinstance(term, BoolConnective):
-        for a in term.operands:
-            _collect_atoms_term(a, out)
-    elif isinstance(term, Iota):
-        _collect_atoms_term(term.condition, out)
+    for child in term_children(term):
+        _collect_atoms_term(child, out)
 
 
 def _collect_atoms_value(value: Value, out: set[Atom]) -> None:
@@ -738,23 +731,11 @@ def _collect_atoms_value(value: Value, out: set[Atom]) -> None:
 
 
 def _collect_atoms_rule(rule: Rule, out: set[Atom]) -> None:
-    if isinstance(rule, Assign):
-        for a in rule.args:
-            _collect_atoms_term(a, out)
-        _collect_atoms_term(rule.rhs, out)
-    elif isinstance(rule, If):
-        _collect_atoms_term(rule.cond, out)
-        _collect_atoms_rule(rule.then, out)
-        _collect_atoms_rule(rule.orelse, out)
-    elif isinstance(rule, Par):
-        for b in rule.branches:
-            _collect_atoms_rule(b, out)
-    elif isinstance(rule, Let):
-        _collect_atoms_term(rule.bound, out)
-        _collect_atoms_rule(rule.body, out)
-    elif isinstance(rule, PartialAssign):
-        for a in rule.args + rule.operands:
-            _collect_atoms_term(a, out)
+    terms, rules = rule_children(rule)
+    for t in terms:
+        _collect_atoms_term(t, out)
+    for r in rules:
+        _collect_atoms_rule(r, out)
 
 
 def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machine:
@@ -838,8 +819,6 @@ class SourcePrinter:
         if isinstance(value, Atom):
             return value.name
         if isinstance(value, SymbolName):
-            if value.name in ("+", "-"):
-                return f"DROP({value.name})"
             return f"DROP({value.name})"
         if isinstance(value, DroppedTerm):
             return f"DROP({self.term(value.term)})"
@@ -856,8 +835,6 @@ class SourcePrinter:
         if isinstance(value, TupleVal):
             inner = ", ".join(self.value_literal(v) for v in value.items)
             return f"concat({inner})" if len(value.items) == 2 else f"({inner})"
-        if isinstance(value, NodeRef):
-            return repr(value)
         return repr(value)
 
     def tree_literal(self, t: Tree) -> str:

@@ -31,6 +31,7 @@ from .structures import (
     TreeValue,
     TupleVal,
     UNDEF,
+    Variable,
     term_substitute,
 )
 from .treealg import (
@@ -49,7 +50,6 @@ from .treealg import (
     L_UPDATE,
     Tree,
 )
-from .structures import Variable
 
 # -- raise and drop ---------------------------------------------------------------
 
@@ -338,7 +338,9 @@ def build_self_tree(sig: Signature, rule: Rule) -> Tree:
 
 
 def _unique_root_child(t: Tree, label: str) -> Tree:
-    """The unique child of the root with the given label (an iota search)."""
+    """The unique child of a self tree's root with the given label (an iota search)."""
+    if t.label != L_SELF:
+        raise ReflectError(f"expected a self tree, found {t.label!r}")
     hits = [c for c in t.children if c.label == label]
     if len(hits) != 1:
         raise ReflectError(
@@ -347,24 +349,13 @@ def _unique_root_child(t: Tree, label: str) -> Tree:
     return hits[0]
 
 
-def _first_root_child_scan(t: Tree, label: str) -> Tree:
-    for c in t.children:
-        if c.label == label:
-            return c
-    raise ReflectError(f"self tree has no {label!r} child")
-
-
 def signature_of_self(t: Tree) -> Tree:
     """The signature subtree of a self tree."""
-    if t.label != L_SELF:
-        raise ReflectError(f"expected a self tree, found {t.label!r}")
     return _unique_root_child(t, L_SIGNATURE)
 
 
 def rule_of_self(t: Tree) -> Tree:
     """The rule subtree of a self tree (the wrapper's single content tree)."""
-    if t.label != L_SELF:
-        raise ReflectError(f"expected a self tree, found {t.label!r}")
     wrapper = _unique_root_child(t, L_RULE)
     if len(wrapper.children) != 1:
         raise ReflectError("rule wrapper must hold exactly one subtree")
@@ -422,10 +413,6 @@ def beta(t: Tree) -> tuple[Term, ...]:
     location's value.
     """
     return _beta_rule(decode_rule(t), {})
-
-
-def beta_of_rule(rule: Rule) -> tuple[Term, ...]:
-    return _beta_rule(rule, {})
 
 
 # -- reserve allocation ----------------------------------------------------------------

@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .background import (
+    COLLAPSE_OPERATORS,
     COMMUTATIVE_OPERATORS,
     OperatorFailure,
     SpliceOp,
     apply_operator,
-    is_registered_operator,
 )
 from .errors import RuleError, SignatureError
 from .structures import (
@@ -84,38 +84,43 @@ class PartialAssign(Rule):
     operands: tuple[Term, ...]
 
 
+# The terms and the subrules of each rule kind, and the constructor taking new
+# ones back.  Walks that treat every kind alike fold over this pair; only the
+# binder ``Let.var`` needs a case of its own.
+_RULE_SHAPES = {
+    Assign: (
+        lambda r: (r.args + (r.rhs,), ()),
+        lambda r, ts, rs: Assign(r.target, ts[:-1], ts[-1]),
+    ),
+    If: (lambda r: ((r.cond,), (r.then, r.orelse)), lambda r, ts, rs: If(ts[0], *rs)),
+    Par: (lambda r: ((), r.branches), lambda r, ts, rs: Par(rs)),
+    Let: (lambda r: ((r.bound,), (r.body,)), lambda r, ts, rs: Let(r.var, ts[0], rs[0])),
+    PartialAssign: (
+        lambda r: (r.args + r.operands, ()),
+        lambda r, ts, rs: PartialAssign(r.target, ts[: len(r.args)], r.op, ts[len(r.args) :]),
+    ),
+}
+
+
+def rule_children(rule: Rule) -> tuple[tuple[Term, ...], tuple[Rule, ...]]:
+    """The terms and the subrules of a rule, in source order."""
+    return _RULE_SHAPES[type(rule)][0](rule)
+
+
+def rule_map(rule: Rule, on_term, on_rule) -> Rule:
+    """``rule`` rebuilt with ``on_term`` applied to its terms and ``on_rule`` to its subrules."""
+    children, rebuild = _RULE_SHAPES[type(rule)]
+    terms, rules = children(rule)
+    return rebuild(rule, tuple([on_term(t) for t in terms]), tuple([on_rule(r) for r in rules]))
+
+
 def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
     """Substitute a term for a variable in all terms of a rule."""
-    if isinstance(rule, Assign):
-        return Assign(
-            rule.target,
-            tuple(term_substitute(a, var, repl) for a in rule.args),
-            term_substitute(rule.rhs, var, repl),
-        )
-    if isinstance(rule, If):
-        return If(
-            term_substitute(rule.cond, var, repl),
-            rule_substitute(rule.then, var, repl),
-            rule_substitute(rule.orelse, var, repl),
-        )
-    if isinstance(rule, Par):
-        return Par(tuple(rule_substitute(b, var, repl) for b in rule.branches))
-    if isinstance(rule, Let):
-        if rule.var == var:
-            return Let(rule.var, term_substitute(rule.bound, var, repl), rule.body)
-        return Let(
-            rule.var,
-            term_substitute(rule.bound, var, repl),
-            rule_substitute(rule.body, var, repl),
-        )
-    if isinstance(rule, PartialAssign):
-        return PartialAssign(
-            rule.target,
-            tuple(term_substitute(a, var, repl) for a in rule.args),
-            rule.op,
-            tuple(term_substitute(a, var, repl) for a in rule.operands),
-        )
-    raise RuleError(f"unknown rule {rule!r}")
+    if isinstance(rule, Let) and rule.var == var:
+        return Let(var, term_substitute(rule.bound, var, repl), rule.body)
+    return rule_map(
+        rule, lambda t: term_substitute(t, var, repl), lambda r: rule_substitute(r, var, repl)
+    )
 
 
 # -- shared updates and multisets -------------------------------------------------
@@ -247,7 +252,7 @@ def compute_update_multiset(
         return compute_update_multiset(rule.body, state, inner)
 
     if isinstance(rule, PartialAssign):
-        if not is_registered_operator(rule.op):
+        if rule.op not in COLLAPSE_OPERATORS:
             raise RuleError(f"operator {rule.op!r} is not registered")
         loc = _target_location(rule.target, rule.args, state, env)
         vals = tuple(eval_term(state, a, env) for a in rule.operands)
@@ -293,9 +298,7 @@ def normalize_sublocations(m: UpdateMultiset, state: State) -> UpdateMultiset:
 
 
 class _Clash(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A group of entries that cannot collapse; the message is the clash reason."""
 
 
 def _is_prefix(p1, p2) -> bool:

@@ -187,39 +187,45 @@ class Variable(Term):
     name: str
 
 
+# The direct subterms of each compound term kind, and the constructor taking
+# new ones back; ``Constant`` and ``Variable`` are the leaves.  Walks that
+# treat every kind alike fold over this pair; only the leaves and the binder
+# ``Iota.var`` need cases of their own.
+_TERM_SHAPES = {
+    FunctionApp: (lambda t: t.args, lambda t, cs: FunctionApp(t.symbol, cs)),
+    Equality: (lambda t: (t.left, t.right), lambda t, cs: Equality(*cs)),
+    BoolConnective: (lambda t: t.operands, lambda t, cs: BoolConnective(t.op, cs)),
+    Iota: (lambda t: (t.condition,), lambda t, cs: Iota(t.var, t.domain, cs[0])),
+}
+
+
+def term_children(term: Term) -> tuple[Term, ...]:
+    """The direct subterms of a term, in source order."""
+    shape = _TERM_SHAPES.get(type(term))
+    return shape[0](term) if shape else ()
+
+
+def term_map(term: Term, f) -> Term:
+    """``term`` rebuilt with ``f`` applied to each direct subterm; a leaf comes back as is."""
+    shape = _TERM_SHAPES.get(type(term))
+    return shape[1](term, tuple([f(c) for c in shape[0](term)])) if shape else term
+
+
 def term_substitute(term: Term, var: str, repl: Term) -> Term:
     """Substitute ``repl`` for free occurrences of ``var``."""
     if isinstance(term, Variable):
         return repl if term.name == var else term
-    if isinstance(term, Constant):
+    if isinstance(term, Iota) and term.var == var:
         return term
-    if isinstance(term, FunctionApp):
-        return FunctionApp(term.symbol, tuple(term_substitute(a, var, repl) for a in term.args))
-    if isinstance(term, Equality):
-        return Equality(term_substitute(term.left, var, repl), term_substitute(term.right, var, repl))
-    if isinstance(term, BoolConnective):
-        return BoolConnective(term.op, tuple(term_substitute(a, var, repl) for a in term.operands))
-    if isinstance(term, Iota):
-        if term.var == var:
-            return term
-        return Iota(term.var, term.domain, term_substitute(term.condition, var, repl))
-    raise EvalError(f"unknown term {term!r}")
+    return term_map(term, lambda c: term_substitute(c, var, repl))
 
 
 def term_is_ground(term: Term, bound: frozenset[str] = frozenset()) -> bool:
     if isinstance(term, Variable):
         return term.name in bound
-    if isinstance(term, Constant):
-        return True
-    if isinstance(term, FunctionApp):
-        return all(term_is_ground(a, bound) for a in term.args)
-    if isinstance(term, Equality):
-        return term_is_ground(term.left, bound) and term_is_ground(term.right, bound)
-    if isinstance(term, BoolConnective):
-        return all(term_is_ground(a, bound) for a in term.operands)
     if isinstance(term, Iota):
-        return term_is_ground(term.condition, bound | {term.var})
-    return False
+        bound = bound | {term.var}
+    return all(term_is_ground(c, bound) for c in term_children(term))
 
 
 # -- signatures and locations ----------------------------------------------------
@@ -255,9 +261,6 @@ class Signature:
 
     def arity_of(self, name: str) -> int | None:
         return self._arities.get(name)  # type: ignore[attr-defined]
-
-    def has(self, name: str) -> bool:
-        return name in self._arities  # type: ignore[attr-defined]
 
     def names(self) -> frozenset[str]:
         return frozenset(self._arities)  # type: ignore[attr-defined]
@@ -464,15 +467,7 @@ def rename_term(term: Term, sigma: dict[Atom, Atom]) -> Term:
     """Rename the constants inside a term."""
     if isinstance(term, Constant):
         return Constant(rename_value(term.value, sigma))
-    if isinstance(term, FunctionApp):
-        return FunctionApp(term.symbol, tuple(rename_term(a, sigma) for a in term.args))
-    if isinstance(term, Equality):
-        return Equality(rename_term(term.left, sigma), rename_term(term.right, sigma))
-    if isinstance(term, BoolConnective):
-        return BoolConnective(term.op, tuple(rename_term(a, sigma) for a in term.operands))
-    if isinstance(term, Iota):
-        return Iota(term.var, term.domain, rename_term(term.condition, sigma))
-    return term
+    return term_map(term, lambda c: rename_term(c, sigma))
 
 
 def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:

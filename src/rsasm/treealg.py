@@ -101,9 +101,6 @@ class Tree:
             nid += 1
             stack.extend(reversed([(path + (i,), c) for i, c in enumerate(node.children)]))
 
-    def node_ids(self) -> range:
-        return range(self.size)
-
     def path_of(self, o: int) -> Path:
         for nid, path, _ in self.preorder():
             if nid == o:
@@ -133,40 +130,6 @@ class Tree:
             depth = next(d for d in range(len(path)) if self.find(path[: d + 1]) is None)
             raise TreeError(f"path {path} leaves the tree at index {path[depth]}")
         return node
-
-    def label_of(self, o: int) -> str:
-        return self.node_at(o).label
-
-    def leaf_value(self, o: int) -> object | None:
-        node = self.node_at(o)
-        if node.children:
-            raise TreeError(f"node {o} is not a leaf")
-        return node.value
-
-    # -- relational views (child and next-sibling relations) -----------------
-
-    def child_pairs(self) -> list[tuple[int, int]]:
-        paths = {path: nid for nid, path, _ in self.preorder()}
-        return [
-            (paths[path[:-1]], nid)
-            for nid, path, _ in self.preorder()
-            if path
-        ]
-
-    def sibling_pairs(self) -> list[tuple[int, int]]:
-        paths = {path: nid for nid, path, _ in self.preorder()}
-        pairs = []
-        for nid, path, node in self.preorder():
-            for i in range(len(node.children) - 1):
-                pairs.append((paths[path + (i,)], paths[path + (i + 1,)]))
-        return pairs
-
-    def parent_of(self, o: int) -> int | None:
-        path = self.path_of(o)
-        if not path:
-            return None
-        paths = {p: nid for nid, p, _ in self.preorder()}
-        return paths[path[:-1]]
 
 
 Hedge = tuple[Tree, ...]
@@ -512,12 +475,15 @@ def _resolve_kl(t: Tree, depth: int, sibling_index: int) -> Tree:
     raise TreeError(f"no node at depth {depth} with {sibling_index} left siblings")
 
 
-def _as_hedge(v) -> Hedge:
-    if isinstance(v, Tree):
-        return (v,)
-    if isinstance(v, Context):
-        raise TreeError("a context cannot be used as a hedge element")
-    return tuple(v)
+def _eval_hedge(parts: tuple[AlgebraTerm, ...], subject: Tree) -> Hedge:
+    """The hedges the parts evaluate to, concatenated; a tree is a singleton."""
+    h: list[Tree] = []
+    for p in parts:
+        v = eval_algebra(p, subject)
+        if isinstance(v, Context):
+            raise TreeError("a context cannot be used as a hedge element")
+        h.extend((v,) if isinstance(v, Tree) else v)
+    return tuple(h)
 
 
 def eval_algebra(term: AlgebraTerm, subject: Tree):
@@ -541,10 +507,7 @@ def eval_algebra(term: AlgebraTerm, subject: Tree):
             raise TreeError("context selector paths are not nested")
         return punch_hole(sub, rel)
     if isinstance(term, LabelHedgeOp):
-        h: list[Tree] = []
-        for p in term.parts:
-            h.extend(_as_hedge(eval_algebra(p, subject)))
-        return Tree(term.label, tuple(h))
+        return label_hedge(term.label, _eval_hedge(term.parts, subject))
     if isinstance(term, LabelContextOp):
         inner = eval_algebra(term.part, subject)
         if not isinstance(inner, Context):
@@ -552,24 +515,15 @@ def eval_algebra(term: AlgebraTerm, subject: Tree):
         return label_context(term.label, inner)
     if isinstance(term, (LeftExtendOp, RightExtendOp)):
         base = eval_algebra(term.base, subject)
-        h = []
-        for p in term.parts:
-            h.extend(_as_hedge(eval_algebra(p, subject)))
         op = left_extend if isinstance(term, LeftExtendOp) else right_extend
-        return op(tuple(h), base)
+        return op(_eval_hedge(term.parts, subject), base)
     if isinstance(term, ConcatOp):
-        h = []
-        for p in term.parts:
-            h.extend(_as_hedge(eval_algebra(p, subject)))
-        return tuple(h)
+        return _eval_hedge(term.parts, subject)
     if isinstance(term, InjectHedgeOp):
         c = eval_algebra(term.context, subject)
         if not isinstance(c, Context):
             raise TreeError("inject_hedge needs a context operand")
-        h = []
-        for p in term.parts:
-            h.extend(_as_hedge(eval_algebra(p, subject)))
-        return inject_hedge(c, tuple(h))
+        return inject_hedge(c, _eval_hedge(term.parts, subject))
     if isinstance(term, InjectContextOp):
         outer = eval_algebra(term.outer, subject)
         inner = eval_algebra(term.inner, subject)

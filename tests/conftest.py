@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from rsasm.reflect import build_self_tree
 from rsasm.rules import Assign, If, Let, Par, PartialAssign, Rule
 from rsasm.structures import (
@@ -24,6 +26,13 @@ from rsasm.structures import (
     Variable,
 )
 from rsasm.treealg import Context, Tree
+
+# Property tests draw the same examples on every run and stay small, so the
+# suite's verdict and running time do not vary between runs.
+settings.register_profile(
+    "rsasm", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("rsasm")
 
 
 def make_state(

@@ -351,3 +351,10 @@ def test_rewritten_rule_takes_effect_at_the_next_step():
     assert decode_rule(rule_of_self(first.self_tree)) == grown
     second, _ = step(first)
     assert second.value_at(Location("n1")) == NatVal(5)
+
+
+def test_extending_a_hole_ends_the_run_as_an_error():
+    trace = run(parse("SIGNATURE\n  x/0\nRULE\n  x := right_extend(XI, a<>)\n"))
+    assert trace.status == "error"
+    assert trace.detail == "step 1: cannot extend below a hole; the root must be labelled"
+    assert trace.steps == ()

@@ -11,6 +11,7 @@ from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
 from rsasm.frontend import (
+    MAX_NESTING,
     load_program,
     machine_to_source,
     parse,
@@ -320,3 +321,59 @@ def test_cli_run_json_format(capsys):
                  for loc, _ in [(entry[0], entry[1]) for entry in payload["final"]["locations"]]}
     symbols = {entry[0]["symbol"] for entry in payload["final"]["locations"]}
     assert {"card", "parity", "self"} <= symbols
+
+
+# -- nesting cap ------------------------------------------------------------------
+
+
+def _nested_ifs(n: int) -> str:
+    """``n`` nested IFs around one assignment; its right side nests ``n + 2`` deep."""
+    body = "x := 1"
+    for _ in range(n):
+        body = f"IF x = 0 THEN {body} ENDIF"
+    return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  {body}\n"
+
+
+def _nested_sums(n: int) -> str:
+    """``x := (1 + (1 + ... 1))`` with ``n`` parentheses under one IF: nesting ``n + 3``."""
+    sum_text = "(1 + " * n + "1" + ")" * n
+    return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  IF x = 0 THEN x := {sum_text} ENDIF\n"
+
+
+DEEP_PROGRAMS = {
+    "ifs": _nested_ifs(1000),
+    "parentheses": "SIGNATURE\n  x/0\nRULE\n  x := " + "(" * 1000 + "1" + ")" * 1000 + "\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROGRAMS))
+def test_deep_nesting_is_a_parse_error(kind):
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as info:
+        parse(DEEP_PROGRAMS[kind])
+    assert info.value.line is not None and info.value.column is not None
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROGRAMS))
+def test_cli_check_rejects_deep_nesting_without_a_traceback(kind, tmp_path):
+    deep = tmp_path / "deep.rsasm"
+    deep.write_text(DEEP_PROGRAMS[kind])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsasm.cli", "check", str(deep)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"nesting deeper than {MAX_NESTING} levels" in proc.stderr
+
+
+def test_programs_at_the_nesting_cap_parse_run_and_serialize_their_trace():
+    ifs, sums = MAX_NESTING - 2, MAX_NESTING - 3
+    for source, x in ((_nested_ifs(ifs), 1), (_nested_sums(sums), sums + 1)):
+        trace = run(parse(source))
+        assert trace.status == "fixpoint"
+        assert trace.final_state.value_at(Location("x")) == NatVal(x)
+        assert json.loads(trace.to_json())["status"] == "fixpoint"
+    for too_deep in (_nested_ifs(ifs + 1), _nested_sums(sums + 1)):
+        with pytest.raises(ParseError):
+            parse(too_deep)

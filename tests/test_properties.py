@@ -1,0 +1,294 @@
+"""Property tests: substitution, atom collection and collapse order-independence."""
+
+import itertools
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import make_state
+from rsasm.background import COMMUTATIVE_OPERATORS
+from rsasm.errors import RsasmError
+from rsasm.frontend import _collect_atoms_rule, _collect_atoms_term
+from rsasm.rules import (
+    Assign,
+    ClashReport,
+    If,
+    Let,
+    Par,
+    PartialAssign,
+    SharedUpdate,
+    UpdateMultiset,
+    collapse,
+    compute_update_multiset,
+    rule_substitute,
+)
+from rsasm.structures import (
+    Atom,
+    BoolConnective,
+    Constant,
+    DroppedTerm,
+    Equality,
+    FALSE,
+    FunctionApp,
+    Iota,
+    Location,
+    NatVal,
+    NodeLocation,
+    SetVal,
+    SymbolName,
+    TRUE,
+    TreeValue,
+    TupleVal,
+    UNDEF,
+    Update,
+    UpdateSet,
+    Variable,
+    eval_term,
+    term_substitute,
+    term_to_json,
+)
+from rsasm.treealg import Tree
+
+VARS = ("x", "y")
+ATOMS = (Atom("p"), Atom("q"), Atom("r"))
+SYMBOLS = {"n0": 0, "a0": 0, "u0": 1}
+STATE = make_state(
+    SYMBOLS,
+    {
+        Location("n0"): NatVal(1),
+        Location("a0"): Atom("p"),
+        Location("u0", (Atom("q"),)): TRUE,
+    },
+    domains=(("D", ATOMS),),
+    base=ATOMS,
+)
+
+# -- strategies -----------------------------------------------------------------------
+
+plain_values = st.sampled_from(
+    (NatVal(0), NatVal(1), NatVal(2), *ATOMS, TRUE, FALSE, UNDEF, SymbolName("n0"))
+)
+
+
+def _compound_values(inner):
+    leaves = st.lists(inner, max_size=3).map(
+        lambda vs: TreeValue(Tree("node", tuple(Tree("leaf", (), v) for v in vs)))
+    )
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda vs: TupleVal(tuple(vs))),
+        st.frozensets(inner, max_size=3).map(SetVal),
+        leaves,
+        inner.map(lambda v: DroppedTerm(FunctionApp("u0", (Constant(v),)))),
+    )
+
+
+values = st.recursive(plain_values, _compound_values, max_leaves=6)
+
+term_leaves = st.one_of(
+    plain_values.map(Constant),
+    st.sampled_from(VARS).map(Variable),
+    st.sampled_from(("n0", "a0")).map(FunctionApp),
+)
+
+
+def _compound_terms(inner):
+    return st.one_of(
+        st.builds(lambda a, b: FunctionApp("+", (a, b)), inner, inner),
+        inner.map(lambda a: FunctionApp("u0", (a,))),
+        st.builds(Equality, inner, inner),
+        st.builds(
+            BoolConnective,
+            st.sampled_from(("and", "or")),
+            st.lists(inner, min_size=1, max_size=3).map(tuple),
+        ),
+        inner.map(lambda a: BoolConnective("not", (a,))),
+        st.builds(lambda v, c: Iota(v, "D", c), st.sampled_from(VARS), inner),
+    )
+
+
+terms = st.recursive(term_leaves, _compound_terms, max_leaves=10)
+terms_with_any_constant = st.recursive(
+    st.one_of(term_leaves, values.map(Constant)), _compound_terms, max_leaves=10
+)
+
+
+def _compound_rules(inner):
+    return st.one_of(
+        st.builds(If, terms, inner, inner),
+        st.lists(inner, max_size=3).map(lambda rs: Par(tuple(rs))),
+        st.builds(Let, st.sampled_from(VARS), terms, inner),
+    )
+
+
+rule_leaves = st.one_of(
+    st.builds(lambda t: Assign("n0", (), t), terms),
+    st.builds(lambda a, t: Assign("u0", (a,), t), terms, terms),
+    st.builds(lambda t: PartialAssign("n0", (), "+", (t,)), terms),
+)
+rules = st.recursive(rule_leaves, _compound_rules, max_leaves=6)
+
+
+def _outcome(compute):
+    """The value ``compute`` returns, or the error it raises, as a comparable pair."""
+    try:
+        return "value", compute()
+    except RsasmError as exc:  # the lemma covers failing evaluations too
+        return type(exc).__name__, str(exc)
+
+
+# -- substitution lemma ------------------------------------------------------------------
+
+
+@given(terms, st.sampled_from(VARS), plain_values, st.dictionaries(st.sampled_from(VARS), plain_values))
+def test_term_substitution_lemma(term, var, value, env):
+    substituted = term_substitute(term, var, Constant(value))
+    assert _outcome(lambda: eval_term(STATE, substituted, env)) == _outcome(
+        lambda: eval_term(STATE, term, env | {var: value})
+    )
+
+
+@given(terms, st.sampled_from(VARS), plain_values)
+def test_substitution_stops_at_an_iota_binding_the_variable(cond, var, value):
+    bound_here = Iota(var, "D", cond)
+    assert term_substitute(bound_here, var, Constant(value)) == bound_here
+
+
+@given(rules, st.sampled_from(VARS), plain_values, st.dictionaries(st.sampled_from(VARS), plain_values))
+def test_rule_substitution_lemma(rule, var, value, env):
+    substituted = rule_substitute(rule, var, Constant(value))
+    assert _outcome(lambda: compute_update_multiset(substituted, STATE, env)) == _outcome(
+        lambda: compute_update_multiset(rule, STATE, env | {var: value})
+    )
+
+
+@given(rules, st.sampled_from(VARS), plain_values)
+def test_substitution_stops_at_a_let_binding_the_variable(body, var, value):
+    bound = FunctionApp("+", (Variable(var), Constant(NatVal(1))))
+    rule = Let(var, bound, body)
+    assert rule_substitute(rule, var, Constant(value)) == Let(
+        var, term_substitute(bound, var, Constant(value)), body
+    )
+
+
+# -- atom collection ------------------------------------------------------------------------
+
+
+def _json_atoms(obj) -> set:
+    if isinstance(obj, dict):
+        found = {Atom(obj["atom"])} if set(obj) == {"atom"} else set()
+        return found.union(*(_json_atoms(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_json_atoms(v) for v in obj))
+    return set()
+
+
+@given(terms_with_any_constant)
+def test_collected_atoms_cover_every_atom_of_a_term(term):
+    collected: set = set()
+    _collect_atoms_term(term, collected)
+    assert _json_atoms(term_to_json(term)) <= collected
+
+
+@given(rules)
+def test_collected_atoms_of_a_rule_cover_its_terms(rule):
+    collected: set = set()
+    _collect_atoms_rule(rule, collected)
+    for t in _rule_terms(rule):
+        assert _json_atoms(term_to_json(t)) <= collected
+
+
+def _rule_terms(rule):
+    if isinstance(rule, (Assign, PartialAssign)):
+        yield from rule.args
+        yield from (rule.rhs,) if isinstance(rule, Assign) else rule.operands
+    elif isinstance(rule, If):
+        yield rule.cond
+        yield from _rule_terms(rule.then)
+        yield from _rule_terms(rule.orelse)
+    elif isinstance(rule, Let):
+        yield rule.bound
+        yield from _rule_terms(rule.body)
+    else:
+        for b in rule.branches:
+            yield from _rule_terms(b)
+
+
+# -- collapse ---------------------------------------------------------------------------------
+
+COUNTER = Location("n0")
+ITEMS = Location("a0")
+small_sets = st.frozensets(st.sampled_from(ATOMS), max_size=2).map(SetVal)
+
+
+@st.composite
+def commutative_groups(draw):
+    """A current value and a group of shared updates under one commutative operator."""
+    op = draw(st.sampled_from(sorted(COMMUTATIVE_OPERATORS)))
+    operand = st.integers(0, 3).map(NatVal) if op == "+" else small_sets
+    current = draw(operand)
+    entries = draw(
+        st.lists(
+            st.lists(operand, min_size=1, max_size=3).map(tuple),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return op, current, entries
+
+
+@given(commutative_groups(), st.randoms(use_true_random=False))
+def test_commutative_shared_updates_collapse_independently_of_order(group, rnd):
+    op, current, operand_lists = group
+    loc = COUNTER if op == "+" else ITEMS
+    state = make_state(SYMBOLS, {loc: current})
+    entries = [SharedUpdate(loc, op, args) for args in operand_lists]
+    operands = [a for args in operand_lists for a in args]
+    if op == "+":
+        expected = NatVal(current.n + sum(a.n for a in operands))
+    else:
+        expected = SetVal(current.members.union(*(a.members for a in operands)))
+    shuffled = entries[:]
+    rnd.shuffle(shuffled)
+    for order in (entries, shuffled, entries[::-1]):
+        assert collapse(UpdateMultiset(tuple(order)), state) == UpdateSet(
+            frozenset({Update(loc, expected)})
+        )
+
+
+# Interior nodes of the rule region of ``_node_state``'s self tree: the wrapper's
+# par node, its two rule wrappers and their par nodes (the last two nested).
+NODE_PATHS = ((1, 0), (1, 0, 0), (1, 0, 0, 0), (1, 0, 1), (1, 0, 1, 0))
+PAYLOADS = (Tree("rule", (Tree("par"),)), Tree("rule", (Tree("if"),)), Tree("par"))
+
+
+@st.composite
+def node_entries(draw):
+    path = NodeLocation(draw(st.sampled_from(NODE_PATHS)))
+    payload = TreeValue(draw(st.sampled_from(PAYLOADS)))
+    if draw(st.booleans()):
+        return Update(path, payload)
+    return SharedUpdate(path, "right_extend", (payload,))
+
+
+@given(st.lists(node_entries(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_node_updates_collapse_independently_of_order(entries, rnd):
+    state = make_state(rule=Par((Par(()), Par(()))))
+    reference = collapse(UpdateMultiset(tuple(entries)), state)
+    for _ in range(3):
+        rnd.shuffle(entries)
+        result = collapse(UpdateMultiset(tuple(entries)), state)
+        if isinstance(reference, ClashReport):
+            assert isinstance(result, ClashReport)
+        else:
+            assert result == reference
+
+
+def test_a_plain_update_agreeing_with_a_multi_operand_fold_collapses_in_every_order():
+    state = make_state(SYMBOLS, {COUNTER: NatVal(2)})
+    entries = (
+        SharedUpdate(COUNTER, "+", (NatVal(1),)),
+        SharedUpdate(COUNTER, "+", (NatVal(2), NatVal(3))),
+        Update(COUNTER, NatVal(8)),
+    )
+    results = {collapse(UpdateMultiset(p), state) for p in itertools.permutations(entries)}
+    assert results == {UpdateSet(frozenset({Update(COUNTER, NatVal(8))}))}

@@ -9,7 +9,6 @@ from rsasm.errors import ReflectError
 from rsasm.reflect import (
     ReserveAllocator,
     beta,
-    beta_of_rule,
     build_self_tree,
     decode_rule,
     decode_signature,
@@ -267,7 +266,7 @@ def test_beta_components_are_ground():
     rng = random.Random(5)
     for _ in range(100):
         rule = random_rule(rng, 3)
-        for t in beta_of_rule(rule):
+        for t in beta(encode_rule(rule)):
             assert term_is_ground(t)
 
 
@@ -279,8 +278,16 @@ def test_self_selectors():
     assert signature_of_self(t) == encode_signature(sig)
 
 
+def _first_root_child_scan(t: Tree, label: str) -> Tree:
+    """Oracle: the first child of the root with the label, by a plain scan."""
+    for c in t.children:
+        if c.label == label:
+            return c
+    raise ReflectError(f"self tree has no {label!r} child")
+
+
 def test_selector_iota_equals_direct_scan():
-    from rsasm.reflect import _first_root_child_scan, _unique_root_child
+    from rsasm.reflect import _unique_root_child
 
     rng = random.Random(7)
     for _ in range(30):

@@ -32,7 +32,9 @@ from rsasm.structures import (
     NodeLocation,
     NodeRef,
     SELF_LOCATION,
+    SetVal,
     TreeValue,
+    TupleVal,
     UNDEF,
     Update,
     UpdateSet,
@@ -367,3 +369,58 @@ def test_parity_eval_step_updates_parity_and_mode():
         )
     )
     assert eval_step.result == expected
+
+
+# -- partial updates apply the term functions -----------------------------------------
+
+
+def _partial_result(symbols, interp, rule):
+    result, _ = execute(rule, make_state(symbols, interp))
+    return result
+
+
+def test_left_extend_puts_every_operand_before_the_children_in_order():
+    loc = Location("t")
+    h1, h2 = Tree("h1"), Tree("h2")
+    start = TreeValue(Tree("r", (Tree("c"),)))
+    rule = PartialAssign("t", (), "left_extend", (Constant(TreeValue(h1)), Constant(TreeValue(h2))))
+    result = _partial_result({"t": 0}, {loc: start}, rule)
+    assert result == UpdateSet(frozenset({Update(loc, TreeValue(Tree("r", (h1, h2, Tree("c")))))}))
+
+
+def test_union_and_concat_take_every_operand():
+    loc = Location("s")
+    a, b = SetVal(frozenset({Atom("a")})), SetVal(frozenset({Atom("b")}))
+    rule = PartialAssign("s", (), "union", (Constant(a), Constant(b)))
+    result = _partial_result({"s": 0}, {loc: SetVal(frozenset({Atom("c")}))}, rule)
+    expected = SetVal(frozenset({Atom("a"), Atom("b"), Atom("c")}))
+    assert result == UpdateSet(frozenset({Update(loc, expected)}))
+
+    t0, t1, t2 = Tree("t0"), Tree("t1"), Tree("t2")
+    rule = PartialAssign("s", (), "concat", (Constant(TreeValue(t1)), Constant(TreeValue(t2))))
+    result = _partial_result({"s": 0}, {loc: TreeValue(t0)}, rule)
+    hedge = TupleVal((TreeValue(t0), TreeValue(t1), TreeValue(t2)))
+    assert result == UpdateSet(frozenset({Update(loc, hedge)}))
+
+
+def test_plus_with_two_operands_adds_both():
+    loc = Location("card")
+    rule = PartialAssign("card", (), "+", (Constant(NatVal(1)), Constant(NatVal(2))))
+    result = _partial_result({"card": 0}, {loc: NatVal(4)}, rule)
+    assert result == UpdateSet(frozenset({Update(loc, NatVal(7))}))
+
+
+def test_extending_a_value_leaf_at_a_node_is_a_clash():
+    state = make_state({"card": 0})
+    name_leaf = (0, 1, 0)  # the name leaf of the signature entry for card
+    assert state.self_tree.node_at_path(name_leaf).value is not None
+    entry = SharedUpdate(NodeLocation(name_leaf), "right_extend", (TreeValue(Tree("x")),))
+    report = collapse(UpdateMultiset((entry,)), state)
+    assert report == ClashReport(SELF_LOCATION, "cannot extend a value-carrying leaf")
+
+
+def test_operator_faults_clash_with_the_term_function_message():
+    loc = Location("card")
+    state = make_state({"card": 0}, {loc: Atom("foo")})
+    report = collapse(UpdateMultiset((SharedUpdate(loc, "+", (NatVal(1),)),)), state)
+    assert report == ClashReport(loc, "+ expects a natural number, got foo")

@@ -4,11 +4,22 @@ import random
 
 import pytest
 
-from conftest import random_context, random_tree, reference_preorder
+from conftest import make_state, random_context, random_tree, reference_preorder
 from rsasm.errors import TreeError
 from rsasm.reflect import build_self_tree
 from rsasm.rules import Par
-from rsasm.structures import NatVal, Signature, SymbolName, SELF_SYMBOL, FunctionSymbol
+from rsasm.structures import (
+    Constant,
+    FunctionApp,
+    FunctionSymbol,
+    NatVal,
+    NodeRef,
+    SELF_SYMBOL,
+    Signature,
+    SymbolName,
+    TRUE,
+    eval_term,
+)
 from rsasm.treealg import (
     Context,
     Tree,
@@ -42,26 +53,47 @@ def test_tree_invariants():
         Tree("a", (leaf("b"),), NatVal(1))  # interior node with a value
     t = Tree("a", (leaf("b"), leaf("c", NatVal(2))))
     assert t.size == 3
-    assert t.label_of(0) == "a"
-    assert t.leaf_value(2) == NatVal(2)
+    assert t.node_at(0).label == "a"
+    assert t.node_at(2) == leaf("c", NatVal(2))
+    assert t.node_at(2).value == NatVal(2)
+
+
+_STATE = make_state()
+
+
+def _related(name: str, p1, p2) -> bool:
+    """Whether the background relation ``child`` or ``next_sib`` holds between two node paths."""
+    args = (Constant(NodeRef(p1)), Constant(NodeRef(p2)))
+    return eval_term(_STATE, FunctionApp(name, args)) == TRUE
 
 
 def test_unique_root_and_parenthood():
     rng = random.Random(1)
     for _ in range(50):
         t = random_tree(rng)
-        roots = [nid for nid in t.node_ids() if t.parent_of(nid) is None]
-        assert roots == [0]
-        for parent, child in t.child_pairs():
-            assert t.parent_of(child) == parent
+        paths = [path for _, path, _ in t.preorder()]
+        parents = {q: [p for p in paths if _related("child", p, q)] for q in paths}
+        assert [q for q in paths if not parents[q]] == [()]
+        for q in paths:
+            if q:
+                assert parents[q] == [q[:-1]]
+                assert t.node_at_path(q[:-1]).children[q[-1]] is t.node_at_path(q)
 
 
 def test_sibling_pairs_share_parent():
     rng = random.Random(2)
     for _ in range(50):
         t = random_tree(rng)
-        for left, right in t.sibling_pairs():
-            assert t.parent_of(left) == t.parent_of(right)
+        paths = [path for _, path, _ in t.preorder()]
+        pairs = [(p, q) for p in paths for q in paths if _related("next_sib", p, q)]
+        expected = [
+            (path + (i,), path + (i + 1,))
+            for _, path, node in t.preorder()
+            for i in range(len(node.children) - 1)
+        ]
+        assert sorted(pairs) == sorted(expected)
+        for p, q in pairs:
+            assert _related("child", p[:-1], p) and _related("child", q[:-1], q)
 
 
 def test_preorder_matches_the_recursive_definition():
