@@ -39,10 +39,13 @@ from .reflect import (
     drop,
     encode_rule,
     encode_signature,
+    eval_algebra,
     new_function,
     raise_,
     rule_of_self,
     signature_of_self,
+    tree_diff,
+    tree_update_rule,
 )
 from .rules import (
     Assign,
@@ -88,6 +91,6 @@ from .structures import (
     eval_term,
     is_consistent,
 )
-from .treealg import Context, Hedge, Tree, eval_algebra, tree_diff, tree_update_rule
+from .treealg import Context, Hedge, Tree
 
 __version__ = "0.1.0"

@@ -8,9 +8,9 @@ import sys
 
 from .engine import probe_bounded_exploration, probe_isomorphism_closure, run
 from .errors import RsasmError
-from .frontend import parse_file
+from .frontend import SourcePrinter, parse_file
+from .reflect import tree_diff
 from .structures import canonical_dumps, state_to_json, tree_from_json
-from .treealg import format_tree, tree_diff
 
 
 def _cmd_run(args) -> int:
@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
         else:
             print(f"error: no step {index} in the trace", file=sys.stderr)
             return 2
-        print(format_tree(tree))
+        print(SourcePrinter().tree_literal(tree))
     final = trace.final_state
     if args.format == "json":
         print(
@@ -105,7 +105,7 @@ def _cmd_diff_self(args) -> int:
     except (RsasmError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(str(theta))
+    print(SourcePrinter().term(theta))
     return 0
 
 

@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EngineError, RsasmError
-from .reflect import beta, decode_signature, decode_rule, rule_of_self, signature_of_self
+from .reflect import (
+    beta,
+    decode_rule,
+    decode_signature,
+    is_rule_encoding,
+    is_self_shaped,
+    rule_of_self,
+    signature_of_self,
+)
 from .rules import (
     ClashReport,
     SharedUpdate,
@@ -179,9 +187,6 @@ def run(machine: Machine) -> Trace:
 
 def _rule_encodings_of(value) -> list:
     """Rule encodings reachable from a term's value, for the extraction check."""
-    from .treealg import is_self_shaped
-    from .reflect import is_rule_encoding
-
     if isinstance(value, TreeValue):
         if is_self_shaped(value.tree):
             return [rule_of_self(value.tree)]

@@ -84,12 +84,14 @@ KEYWORDS = {
 RESERVED_WORDS = {"true", "false", "undef"}
 
 DEFAULT_MAX_STEPS = 1000
-MAX_STEPS_ENV = "RSASM_MAX_STEPS"
 
 # Deepest nesting of rules, parenthesised terms, negations and tree literals a
-# program may use.  Parsing, evaluation, encoding, decoding and trace
-# serialization each recurse a few frames per level; at this depth all of them
-# stay well inside Python's default recursion limit of 1000.
+# program may use; operators chained after the first in a ``+``/``-`` or
+# ``MOD`` chain and the members a set comprehension expands over count one
+# level each, since each nests the term built so far one level deeper.
+# Parsing, evaluation, encoding, decoding and trace serialization each recurse
+# a few frames per level; at this depth all of them stay well inside Python's
+# default recursion limit of 1000.
 MAX_NESTING = 64
 
 
@@ -193,9 +195,7 @@ def _nested(parse):
     """Count one nesting level around a parse method; too deep a program is a ParseError."""
 
     def nested(self, *args):
-        if self.depth == MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
-        self.depth += 1
+        self.enter(1)
         result = parse(self, *args)
         self.depth -= 1
         return result
@@ -245,6 +245,12 @@ class Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    def enter(self, levels: int) -> None:
+        """Count ``levels`` more nesting levels; too deep a program is a ParseError."""
+        if self.depth + levels > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += levels
 
     def ident(self, what: str) -> str:
         tok = self.next()
@@ -389,7 +395,7 @@ class Parser:
         options: dict[str, int] = {}
         while self.peek().kind == "IDENT":
             key = self.ident("option name")
-            if key not in ("max_steps", "seed"):
+            if key != "max_steps":
                 self.fail(f"unknown option {key!r}")
             if key in options:
                 self.fail(f"option {key!r} set twice")
@@ -526,16 +532,27 @@ class Parser:
         return left
 
     def parse_additive(self) -> Term:
-        term = self.parse_mod()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.next().text
-            term = FunctionApp(op, (term, self.parse_mod()))
-        return term
+        return self._left_chain(
+            self.parse_mod,
+            lambda: self.next().text if self.peek().kind in ("PLUS", "MINUS") else None,
+        )
 
     def parse_mod(self) -> Term:
-        term = self.parse_primary()
-        while self.take_keyword("MOD"):
-            term = FunctionApp("mod", (term, self.parse_primary()))
+        return self._left_chain(
+            self.parse_primary, lambda: "mod" if self.take_keyword("MOD") else None
+        )
+
+    def _left_chain(self, parse_operand, take_op) -> Term:
+        """Left-associated binary applications; each operator after the first counts one level."""
+        term = parse_operand()
+        op, levels = take_op(), 0
+        while op is not None:
+            term = FunctionApp(op, (term, parse_operand()))
+            op = take_op()
+            if op is not None:
+                self.enter(1)
+                levels += 1
+        self.depth -= levels
         return term
 
     def parse_domain_tag(self) -> str:
@@ -651,9 +668,11 @@ class Parser:
         if members is None:
             self.fail(f"comprehension needs a declared finite domain, not {domain!r}")
         self.expect("BAR")
+        self.enter(len(members))  # one nested setadd per member
         self._bind(var)
         cond = self.parse_term()
         self._unbind(var)
+        self.depth -= len(members)
         self.expect("RBRACE")
         acc: Term = FunctionApp("emptyset", ())
         for m in members:
@@ -758,10 +777,7 @@ def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machi
     state = State(program.signature, frozenset(atoms), interp, background)
 
     if max_steps is None:
-        max_steps = program.options.get("max_steps")
-    if max_steps is None:
-        env = os.environ.get(MAX_STEPS_ENV)
-        max_steps = int(env) if env else DEFAULT_MAX_STEPS
+        max_steps = program.options.get("max_steps", DEFAULT_MAX_STEPS)
     return Machine(state, max_steps=max_steps, name=program.name)
 
 

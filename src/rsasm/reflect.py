@@ -4,14 +4,17 @@ Rules encode as syntax trees over the reserved label vocabulary; the terms
 inside them are stored as dropped values on leaves.  ``raise_`` and ``drop``
 mediate between terms/rules and their value-level form.  ``beta`` extracts
 from a rule encoding the tuple of standard terms the rule evaluates, which is
-what bounded exploration of a reflective machine rests on.
+what bounded exploration of a reflective machine rests on.  Tree difference
+lives here too: ``tree_diff`` writes the change from one self tree to another
+as a rule term over the tree-algebra functions, ``eval_algebra`` replays it,
+and ``tree_update_rule`` turns it into node-level assignments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ReflectError
+from .errors import ReflectError, TreeError
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, SharedUpdate
 from .structures import (
     Atom,
@@ -22,6 +25,8 @@ from .structures import (
     NatVal,
     NodeLocation,
     NodeRef,
+    SELF_LOCATION,
+    SELF_SYMBOL,
     SetVal,
     Signature,
     FunctionSymbol,
@@ -32,6 +37,7 @@ from .structures import (
     TupleVal,
     UNDEF,
     Variable,
+    eval_term,
     term_substitute,
 )
 from .treealg import (
@@ -48,6 +54,7 @@ from .treealg import (
     L_SIGNATURE,
     L_TERM,
     L_UPDATE,
+    Path,
     Tree,
 )
 
@@ -461,3 +468,143 @@ def new_function(
     )
     update = SharedUpdate(NodeLocation((0,)), "right_extend", (TreeValue(entry),))
     return SymbolName(name), update
+
+
+# -- tree difference ------------------------------------------------------------------
+
+
+def is_self_shaped(t: Tree) -> bool:
+    """Check the outer shape of a self-representation tree.
+
+    Root labelled ``self`` with exactly a signature child (func entries, each
+    with name and arity leaves) followed by a rule child wrapping one subtree.
+    Rule well-formedness is checked by decoding.
+    """
+    if t.label != L_SELF or len(t.children) != 2 or t.value is not None:
+        return False
+    sig, rule = t.children
+    if sig.label != L_SIGNATURE or rule.label != L_RULE:
+        return False
+    if len(rule.children) != 1:
+        return False
+    for entry in sig.children:
+        if entry.label != L_FUNC or len(entry.children) != 2:
+            return False
+        name, arity = entry.children
+        if name.label != L_NAME or arity.label != L_ARITY:
+            return False
+        if name.children or arity.children:
+            return False
+    return True
+
+
+def _require_self_shaped(t: Tree, what: str) -> None:
+    if not is_self_shaped(t):
+        raise TreeError(f"{what} is not a self-representation tree")
+
+
+# Paths of the signature and of the rule content: the subtrees a difference
+# term builds node by node.
+_DIFF_ROOTS: tuple[Path, ...] = ((0,), (1, 0))
+
+
+def _subtree_at(path: Path) -> Term:
+    return FunctionApp("subtree", (Constant(NodeRef(path)),))
+
+
+def _label_hedge(label: str, parts: tuple[Term, ...]) -> Term:
+    return FunctionApp("label_hedge", (Constant(Atom(label)),) + parts)
+
+
+def _node_terms(t: Tree):
+    """``node_term(node2, path2)``: a term for the node ``node2`` at ``path2`` of a new self tree.
+
+    The term evaluates to ``node2`` in a state whose ``self`` holds ``t``.
+    """
+    reuse: dict[Tree, Path] = {}
+    for _, path, node in t.children[1].preorder():
+        if path:
+            reuse.setdefault(node, (1,) + path)
+
+    def node_term(node2: Tree, path2: Path) -> Term:
+        old = t.find(path2)
+        if old == node2:
+            return _subtree_at(path2)
+        if node2 in reuse:
+            return _subtree_at(reuse[node2])
+        if (
+            old is not None
+            and (old.label, old.value) == (node2.label, node2.value)
+            and node2.children[: len(old.children)] == old.children
+        ):
+            # not equal to ``old``, so the child list grew on the right
+            n = len(old.children)
+            return FunctionApp(
+                "right_extend",
+                (_subtree_at(path2),)
+                + tuple(
+                    node_term(c, path2 + (n + i,)) for i, c in enumerate(node2.children[n:])
+                ),
+            )
+        if node2.label in (L_UPDATE, L_PARTIAL) or node2.is_leaf:
+            return Constant(TreeValue(node2))
+        return _label_hedge(
+            node2.label,
+            tuple(node_term(c, path2 + (i,)) for i, c in enumerate(node2.children)),
+        )
+
+    return node_term
+
+
+def tree_diff(t: Tree, t2: Tree) -> Term:
+    """A term that evaluates to ``t2`` in a state whose ``self`` holds ``t``.
+
+    Both trees must be self-shaped.  The root and the rule wrapper are rebuilt
+    by ``label_hedge``.  Below them, a node equal to the one at its own path
+    of ``t``, or to any subtree of ``t``'s rule region, is reused through
+    ``subtree(node@p)``; a node whose child list grew on the right is
+    ``right_extend`` of the node at its path; an update or partial-assignment
+    subtree and a leaf are literals; any other node is rebuilt by
+    ``label_hedge`` from its children's terms.
+    """
+    _require_self_shaped(t, "first tree")
+    _require_self_shaped(t2, "second tree")
+    node_term = _node_terms(t)
+    sig, rule = (node_term(t2.find(p), p) for p in _DIFF_ROOTS)
+    return _label_hedge(L_SELF, (sig, _label_hedge(L_RULE, (rule,))))
+
+
+def eval_algebra(theta: Term, t: Tree) -> Tree:
+    """The tree ``theta`` evaluates to in a state whose ``self`` holds the self tree ``t``."""
+    _require_self_shaped(t, "subject tree")
+    state = State(Signature((SELF_SYMBOL,)), frozenset(), {SELF_LOCATION: TreeValue(t)})
+    value = eval_term(state, theta)
+    if not isinstance(value, TreeValue):
+        raise TreeError(f"a tree-difference term evaluated to {value!r}, not to a tree")
+    return value.tree
+
+
+def tree_update_rule(t: Tree, t2: Tree) -> Par:
+    """A parallel rule of node-level assignments turning ``self`` = ``t`` into ``t2``.
+
+    The signature node and the rule content are assigned their ``tree_diff``
+    terms, and so is each child of a node whose term rebuilds it.  Executed on
+    a state whose ``self`` holds ``t``, the rule's update multiset collapses
+    to exactly the single update assigning ``t2`` to ``self``.
+    """
+    _require_self_shaped(t, "first tree")
+    _require_self_shaped(t2, "second tree")
+    node_term = _node_terms(t)
+    branches: list[Rule] = []
+
+    def emit(node2: Tree, path2: Path) -> None:
+        var = f"o{len(branches)}"
+        rhs = node_term(node2, path2)
+        branches.append(Let(var, Constant(NodeRef(path2)), Assign(var, (), rhs)))
+        if isinstance(rhs, FunctionApp) and rhs.symbol != "subtree":
+            for i, c in enumerate(node2.children):
+                emit(c, path2 + (i,))
+
+    for path in _DIFF_ROOTS:
+        emit(t2.find(path), path)
+    return Par(tuple(branches))

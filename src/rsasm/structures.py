@@ -334,9 +334,8 @@ def is_consistent(delta: UpdateSet) -> bool:
 
 @dataclass(frozen=True)
 class BackgroundConfig:
-    """Per-machine background data: labels, finite domains, derived projections."""
+    """Per-machine background data: finite domains and derived projections."""
 
-    labels: frozenset[str] = treealg.BASE_LABELS
     domains: tuple[tuple[str, tuple[Value, ...]], ...] = ()
     projections: tuple[tuple[str, str], ...] = ()
 

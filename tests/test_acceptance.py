@@ -7,6 +7,7 @@ checks of the algebra laws on randomized inputs.
 """
 
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -36,9 +37,12 @@ from rsasm.reflect import (
     drop,
     encode_rule,
     encode_signature,
+    eval_algebra,
     raise_,
     rule_of_self,
     signature_of_self,
+    tree_diff,
+    tree_update_rule,
 )
 from rsasm.rules import (
     Assign,
@@ -62,13 +66,15 @@ from rsasm.structures import (
     TRUE,
     Update,
     UpdateSet,
+    canonical_dumps,
+    term_from_json,
     term_substitute,
+    term_to_json,
 )
 from rsasm.treealg import (
     XI,
     concat,
     context_of,
-    eval_algebra,
     inject_context,
     inject_hedge,
     label_context,
@@ -80,8 +86,6 @@ from rsasm.treealg import (
     subst_tc,
     subst_tt,
     subtree,
-    tree_diff,
-    tree_update_rule,
 )
 
 
@@ -367,6 +371,14 @@ def test_criterion_4_tree_diff_and_update_rule():
             result, _ = execute(rule, state)
             expected = UpdateSet(frozenset({Update(SELF_LOCATION, TreeValue(t2))}))
             assert result == expected
+
+
+def test_criterion_4_difference_terms_replay_after_json():
+    rng = random.Random(4)
+    for _ in range(200):
+        t, t2 = _self_pair(rng)
+        theta = term_from_json(json.loads(canonical_dumps(term_to_json(tree_diff(t, t2)))))
+        assert eval_algebra(theta, t) == t2
 
 
 # -- criterion 5: reflection round trips and the extraction equations --------------

@@ -182,14 +182,13 @@ def test_self_cannot_be_declared_or_initialized():
         parse("SIGNATURE\n  f/0\nINIT\n  self = 1\nRULE\n  PAR ENDPAR\n", "t")
 
 
-def test_options_and_env_cap(monkeypatch):
+def test_options_and_env_cap():
     machine = parse(MINIMAL, "t")
     assert machine.max_steps == 1000
-    monkeypatch.setenv("RSASM_MAX_STEPS", "17")
-    machine = parse(MINIMAL, "t")
-    assert machine.max_steps == 17
     machine = parse(MINIMAL + "OPTIONS\n  max_steps = 3\n", "t")
     assert machine.max_steps == 3
+    with pytest.raises(ParseError, match="unknown option 'seed'"):
+        parse(MINIMAL + "OPTIONS\n  seed = 3\n", "t")
 
 
 def test_init_literals_resolve_symbols_and_atoms():
@@ -257,6 +256,7 @@ def test_cli_diff_self_prints_right_extend(tmp_path, capsys):
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 0
     theta_text = capsys.readouterr().out
     assert "right_extend" in theta_text
+    assert "FunctionApp(" not in theta_text and "Equality(" not in theta_text
 
 
 def test_cli_dump_self(capsys):
@@ -264,6 +264,8 @@ def test_cli_dump_self(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("self<signature<")
+    assert "bool(DROP(mode = init))" in out
+    assert "FunctionApp(" not in out and "Equality(" not in out
 
 
 def test_cli_probe(capsys):
@@ -340,9 +342,23 @@ def _nested_sums(n: int) -> str:
     return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  IF x = 0 THEN x := {sum_text} ENDIF\n"
 
 
+def _sum_chain(n: int) -> str:
+    """``x := 1 + 1 + ... + 1`` with ``n`` operands under one IF: nesting ``n + 1``."""
+    chain = " + ".join(["1"] * n)
+    return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  IF x = 0 THEN x := {chain} ENDIF\n"
+
+
+def _comprehension(n: int) -> str:
+    """A set comprehension over a domain of ``n`` members."""
+    members = ", ".join(f"e{i}" for i in range(n))
+    return f"DOMAINS\n  D = {{{members}}}\nSIGNATURE\n  s/0\nRULE\n  s := {{y IN D | y = e1}}\n"
+
+
 DEEP_PROGRAMS = {
     "ifs": _nested_ifs(1000),
     "parentheses": "SIGNATURE\n  x/0\nRULE\n  x := " + "(" * 1000 + "1" + ")" * 1000 + "\n",
+    "sum_chain": _sum_chain(1000),
+    "comprehension": _comprehension(1000),
 }
 
 
@@ -377,3 +393,13 @@ def test_programs_at_the_nesting_cap_parse_run_and_serialize_their_trace():
     for too_deep in (_nested_ifs(ifs + 1), _nested_sums(sums + 1)):
         with pytest.raises(ParseError):
             parse(too_deep)
+
+
+def test_a_sum_chain_at_the_nesting_cap_parses_runs_and_serializes_its_trace():
+    operands = MAX_NESTING - 1
+    trace = run(parse(_sum_chain(operands)))
+    assert trace.status == "fixpoint"
+    assert trace.final_state.value_at(Location("x")) == NatVal(operands)
+    assert json.loads(trace.to_json())["status"] == "fixpoint"
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse(_sum_chain(operands + 1))

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import make_state, random_context, random_tree, reference_preorder
 from rsasm.errors import TreeError
-from rsasm.reflect import build_self_tree
+from rsasm.frontend import SourcePrinter
+from rsasm.reflect import build_self_tree, eval_algebra, tree_diff, tree_update_rule
 from rsasm.rules import Par
 from rsasm.structures import (
+    Atom,
     Constant,
     FunctionApp,
     FunctionSymbol,
@@ -27,8 +29,6 @@ from rsasm.treealg import (
     XI,
     concat,
     context_of,
-    eval_algebra,
-    hedge_of,
     inject_context,
     inject_hedge,
     label_context,
@@ -40,12 +40,15 @@ from rsasm.treealg import (
     subst_tc,
     subst_tt,
     subtree,
-    tree_diff,
 )
 
 
 def leaf(label, value=None):
     return Tree(label, (), value)
+
+
+def app(symbol, *args):
+    return FunctionApp(symbol, args)
 
 
 def test_tree_invariants():
@@ -210,7 +213,7 @@ def test_label_hedge():
     rng = random.Random(7)
     for _ in range(50):
         h = tuple(random_tree(rng, 5) for _ in range(rng.randrange(0, 4)))
-        assert hedge_of(label_hedge("a", h)) == h
+        assert label_hedge("a", h).children == h
 
 
 def test_label_context():
@@ -292,7 +295,12 @@ def test_tree_diff_identity_reuses_rule_subtree():
         t = random_self_tree(rng)
         theta = tree_diff(t, t)
         assert eval_algebra(theta, t) == t
-        assert "subtree@(k=" in str(theta)
+        assert theta == app(
+            "label_hedge",
+            Constant(Atom("self")),
+            app("subtree", Constant(NodeRef((0,)))),
+            app("label_hedge", Constant(Atom("rule")), app("subtree", Constant(NodeRef((1, 0))))),
+        )
 
 
 def test_tree_diff_signature_growth_is_single_right_extend():
@@ -305,8 +313,9 @@ def test_tree_diff_signature_growth_is_single_right_extend():
     t1 = build_self_tree(sig1, rule)
     t2 = build_self_tree(sig2, rule)
     theta = tree_diff(t1, t2)
-    text = str(theta)
+    text = SourcePrinter().term(theta)
     assert text.count("right_extend") == 1
+    assert text.startswith("self<right_extend(subtree(node@0), func<name(DROP(g)), arity(2)>)")
     assert eval_algebra(theta, t1) == t2
 
 
@@ -315,10 +324,17 @@ def test_tree_diff_rejects_non_self_trees():
         tree_diff(leaf("a"), leaf("b"))
 
 
+def test_eval_algebra_rejects_a_term_that_is_not_a_tree():
+    t = build_self_tree(Signature((SELF_SYMBOL,)), Par(()))
+    assert eval_algebra(app("subtree", Constant(NodeRef((1,)))), t) == t.children[1]
+    for theta in (Constant(NatVal(1)), app("subtree", Constant(NodeRef((5,))))):
+        with pytest.raises(TreeError, match="not to a tree"):
+            eval_algebra(theta, t)
+
+
 def test_tree_update_rule_signature_growth_shape():
     from rsasm.rules import Assign, Let, Par
     from rsasm.structures import FunctionApp
-    from rsasm.treealg import tree_update_rule
     from conftest import random_rule
 
     rng = random.Random(15)
