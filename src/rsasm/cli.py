@@ -1,4 +1,12 @@
-"""Command line interface: run, check, probe, diff-self."""
+"""Command line interface: run, check, probe, diff-self.
+
+Exit codes: ``run`` gives 2 on a parse or I/O error (and on a ``--dump-self``
+step outside the trace), 1 on a runtime error or, with ``--strict``, a clash,
+and 0 otherwise; ``check`` gives 1 on a parse error; ``probe`` gives 1 when a
+probe finds a violation; ``diff-self`` gives 2 on an unreadable trace, one
+that is not format 2, or one whose replayed self trees do not match their
+digests.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,11 @@ import argparse
 import json
 import sys
 
-from .engine import probe_bounded_exploration, probe_isomorphism_closure, run
+from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay_self, run
 from .errors import RsasmError
 from .frontend import SourcePrinter, parse_file
 from .reflect import tree_diff
-from .structures import canonical_dumps, state_to_json, tree_from_json
+from .structures import canonical_dumps, state_to_json
 
 
 def _cmd_run(args) -> int:
@@ -45,11 +53,14 @@ def _cmd_run(args) -> int:
             )
         )
     else:
+        printer = SourcePrinter()
         print(f"status: {trace.status} after {len(trace.steps)} step(s)")
         for loc in final.defined_locations():
             if loc.symbol == "self":
                 continue
-            print(f"  {loc!r} = {final.interp[loc]!r}")
+            arg_text = ", ".join(printer.value_literal(a) for a in loc.args)
+            name = f"{loc.symbol}({arg_text})" if loc.args else loc.symbol
+            print(f"  {name} = {printer.value_literal(final.interp[loc])}")
     if trace.status == "error":
         print(f"error: {trace.detail}", file=sys.stderr)
         return 1
@@ -86,23 +97,12 @@ def _cmd_probe(args) -> int:
     return 1 if failed else 0
 
 
-def _self_at(trace_obj: dict, index: int):
-    if index == 0:
-        return tree_from_json(trace_obj["initial"]["self"])
-    steps = trace_obj["steps"]
-    if not (1 <= index <= len(steps)):
-        raise RsasmError(f"trace has {len(steps)} steps, no index {index}")
-    return tree_from_json(steps[index - 1]["self"])
-
-
 def _cmd_diff_self(args) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace_obj = json.load(fh)
-        t1 = _self_at(trace_obj, args.i)
-        t2 = _self_at(trace_obj, args.j)
-        theta = tree_diff(t1, t2)
-    except (RsasmError, OSError, KeyError, json.JSONDecodeError) as exc:
+        theta = tree_diff(replay_self(trace_obj, args.i), replay_self(trace_obj, args.j))
+    except (RsasmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(SourcePrinter().term(theta))

@@ -17,10 +17,12 @@ from .reflect import (
     beta,
     decode_rule,
     decode_signature,
+    eval_algebra,
     is_rule_encoding,
     is_self_shaped,
     rule_of_self,
     signature_of_self,
+    tree_diff,
 )
 from .rules import (
     ClashReport,
@@ -41,10 +43,17 @@ from .structures import (
     eval_term,
     location_to_json,
     self_digest,
+    term_from_json,
+    term_to_json,
+    tree_from_json,
     tree_to_json,
 )
+from .treealg import Tree
 
 SELF_TERM = FunctionApp("self", ())
+
+# Version of the trace JSON written by ``Trace.to_json``.
+TRACE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,18 @@ class Machine:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step: the states before and after it, its multiset and its collapse.
+
+    In the trace JSON a step holds its ``index``; its ``updates`` sorted by
+    canonical JSON, or a ``clash`` instead; the ``shared`` entries of its
+    multiset; the ``signature_added`` names; and the ``self_digest`` of the
+    self tree after it.  The update of ``self`` is written as the tree
+    difference ``theta`` (``reflect.tree_diff`` of the self trees before and
+    after, as ``term_to_json``) in place of a ``value``, so a step that does not
+    write ``self`` carries no tree at all.  The difference is computed here,
+    when the record is written, and never while stepping.
+    """
+
     index: int
     before: State
     after: State
@@ -67,17 +88,22 @@ class StepRecord:
     def clashed(self) -> bool:
         return isinstance(self.result, ClashReport)
 
+    def _update_to_json(self, update) -> object:
+        if update.location != SELF_LOCATION:
+            return entry_to_json(update)
+        theta = tree_diff(self.before.self_tree, update.value.tree)
+        return {"location": location_to_json(SELF_LOCATION), "theta": term_to_json(theta)}
+
     def to_json(self) -> dict:
         obj: dict = {
             "index": self.index,
             "updates": [],
             "signature_added": list(self.signature_added),
-            "self_digest": self_digest(self.after),
-            "self": tree_to_json(self.after.self_tree),
+            "self_digest": self_digest(self.after.self_tree),
         }
         if isinstance(self.result, UpdateSet):
             obj["updates"] = sorted(
-                (entry_to_json(u) for u in self.result),
+                (self._update_to_json(u) for u in self.result),
                 key=canonical_dumps,
             )
         else:
@@ -96,6 +122,15 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
+    """A run: its initial state, its step records, and how it ended.
+
+    The trace JSON (format 2) holds ``format``, ``status``, the optional
+    ``detail``, the ``initial`` self tree in full with its ``self_digest``, and
+    the step records (see :class:`StepRecord`).  The self tree after step k is
+    rebuilt by :func:`replay_self`: start from the initial tree and evaluate
+    each step's ``theta`` on the tree so far.
+    """
+
     initial_state: State
     steps: tuple[StepRecord, ...]
     status: str  # "fixpoint" | "max_steps" | "error"
@@ -106,12 +141,11 @@ class Trace:
         return self.steps[-1].after if self.steps else self.initial_state
 
     def to_json_obj(self) -> dict:
+        tree = self.initial_state.self_tree
         obj = {
+            "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {
-                "self_digest": self_digest(self.initial_state),
-                "self": tree_to_json(self.initial_state.self_tree),
-            },
+            "initial": {"self_digest": self_digest(tree), "self": tree_to_json(tree)},
             "steps": [s.to_json() for s in self.steps],
         }
         if self.detail:
@@ -120,6 +154,37 @@ class Trace:
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_obj())
+
+
+def replay_self(trace_obj: dict, index: int) -> Tree:
+    """The self tree after step ``index`` of a trace JSON object; 0 is the initial tree.
+
+    Starts from the initial tree and, for each step up to ``index`` that
+    carries a ``theta``, evaluates it on the tree so far.  Every rebuilt tree
+    is checked against its ``self_digest``.  A trace that is not format 2, a
+    digest that does not match and a malformed trace raise ``EngineError``.
+    """
+    try:
+        fmt = trace_obj.get("format", "missing")
+        if fmt != TRACE_FORMAT:
+            raise EngineError(f"not a format {TRACE_FORMAT} trace (format: {fmt})")
+        steps = trace_obj["steps"]
+        if not 0 <= index <= len(steps):
+            raise EngineError(f"trace has {len(steps)} steps, no index {index}")
+        tree = tree_from_json(trace_obj["initial"]["self"])
+        if self_digest(tree) != trace_obj["initial"]["self_digest"]:
+            raise EngineError("the initial self tree does not match its digest")
+        for record in steps[:index]:
+            for entry in record["updates"]:
+                if "theta" in entry:
+                    tree = eval_algebra(term_from_json(entry["theta"]), tree)
+            if self_digest(tree) != record["self_digest"]:
+                raise EngineError(
+                    f"the replayed self tree of step {record['index']} does not match its digest"
+                )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+    return tree
 
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
@@ -135,6 +200,8 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
         added: tuple[str, ...] = ()
     else:
         applied = apply_update_set(exec_state, result)
+        if not is_self_shaped(applied.self_tree):
+            raise EngineError("step left self without the self-representation shape")
         new_signature = decode_signature(signature_of_self(applied.self_tree))
         if not signature.is_subsignature_of(new_signature):
             raise EngineError("step shrank or changed the decoded signature")

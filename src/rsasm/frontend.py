@@ -155,9 +155,9 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit: int() rejects digits such as "²"
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", source[i:j], line, col))
             col += j - i

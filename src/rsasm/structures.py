@@ -647,8 +647,13 @@ def state_to_json(state: State) -> dict:
     }
 
 
-def self_digest(state: State) -> str:
-    payload = canonical_dumps(tree_to_json(state.self_tree))
+def self_digest(t: Tree) -> str:
+    """sha256 of the canonical JSON of a self tree, computed once per tree object."""
+    return treealg.memoized(t, "_self_digest", _self_digest)
+
+
+def _self_digest(t: Tree) -> str:
+    payload = canonical_dumps(tree_to_json(t))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -116,6 +116,18 @@ class Tree:
         return node
 
 
+def memoized(t: Tree, key: str, compute):
+    """``compute(t)``, computed once per tree object and kept on it.
+
+    Trees are immutable, so the result lives exactly as long as the tree; a
+    tree whose computation raises raises again on every call.
+    """
+    memo = t.__dict__
+    if key not in memo:
+        object.__setattr__(t, key, compute(t))
+    return memo[key]
+
+
 Hedge = tuple[Tree, ...]
 EMPTY_HEDGE: Hedge = ()
 

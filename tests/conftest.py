@@ -164,3 +164,20 @@ INIT
 RULE
   x := x + 1
 """
+
+# Appends a third child to the root of the self tree: the representation keeps
+# decoding (signature and rule are found by label) but is no longer self-shaped.
+SHAPE_BREAKING_PROGRAM = """
+SIGNATURE
+  mode/0
+INIT
+  mode = init
+RULE
+  IF mode = init THEN
+    LET o = root_node() IN
+    PAR
+      o <=[right_extend] extra<>
+      mode := done
+    ENDPAR
+  ENDIF
+"""

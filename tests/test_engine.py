@@ -1,18 +1,24 @@
 """Stepping, runs, traces, coincidence, and the postulate probes."""
 
 import hashlib
+import json
 import random
 
-from conftest import FAULTY_PROGRAM, make_state
+import pytest
+
+from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM, make_state
+from rsasm import generate
 from rsasm.engine import (
     Machine,
     SELF_TERM,
     check_strong_coincidence,
     probe_bounded_exploration,
     probe_isomorphism_closure,
+    replay_self,
     run,
     step,
 )
+from rsasm.errors import EngineError
 from rsasm.frontend import parse, load_program
 from rsasm.reflect import (
     decode_rule,
@@ -35,9 +41,13 @@ from rsasm.structures import (
     Update,
     UpdateSet,
     apply_update_set,
+    canonical_dumps,
     diff_states,
+    self_digest,
+    tree_to_json,
 )
 from rsasm.treealg import L_RULE, Tree
+from test_acceptance import JoinCase, join_source
 
 
 def parity_source(domain, marked):
@@ -246,8 +256,6 @@ def test_trace_json_is_deterministic():
 
 
 def test_probe_trace_determinism_with_same_seed():
-    from rsasm import generate
-
     rng1, rng2 = random.Random(99), random.Random(99)
     for _ in range(5):
         m1 = generate.random_machine(rng1)
@@ -308,18 +316,113 @@ RULE
     assert sig.arity_of("hatJ12") == 2
 
 
-# sha256 of the trace JSON of each bundled program; a change of evaluation,
-# decoding or stepping that alters any trace byte shows here
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _old_form(trace_obj: dict) -> dict:
+    """The trace as format 1 wrote it: each step's self tree in full, the self update as a value."""
+    old = {key: value for key, value in trace_obj.items() if key != "format"}
+    old["steps"] = []
+    for k, record in enumerate(trace_obj["steps"], 1):
+        tree = tree_to_json(replay_self(trace_obj, k))
+        updates = [
+            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else u
+            for u in record["updates"]
+        ]
+        old["steps"].append(
+            {**record, "updates": sorted(updates, key=canonical_dumps), "self": tree}
+        )
+    return old
+
+
+# sha256 of the trace JSON of each bundled program, as format 1 wrote it (every
+# step's self tree in full) and as written now; a change of evaluation,
+# decoding, stepping or the trace format that alters any trace byte shows here
 GOLDEN_TRACE_SHA256 = {
-    "parity": "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-    "join": "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
+    "parity": (
+        "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
+        "18570a1e049aff9253b095492a0f3469900355e42804afda8b69df118896e29c",
+    ),
+    "join": (
+        "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
+        "dfb52580f7e9bf7158bd32cf03de34ba4cc3829d95c42c733f6e10a6f0342199",
+    ),
 }
 
 
 def test_bundled_program_traces_match_golden_digests():
-    for name, digest in GOLDEN_TRACE_SHA256.items():
+    for name, (old_digest, digest) in GOLDEN_TRACE_SHA256.items():
+        text = run(parse(load_program(name))).to_json()
+        assert _sha256(text) == digest, name
+        assert _sha256(canonical_dumps(_old_form(json.loads(text)))) == old_digest, name
+
+
+def _replay_traces():
+    """(name, trace, points to replay); a join draw replays its initial and last point only.
+
+    Replaying the last point checks every step before it against its digest,
+    and each replay of a join draw re-reads a ~4k-node initial tree.
+    """
+    for name in ("parity", "join"):
         trace = run(parse(load_program(name)))
-        assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == digest, name
+        yield name, trace, range(len(trace.steps) + 1)
+    for seed in range(50):
+        trace = run(generate.random_machine(random.Random(seed)))
+        yield f"machine {seed}", trace, range(len(trace.steps) + 1)
+    rng = random.Random(2024)
+    for index in range(20):
+        trace = run(parse(join_source(JoinCase(rng)), f"join-{index}"))
+        yield f"join {index}", trace, (0, len(trace.steps))
+
+
+def test_replay_rebuilds_every_self_tree_from_the_trace_json():
+    for name, trace, points in _replay_traces():
+        trace_obj = json.loads(trace.to_json())
+        assert trace_obj["format"] == 2
+        for k in points:
+            tree = replay_self(trace_obj, k)
+            if k == 0:
+                assert tree == trace.initial_state.self_tree, name
+                continue
+            assert tree == trace.steps[k - 1].after.self_tree, (name, k)
+            assert self_digest(tree) == trace_obj["steps"][k - 1]["self_digest"]
+
+
+def test_only_a_step_that_writes_self_carries_a_difference_term():
+    trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
+    thetas = [
+        [u for u in record["updates"] if "theta" in u] for record in trace_obj["steps"]
+    ]
+    assert [len(t) for t in thetas] == [1, 0, 0, 0]
+    assert thetas[0][0]["location"] == {"symbol": "self", "args": []}
+    assert "value" not in thetas[0][0]
+    assert all("self" not in record for record in trace_obj["steps"])
+
+
+def test_replay_refuses_other_formats_and_mismatched_digests():
+    trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
+    without = {key: value for key, value in trace_obj.items() if key != "format"}
+    for other in (dict(trace_obj, format=1), without):
+        with pytest.raises(EngineError, match="not a format 2 trace"):
+            replay_self(other, 0)
+    tampered = json.loads(json.dumps(trace_obj))
+    tampered["steps"][0]["self_digest"] = "0" * 64
+    assert replay_self(tampered, 0) == replay_self(trace_obj, 0)
+    with pytest.raises(EngineError, match="step 1 does not match its digest"):
+        replay_self(tampered, 1)
+    with pytest.raises(EngineError, match="no index 5"):
+        replay_self(trace_obj, 5)
+    with pytest.raises(EngineError, match="malformed trace"):
+        replay_self({"format": 2, "steps": []}, 0)
+
+
+def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():
+    trace = run(parse(SHAPE_BREAKING_PROGRAM, "shape"))
+    assert trace.status == "error"
+    assert trace.detail == "step 1: step left self without the self-representation shape"
+    assert trace.steps == ()
+    assert json.loads(trace.to_json())["status"] == "error"
 
 
 def test_program_fault_ends_the_run_as_an_error_outcome():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import FAULTY_PROGRAM
+from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM
 from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
@@ -257,6 +257,64 @@ def test_cli_diff_self_prints_right_extend(tmp_path, capsys):
     theta_text = capsys.readouterr().out
     assert "right_extend" in theta_text
     assert "FunctionApp(" not in theta_text and "Equality(" not in theta_text
+
+
+def _corrupt_theta(trace_obj):
+    entry = next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)
+    entry["theta"]["args"][0] = {"const": {"atom": "other"}}  # relabels the root
+
+
+def _garble_theta(trace_obj):
+    next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"] = {"bogus": 1}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _corrupt_theta,
+        _garble_theta,
+        lambda trace_obj: trace_obj.update(format=1),
+        lambda trace_obj: trace_obj.pop("format"),
+        lambda trace_obj: trace_obj["steps"][0].pop("updates"),
+    ],
+    ids=["corrupted_theta", "garbled_theta", "format_1", "no_format", "no_updates"],
+)
+def test_cli_diff_self_rejects_a_damaged_trace_without_a_traceback(tmp_path, capsys, damage):
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
+    trace_obj = json.loads(trace_path.read_text())
+    damage(trace_obj)
+    trace_path.write_text(json.dumps(trace_obj))
+    capsys.readouterr()
+    assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_run_reports_a_broken_self_shape_without_a_traceback(tmp_path, capsys):
+    program = tmp_path / "shape.rsasm"
+    program.write_text(SHAPE_BREAKING_PROGRAM)
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", str(program), "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert "status: error after 0 step(s)" in captured.out
+    assert captured.err == (
+        "error: step 1: step left self without the self-representation shape\n"
+    )
+    assert json.loads(trace_path.read_text())["status"] == "error"
+
+
+def test_cli_run_prints_values_in_program_syntax(tmp_path, capsys):
+    program = tmp_path / "dropped.rsasm"
+    program.write_text(
+        "SIGNATURE\n  t/0\n  m/0\n  f/1\nRULE\n  PAR\n"
+        "    t := leaf(a, DROP(m = 0))\n    f(DROP(m = 0)) := 1\n  ENDPAR\n"
+    )
+    assert cli_main(["run", str(program), "--max-steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "  t = a(DROP(m = 0))\n" in out
+    assert "  f(DROP(m = 0)) = 1\n" in out
+    assert "Equality(" not in out and "FunctionApp(" not in out
 
 
 def test_cli_dump_self(capsys):

@@ -1,14 +1,21 @@
-"""Property tests: substitution, atom collection and collapse order-independence."""
+"""Property tests: substitution, atom collection, collapse order-independence and parsing."""
 
 import itertools
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_state
 from rsasm.background import COMMUTATIVE_OPERATORS
-from rsasm.errors import RsasmError
-from rsasm.frontend import _collect_atoms_rule, _collect_atoms_term
+from rsasm.errors import ParseError, RsasmError
+from rsasm.frontend import (
+    KEYWORDS,
+    _collect_atoms_rule,
+    _collect_atoms_term,
+    load_program,
+    parse,
+    tokenize,
+)
 from rsasm.rules import (
     Assign,
     ClashReport,
@@ -292,3 +299,116 @@ def test_a_plain_update_agreeing_with_a_multi_operand_fold_collapses_in_every_or
     )
     results = {collapse(UpdateMultiset(p), state) for p in itertools.permutations(entries)}
     assert results == {UpdateSet(frozenset({Update(COUNTER, NatVal(8))}))}
+
+
+def _monus_fold(current: int, entries) -> int:
+    value = current
+    for entry in entries:
+        for arg in entry.args:
+            value = value + arg.n if entry.op == "+" else max(0, value - arg.n)
+    return value
+
+
+def _mixed_counter_group(size: int):
+    """``size`` shared ``+``/``-`` updates of the counter, at least one of each."""
+    entry = st.builds(
+        SharedUpdate,
+        st.just(COUNTER),
+        st.sampled_from(("+", "-")),
+        st.lists(st.integers(0, 3).map(NatVal), min_size=1, max_size=2).map(tuple),
+    )
+    plus, minus = (SharedUpdate(COUNTER, op, (NatVal(1),)) for op in "+-")
+    rest = st.lists(entry, min_size=size - 2, max_size=size - 2)
+    return rest.map(lambda more: [plus, minus, *more]).flatmap(st.permutations)
+
+
+@given(st.integers(2, 6).flatmap(_mixed_counter_group), st.integers(0, 4))
+def test_a_mixed_group_within_the_bound_folds_alike_in_every_order_or_clashes(entries, current):
+    state = make_state(SYMBOLS, {COUNTER: NatVal(current)})
+    folds = {_monus_fold(current, order) for order in itertools.permutations(entries)}
+    for order in (entries, entries[::-1]):
+        result = collapse(UpdateMultiset(tuple(order)), state)
+        if len(folds) == 1:
+            (value,) = folds
+            assert result == UpdateSet(frozenset({Update(COUNTER, NatVal(value))}))
+        else:
+            assert isinstance(result, ClashReport) and result.location == COUNTER
+            assert result.reason == "shared updates are order-dependent"
+
+
+@given(_mixed_counter_group(7), st.integers(0, 4))
+def test_a_mixed_group_beyond_the_bound_clashes(entries, current):
+    state = make_state(SYMBOLS, {COUNTER: NatVal(current)})
+    result = collapse(UpdateMultiset(tuple(entries)), state)
+    assert isinstance(result, ClashReport) and result.location == COUNTER
+    assert "exceed the checkable bound" in result.reason
+
+
+# -- parsing ----------------------------------------------------------------------------
+
+
+def _parses_or_raises_parse_error(source: str) -> None:
+    try:
+        parse(source)
+    except ParseError:
+        pass
+
+
+_PROGRAM_WORDS = sorted(KEYWORDS) + [
+    ":=", "<=", "(", ")", "{", "}", "<", ">", "[", "]", ",", "=", "/", "|", ".", "+", "-",
+    "x", "f", "D", "0", "1", "2", "true", "undef", "\n", "\n  ", "#",
+]
+
+
+@given(st.text())
+@example("SIGNATURE\n  x/0\nRULE\n  x := \u00b2\n")
+@example("SIGNATURE\n  x/\u00b2\nRULE\n  PAR ENDPAR\n")
+def test_parse_raises_only_parse_errors_on_arbitrary_text(source):
+    _parses_or_raises_parse_error(source)
+
+
+@given(st.lists(st.sampled_from(_PROGRAM_WORDS), max_size=40))
+def test_parse_raises_only_parse_errors_on_arbitrary_token_strings(words):
+    _parses_or_raises_parse_error(" ".join(words))
+
+
+def _render(tokens) -> str:
+    """Program text with each token on its original line, in its original order."""
+    lines: dict[int, list[str]] = {}
+    for token in tokens:
+        lines.setdefault(token.line, []).append(token.text)
+    return "\n".join(" ".join(lines.get(n, ())) for n in range(1, max(lines, default=0) + 1))
+
+
+_BUNDLED_TOKENS = {
+    name: [t for t in tokenize(load_program(name)) if t.kind != "EOF"]
+    for name in ("parity", "join")
+}
+_TOKEN_TEXTS = sorted({t.text for tokens in _BUNDLED_TOKENS.values() for t in tokens})
+
+
+@st.composite
+def mutated_programs(draw):
+    """A bundled program with one to three tokens deleted, duplicated or replaced."""
+    tokens = list(_BUNDLED_TOKENS[draw(st.sampled_from(sorted(_BUNDLED_TOKENS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "replace")))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            text = draw(st.sampled_from(_TOKEN_TEXTS))
+            tokens[i] = type(tokens[i])(tokens[i].kind, text, tokens[i].line, tokens[i].column)
+    return _render(tokens)
+
+
+def test_rendering_the_bundled_tokens_gives_a_parsable_program():
+    for tokens in _BUNDLED_TOKENS.values():
+        parse(_render(tokens))
+
+
+@given(mutated_programs())
+def test_parse_raises_only_parse_errors_on_mutated_bundled_programs(source):
+    _parses_or_raises_parse_error(source)
