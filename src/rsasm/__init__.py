@@ -14,6 +14,7 @@ from .engine import (
     check_strong_coincidence,
     probe_bounded_exploration,
     probe_isomorphism_closure,
+    replay,
     replay_self,
     run,
     step,

@@ -4,7 +4,7 @@ Exit codes: ``run`` gives 2 on a parse or I/O error (and on a ``--dump-self``
 step outside the trace), 1 on a runtime error or, with ``--strict``, a clash,
 and 0 otherwise; ``check`` gives 1 on a parse error; ``probe`` gives 1 when a
 probe finds a violation; ``diff-self`` gives 2 on an unreadable trace, one
-that is not format 2, or one whose replayed self trees do not match their
+that is not format 3, or one whose replayed self trees do not match their
 digests.
 """
 
@@ -14,11 +14,11 @@ import argparse
 import json
 import sys
 
-from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay_self, run
-from .errors import RsasmError
+from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay, run
+from .errors import EngineError, RsasmError
 from .frontend import SourcePrinter, parse_file
 from .reflect import tree_diff
-from .structures import canonical_dumps, state_to_json
+from .structures import NodeLocation, canonical_dumps, state_to_json
 
 
 def _cmd_run(args) -> int:
@@ -58,15 +58,25 @@ def _cmd_run(args) -> int:
         for loc in final.defined_locations():
             if loc.symbol == "self":
                 continue
-            arg_text = ", ".join(printer.value_literal(a) for a in loc.args)
-            name = f"{loc.symbol}({arg_text})" if loc.args else loc.symbol
-            print(f"  {name} = {printer.value_literal(final.interp[loc])}")
+            print(f"  {_location_text(loc)} = {printer.value_literal(final.interp[loc])}")
     if trace.status == "error":
         print(f"error: {trace.detail}", file=sys.stderr)
+        if trace.detail == "clash_stall":
+            clash = trace.steps[-1].result
+            at = "" if clash.location is None else f" at {_location_text(clash.location)}"
+            print(f"clash{at}: {clash.reason}", file=sys.stderr)
         return 1
     if args.strict and any(s.clashed for s in trace.steps):
         return 1
     return 0
+
+
+def _location_text(loc) -> str:
+    """A location in program syntax: ``f(a, 1)``, ``x`` or a sublocation ``self@0.1``."""
+    if isinstance(loc, NodeLocation) or not loc.args:
+        return repr(loc)
+    printer = SourcePrinter()
+    return f"{loc.symbol}({', '.join(printer.value_literal(a) for a in loc.args)})"
 
 
 def _cmd_check(args) -> int:
@@ -101,7 +111,11 @@ def _cmd_diff_self(args) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace_obj = json.load(fh)
-        theta = tree_diff(replay_self(trace_obj, args.i), replay_self(trace_obj, args.j))
+        points = list(replay(trace_obj))
+        for k in (args.i, args.j):
+            if not 0 <= k < len(points):
+                raise EngineError(f"trace has {len(points) - 1} steps, no index {k}")
+        theta = tree_diff(points[args.i], points[args.j])
     except (RsasmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

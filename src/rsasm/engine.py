@@ -45,15 +45,15 @@ from .structures import (
     self_digest,
     term_from_json,
     term_to_json,
-    tree_from_json,
-    tree_to_json,
+    tree_from_table,
+    tree_to_table,
 )
 from .treealg import Tree
 
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,15 @@ class Machine:
 class StepRecord:
     """One step: the states before and after it, its multiset and its collapse.
 
-    In the trace JSON a step holds its ``index``; its ``updates`` sorted by
-    canonical JSON, or a ``clash`` instead; the ``shared`` entries of its
-    multiset; the ``signature_added`` names; and the ``self_digest`` of the
+    In the trace JSON (format 3) a step holds its ``index``; its ``updates``
+    sorted by canonical JSON, or a ``clash`` instead; the ``shared`` entries of
+    its multiset; the ``signature_added`` names; and the ``self_digest`` of the
     self tree after it.  The update of ``self`` is written as the tree
     difference ``theta`` (``reflect.tree_diff`` of the self trees before and
     after, as ``term_to_json``) in place of a ``value``, so a step that does not
-    write ``self`` carries no tree at all.  The difference is computed here,
-    when the record is written, and never while stepping.
+    write ``self`` carries no tree at all; :func:`replay` evaluates it on the
+    tree before the step.  The difference is computed here, when the record is
+    written, and never while stepping.
     """
 
     index: int
@@ -124,11 +125,13 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 2) holds ``format``, ``status``, the optional
-    ``detail``, the ``initial`` self tree in full with its ``self_digest``, and
-    the step records (see :class:`StepRecord`).  The self tree after step k is
-    rebuilt by :func:`replay_self`: start from the initial tree and evaluate
-    each step's ``theta`` on the tree so far.
+    The trace JSON (format 3) holds ``format``, ``status``, the optional
+    ``detail``, the ``initial`` self tree with its ``self_digest``, and the
+    step records (see :class:`StepRecord`).  The initial tree is written as a
+    node table (``structures.tree_to_table``): each distinct subtree once, as
+    ``[label, value?, [child ids]]``, children first and the root last.
+    :func:`replay` rebuilds the self tree at every point in one pass: it reads
+    the initial tree, then evaluates each step's ``theta`` on the tree so far.
     """
 
     initial_state: State
@@ -145,7 +148,7 @@ class Trace:
         obj = {
             "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {"self_digest": self_digest(tree), "self": tree_to_json(tree)},
+            "initial": {"self_digest": self_digest(tree), "self": tree_to_table(tree)},
             "steps": [s.to_json() for s in self.steps],
         }
         if self.detail:
@@ -156,25 +159,25 @@ class Trace:
         return canonical_dumps(self.to_json_obj())
 
 
-def replay_self(trace_obj: dict, index: int) -> Tree:
-    """The self tree after step ``index`` of a trace JSON object; 0 is the initial tree.
+def replay(trace_obj: dict):
+    """Yield the self tree at every point of a trace JSON object, the initial tree first.
 
-    Starts from the initial tree and, for each step up to ``index`` that
-    carries a ``theta``, evaluates it on the tree so far.  Every rebuilt tree
-    is checked against its ``self_digest``.  A trace that is not format 2, a
-    digest that does not match and a malformed trace raise ``EngineError``.
+    Reads the initial node table once, then, for each step, evaluates the
+    step's ``theta`` (if it writes ``self``) on the tree so far.  Each tree is
+    checked against its ``self_digest`` before it is yielded.  A trace that
+    is not format 3, a digest that does not match and a malformed trace raise
+    ``EngineError``.
     """
     try:
         fmt = trace_obj.get("format", "missing")
         if fmt != TRACE_FORMAT:
             raise EngineError(f"not a format {TRACE_FORMAT} trace (format: {fmt})")
         steps = trace_obj["steps"]
-        if not 0 <= index <= len(steps):
-            raise EngineError(f"trace has {len(steps)} steps, no index {index}")
-        tree = tree_from_json(trace_obj["initial"]["self"])
+        tree = tree_from_table(trace_obj["initial"]["self"])
         if self_digest(tree) != trace_obj["initial"]["self_digest"]:
             raise EngineError("the initial self tree does not match its digest")
-        for record in steps[:index]:
+        yield tree
+        for record in steps:
             for entry in record["updates"]:
                 if "theta" in entry:
                     tree = eval_algebra(term_from_json(entry["theta"]), tree)
@@ -182,9 +185,21 @@ def replay_self(trace_obj: dict, index: int) -> Tree:
                 raise EngineError(
                     f"the replayed self tree of step {record['index']} does not match its digest"
                 )
+            yield tree
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
-    return tree
+
+
+def replay_self(trace_obj: dict, index: int) -> Tree:
+    """The self tree after step ``index`` of a trace JSON object; 0 is the initial tree.
+
+    Replays the trace (see :func:`replay`) up to that point.
+    """
+    steps = 0
+    for steps, tree in enumerate(replay(trace_obj)):
+        if steps == index:
+            return tree
+    raise EngineError(f"trace has {steps} steps, no index {index}")
 
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:

@@ -56,6 +56,7 @@ from .treealg import (
     L_UPDATE,
     Path,
     Tree,
+    interner,
     memoized,
 )
 
@@ -121,56 +122,61 @@ def _noderef_of_symbol(sym: str) -> NodeRef:
 # -- rule encoding -----------------------------------------------------------------
 
 
-def _term_leaf(t: Term) -> Tree:
-    return Tree(L_TERM, (), drop(t))
+def _term_leaf(t: Term, node) -> Tree:
+    return node(L_TERM, (), drop(t))
 
 
-def _term_wrapper(terms: tuple[Term, ...]) -> Tree:
+def _term_wrapper(terms: tuple[Term, ...], node) -> Tree:
     """Encode a term list: a single term becomes a leaf, otherwise a node of leaves."""
     if len(terms) == 1:
-        return _term_leaf(terms[0])
-    return Tree(L_TERM, tuple(_term_leaf(t) for t in terms))
+        return _term_leaf(terms[0], node)
+    return node(L_TERM, tuple(_term_leaf(t, node) for t in terms))
 
 
 def encode_rule(r: Rule) -> Tree:
-    """Encode a rule as a tree over the reserved label vocabulary."""
+    """Encode a rule as a tree over the reserved label vocabulary; equal subtrees are one object."""
+    return _encode_rule(r, interner())
+
+
+def _encode_rule(r: Rule, node) -> Tree:
+    """``encode_rule`` with every node built by the hash-consing constructor ``node``."""
     if isinstance(r, Assign):
-        return Tree(
+        return node(
             L_UPDATE,
             (
-                Tree(L_FUNC, (), SymbolName(r.target)),
-                _term_wrapper(r.args),
-                _term_wrapper((r.rhs,)),
+                node(L_FUNC, (), SymbolName(r.target)),
+                _term_wrapper(r.args, node),
+                _term_wrapper((r.rhs,), node),
             ),
         )
     if isinstance(r, If):
-        return Tree(
+        return node(
             L_IF,
             (
-                Tree(L_BOOL, (), drop(r.cond)),
-                Tree(L_RULE, (encode_rule(r.then),)),
-                Tree(L_RULE, (encode_rule(r.orelse),)),
+                node(L_BOOL, (), drop(r.cond)),
+                node(L_RULE, (_encode_rule(r.then, node),)),
+                node(L_RULE, (_encode_rule(r.orelse, node),)),
             ),
         )
     if isinstance(r, Par):
-        return Tree(L_PAR, tuple(Tree(L_RULE, (encode_rule(b),)) for b in r.branches))
+        return node(L_PAR, tuple(node(L_RULE, (_encode_rule(b, node),)) for b in r.branches))
     if isinstance(r, Let):
-        return Tree(
+        return node(
             L_LET,
             (
-                _term_leaf(Variable(r.var)),
-                _term_leaf(r.bound),
-                Tree(L_RULE, (encode_rule(r.body),)),
+                _term_leaf(Variable(r.var), node),
+                _term_leaf(r.bound, node),
+                node(L_RULE, (_encode_rule(r.body, node),)),
             ),
         )
     if isinstance(r, PartialAssign):
-        return Tree(
+        return node(
             L_PARTIAL,
             (
-                Tree(L_FUNC, (), SymbolName(r.target)),
-                Tree(L_FUNC, (), SymbolName(r.op)),
-                _term_wrapper(r.args),
-                _term_wrapper(r.operands),
+                node(L_FUNC, (), SymbolName(r.target)),
+                node(L_FUNC, (), SymbolName(r.op)),
+                _term_wrapper(r.args, node),
+                _term_wrapper(r.operands, node),
             ),
         )
     raise ReflectError(f"cannot encode rule {r!r}")
@@ -289,17 +295,22 @@ def is_rule_encoding(t: Tree) -> bool:
 
 
 def encode_signature(sig: Signature) -> Tree:
+    """Encode a signature as a tree of func entries; equal subtrees are one object."""
+    return _encode_signature(sig, interner())
+
+
+def _encode_signature(sig: Signature, node) -> Tree:
     entries = tuple(
-        Tree(
+        node(
             L_FUNC,
             (
-                Tree(L_NAME, (), SymbolName(s.name)),
-                Tree(L_ARITY, (), NatVal(s.arity)),
+                node(L_NAME, (), SymbolName(s.name)),
+                node(L_ARITY, (), NatVal(s.arity)),
             ),
         )
         for s in sig.symbols
     )
-    return Tree(L_SIGNATURE, entries)
+    return node(L_SIGNATURE, entries)
 
 
 def decode_signature(t: Tree) -> Signature:
@@ -327,7 +338,9 @@ def _decode_signature(t: Tree) -> Signature:
 
 
 def build_self_tree(sig: Signature, rule: Rule) -> Tree:
-    return Tree(L_SELF, (encode_signature(sig), Tree(L_RULE, (encode_rule(rule),))))
+    """The self tree of a signature and a rule, built through one hash-consing table."""
+    node = interner()
+    return node(L_SELF, (_encode_signature(sig, node), node(L_RULE, (_encode_rule(rule, node),))))
 
 
 # -- selectors on the self tree --------------------------------------------------------
@@ -510,10 +523,18 @@ def _node_terms(t: Tree):
 
     The term evaluates to ``node2`` in a state whose ``self`` holds ``t``.
     """
+    # The first preorder path of each distinct subtree below the rule wrapper.
+    # The subtrees of an equal tree met earlier are already indexed, so the
+    # walk descends into each distinct subtree once.
     reuse: dict[Tree, Path] = {}
-    for _, path, node in t.children[1].preorder():
-        if path:
-            reuse.setdefault(node, (1,) + path)
+
+    def index(node: Tree, path: Path) -> None:
+        for i, child in enumerate(node.children):
+            if child not in reuse:
+                reuse[child] = path + (i,)
+                index(child, path + (i,))
+
+    index(t.children[1], (1,))
 
     def node_term(node2: Tree, path2: Path) -> Term:
         old = t.find(path2)

@@ -484,19 +484,6 @@ def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
     return State(state.signature, state.base, interp, background)
 
 
-def rename_update_set(delta: UpdateSet, state: State, sigma: dict[Atom, Atom]) -> UpdateSet:
-    full = _complete_bijection(state, sigma)
-    return UpdateSet(
-        frozenset(
-            Update(
-                Location(u.location.symbol, tuple(rename_value(a, full) for a in u.location.args)),
-                rename_value(u.value, full),
-            )
-            for u in delta
-        )
-    )
-
-
 # -- canonical serialization -------------------------------------------------------
 
 
@@ -530,6 +517,33 @@ def tree_to_json(t: Tree) -> dict:
         obj["value"] = value_to_json(t.value)
     obj["children"] = [tree_to_json(c) for c in t.children]
     return obj
+
+
+def tree_to_table(t: Tree) -> list:
+    """A tree as a node table: each distinct subtree once, as ``[label, value?, [child ids]]``.
+
+    A node's id is its index in the table; children come before their parents,
+    in the order a left-to-right walk first meets them, and the root is last.
+    Subtrees are told apart by tree equality, not by object identity, so the
+    table depends only on the tree's value.
+    """
+    ids: dict[Tree, int] = {}
+    table: list = []
+
+    def visit(node: Tree) -> int:
+        nid = ids.get(node)
+        if nid is None:
+            kids = [visit(c) for c in node.children]
+            entry: list = [node.label]
+            if node.value is not None:
+                entry.append(value_to_json(node.value))
+            entry.append(kids)
+            nid = ids[node] = len(table)
+            table.append(entry)
+        return nid
+
+    visit(t)
+    return table
 
 
 def term_to_json(term: Term) -> object:
@@ -581,6 +595,25 @@ def tree_from_json(obj) -> Tree:
         tuple(tree_from_json(c) for c in obj.get("children", ())),
         value,
     )
+
+
+def tree_from_table(table) -> Tree:
+    """The tree a node table holds (inverse of ``tree_to_table``); equal entries are one object."""
+    if not isinstance(table, list) or not table:
+        raise StateError("a node table must be a non-empty list")
+    node = treealg.interner()
+    nodes: list[Tree] = []
+    for nid, entry in enumerate(table):
+        if not isinstance(entry, list) or len(entry) not in (2, 3):
+            raise StateError(f"malformed node table entry {nid}: {entry!r}")
+        kids = entry[-1]
+        if not isinstance(kids, list) or not all(
+            type(k) is int and 0 <= k < nid for k in kids
+        ):
+            raise StateError(f"node table entry {nid} names a child that does not precede it")
+        value = value_from_json(entry[1]) if len(entry) == 3 else None
+        nodes.append(node(entry[0], tuple(nodes[k] for k in kids), value))
+    return nodes[-1]
 
 
 def term_from_json(obj) -> Term:
@@ -648,13 +681,45 @@ def state_to_json(state: State) -> dict:
 
 
 def self_digest(t: Tree) -> str:
-    """sha256 of the canonical JSON of a self tree, computed once per tree object."""
+    """sha256 of ``canonical_dumps(tree_to_json(t))``, computed once per tree object."""
     return treealg.memoized(t, "_self_digest", _self_digest)
 
 
 def _self_digest(t: Tree) -> str:
-    payload = canonical_dumps(tree_to_json(t))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Compose the canonical text from the text of each distinct subtree object.
+
+    The text of a node is ``{"children":[…],"label":…,"value":…}``, keys in
+    ``canonical_dumps`` order.  It is written once per object and call, as a
+    run of pieces; a later occurrence of the same object copies that run.  A
+    tree built through one intern table, and a tree a step rebuilds from it,
+    keep every repeated subtree as one object.
+    """
+    pieces: list[str] = []
+    runs: dict[int, tuple[int, int]] = {}
+    labels: dict[str, str] = {}
+
+    def write(node: Tree) -> None:
+        run = runs.get(id(node))
+        if run is not None:
+            pieces.extend(pieces[run[0] : run[1]])
+            return
+        start = len(pieces)
+        pieces.append('{"children":[')
+        for i, child in enumerate(node.children):
+            if i:
+                pieces.append(",")
+            write(child)
+        label = labels.get(node.label)
+        if label is None:
+            label = labels[node.label] = '],"label":' + canonical_dumps(node.label)
+        pieces.append(label)
+        if node.value is not None:
+            pieces.append(',"value":' + canonical_dumps(value_to_json(node.value)))
+        pieces.append("}")
+        runs[id(node)] = (start, len(pieces))
+
+    write(t)
+    return hashlib.sha256("".join(pieces).encode("utf-8")).hexdigest()
 
 
 # -- term evaluation ----------------------------------------------------------------

@@ -116,6 +116,29 @@ class Tree:
         return node
 
 
+def interner():
+    """A tree constructor ``node(label, children=(), value=None)`` that hash-conses.
+
+    Equal trees built through one constructor are one object (Filliâtre &
+    Conchon, "Type-safe modular hash-consing"): the table is looked up by
+    ``(label, value, children)`` before a ``Tree`` is built, and children built
+    through it compare by identity.  Tree equality is isomorphism, so the
+    sharing cannot be observed; memos kept on a shared subtree serve every
+    occurrence.  Each constructor has its own table, so a table lives only as
+    long as the build that uses it.
+    """
+    table: dict = {}
+
+    def node(label: str, children: tuple = (), value: object | None = None) -> Tree:
+        key = (label, value, children)
+        tree = table.get(key)
+        if tree is None:
+            tree = table[key] = Tree(label, children, value)
+        return tree
+
+    return node
+
+
 def memoized(t: Tree, key: str, compute):
     """``compute(t)``, computed once per tree object and kept on it.
 

@@ -14,11 +14,12 @@ from rsasm.engine import (
     check_strong_coincidence,
     probe_bounded_exploration,
     probe_isomorphism_closure,
+    replay,
     replay_self,
     run,
     step,
 )
-from rsasm.errors import EngineError
+from rsasm.errors import EngineError, StateError
 from rsasm.frontend import parse, load_program
 from rsasm.reflect import (
     decode_rule,
@@ -321,11 +322,12 @@ def _sha256(text: str) -> str:
 
 
 def _old_form(trace_obj: dict) -> dict:
-    """The trace as format 1 wrote it: each step's self tree in full, the self update as a value."""
+    """The trace as format 1 wrote it: every self tree in full, the self update as a value."""
     old = {key: value for key, value in trace_obj.items() if key != "format"}
+    initial, *after = (tree_to_json(tree) for tree in replay(trace_obj))
+    old["initial"] = {**trace_obj["initial"], "self": initial}
     old["steps"] = []
-    for k, record in enumerate(trace_obj["steps"], 1):
-        tree = tree_to_json(replay_self(trace_obj, k))
+    for record, tree in zip(trace_obj["steps"], after):
         updates = [
             {"location": u["location"], "value": {"tree": tree}} if "theta" in u else u
             for u in record["updates"]
@@ -342,11 +344,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "18570a1e049aff9253b095492a0f3469900355e42804afda8b69df118896e29c",
+        "eabcbb46ca3341ca8563548d1ca862cb9a7baf763118137f7d5014dd1fb594c2",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "dfb52580f7e9bf7158bd32cf03de34ba4cc3829d95c42c733f6e10a6f0342199",
+        "2a0125b0d7a774cc47cce7cd1daddb83a8f371699290553397a776466851f1f6",
     ),
 }
 
@@ -359,34 +361,27 @@ def test_bundled_program_traces_match_golden_digests():
 
 
 def _replay_traces():
-    """(name, trace, points to replay); a join draw replays its initial and last point only.
-
-    Replaying the last point checks every step before it against its digest,
-    and each replay of a join draw re-reads a ~4k-node initial tree.
-    """
     for name in ("parity", "join"):
-        trace = run(parse(load_program(name)))
-        yield name, trace, range(len(trace.steps) + 1)
+        yield name, run(parse(load_program(name)))
     for seed in range(50):
-        trace = run(generate.random_machine(random.Random(seed)))
-        yield f"machine {seed}", trace, range(len(trace.steps) + 1)
+        yield f"machine {seed}", run(generate.random_machine(random.Random(seed)))
     rng = random.Random(2024)
     for index in range(20):
-        trace = run(parse(join_source(JoinCase(rng)), f"join-{index}"))
-        yield f"join {index}", trace, (0, len(trace.steps))
+        yield f"join {index}", run(parse(join_source(JoinCase(rng)), f"join-{index}"))
 
 
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
-    for name, trace, points in _replay_traces():
+    for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 2
-        for k in points:
-            tree = replay_self(trace_obj, k)
-            if k == 0:
-                assert tree == trace.initial_state.self_tree, name
-                continue
-            assert tree == trace.steps[k - 1].after.self_tree, (name, k)
-            assert self_digest(tree) == trace_obj["steps"][k - 1]["self_digest"]
+        assert trace_obj["format"] == 3
+        expected = [trace.initial_state] + [s.after for s in trace.steps]
+        replayed = list(replay(trace_obj))
+        assert len(replayed) == len(expected), name
+        for k, (tree, state) in enumerate(zip(replayed, expected)):
+            assert tree == state.self_tree, (name, k)
+        for record, tree in zip(trace_obj["steps"], replayed[1:]):
+            assert self_digest(tree) == record["self_digest"], name
+        assert replay_self(trace_obj, len(trace.steps)) == replayed[-1], name
 
 
 def test_only_a_step_that_writes_self_carries_a_difference_term():
@@ -404,7 +399,7 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
     trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
     without = {key: value for key, value in trace_obj.items() if key != "format"}
     for other in (dict(trace_obj, format=1), without):
-        with pytest.raises(EngineError, match="not a format 2 trace"):
+        with pytest.raises(EngineError, match="not a format 3 trace"):
             replay_self(other, 0)
     tampered = json.loads(json.dumps(trace_obj))
     tampered["steps"][0]["self_digest"] = "0" * 64
@@ -413,8 +408,13 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
         replay_self(tampered, 1)
     with pytest.raises(EngineError, match="no index 5"):
         replay_self(trace_obj, 5)
+    for child in (-1, len(trace_obj["initial"]["self"]) - 1):
+        looped = json.loads(json.dumps(trace_obj))
+        looped["initial"]["self"][-1][-1][0] = child
+        with pytest.raises(StateError, match="names a child that does not precede it"):
+            replay_self(looped, 0)
     with pytest.raises(EngineError, match="malformed trace"):
-        replay_self({"format": 2, "steps": []}, 0)
+        replay_self({"format": 3, "steps": []}, 0)
 
 
 def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():

@@ -259,6 +259,15 @@ def test_cli_diff_self_prints_right_extend(tmp_path, capsys):
     assert "FunctionApp(" not in theta_text and "Equality(" not in theta_text
 
 
+def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    for i, j in (("0", "9"), ("-1", "1")):
+        assert cli_main(["diff-self", str(trace_path), i, j]) == 2
+        assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
+
+
 def _corrupt_theta(trace_obj):
     entry = next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)
     entry["theta"]["args"][0] = {"const": {"atom": "other"}}  # relabels the root
@@ -276,8 +285,22 @@ def _garble_theta(trace_obj):
         lambda trace_obj: trace_obj.update(format=1),
         lambda trace_obj: trace_obj.pop("format"),
         lambda trace_obj: trace_obj["steps"][0].pop("updates"),
+        lambda trace_obj: trace_obj["initial"]["self"][0].__setitem__(0, "other"),
+        lambda trace_obj: trace_obj["initial"]["self"][-1][-1].append(len(trace_obj["initial"]["self"])),
+        lambda trace_obj: trace_obj["initial"]["self"][-1][-1].__setitem__(0, -1),
+        lambda trace_obj: trace_obj["initial"].update(self=[]),
     ],
-    ids=["corrupted_theta", "garbled_theta", "format_1", "no_format", "no_updates"],
+    ids=[
+        "corrupted_theta",
+        "garbled_theta",
+        "format_1",
+        "no_format",
+        "no_updates",
+        "relabelled_node",
+        "later_child_id",
+        "negative_child_id",
+        "empty_node_table",
+    ],
 )
 def test_cli_diff_self_rejects_a_damaged_trace_without_a_traceback(tmp_path, capsys, damage):
     trace_path = tmp_path / "trace.json"
@@ -343,6 +366,21 @@ def test_cli_strict_flags_clash(tmp_path, capsys):
     code = cli_main(["run", str(clashing), "--strict"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_cli_run_prints_the_reason_of_a_stalled_clash(tmp_path, capsys):
+    stalling = tmp_path / "stall.rsasm"
+    stalling.write_text(
+        "SIGNATURE\n  f/1\nRULE\n  PAR\n    f(a) := 1\n    f(a) := 2\n  ENDPAR\n"
+    )
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", str(stalling), "--trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: clash_stall\nclash at f(a): two plain updates write different values\n"
+    )
+    trace_obj = json.loads(trace_path.read_text())
+    assert trace_obj["detail"] == "clash_stall"
+    assert trace_obj["steps"][-1]["clash"]["reason"] == "two plain updates write different values"
 
 
 def test_cli_entry_point_runs():

@@ -1,11 +1,16 @@
-"""Property tests: substitution, atom collection, collapse order-independence and parsing."""
+"""Property tests: substitution, atom collection, collapse order-independence, parsing,
+and shared subtrees (hash-consing, node tables, the composed digest)."""
 
+import hashlib
 import itertools
+import json
+import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_state
+from rsasm import generate
 from rsasm.background import COMMUTATIVE_OPERATORS
 from rsasm.errors import ParseError, RsasmError
 from rsasm.frontend import (
@@ -50,11 +55,16 @@ from rsasm.structures import (
     Update,
     UpdateSet,
     Variable,
+    canonical_dumps,
     eval_term,
+    self_digest,
     term_substitute,
     term_to_json,
+    tree_from_table,
+    tree_to_json,
+    tree_to_table,
 )
-from rsasm.treealg import Tree
+from rsasm.treealg import XI, Tree, interner
 
 VARS = ("x", "y")
 ATOMS = (Atom("p"), Atom("q"), Atom("r"))
@@ -412,3 +422,75 @@ def test_rendering_the_bundled_tokens_gives_a_parsable_program():
 @given(mutated_programs())
 def test_parse_raises_only_parse_errors_on_mutated_bundled_programs(source):
     _parses_or_raises_parse_error(source)
+
+
+# -- shared subtrees: hash-consing, node tables and the composed digest -------------------
+
+# labels that JSON escapes or writes outside ASCII, and the hole label
+tree_labels = st.sampled_from(("a", "b", XI, 'q"t', "ü\n"))
+tree_leaves = st.builds(Tree, tree_labels, st.just(()), st.one_of(st.none(), values))
+
+
+def _rebuilt(t: Tree) -> Tree:
+    """An equal tree that shares no node object with ``t``."""
+    return Tree(t.label, tuple(_rebuilt(c) for c in t.children), t.value)
+
+
+def _compound_trees(inner):
+    return st.one_of(
+        st.builds(lambda a, kids: Tree(a, tuple(kids)), tree_labels, st.lists(inner, max_size=3)),
+        # a repeated subtree: once as the same object, once as an equal copy
+        st.builds(lambda a, kid: Tree(a, (kid, kid, _rebuilt(kid))), tree_labels, inner),
+    )
+
+
+trees = st.recursive(tree_leaves, _compound_trees, max_leaves=8)
+machine_self_trees = st.integers(0, 2**32 - 1).map(
+    lambda seed: generate.random_machine(random.Random(seed)).initial_state.self_tree
+)
+
+
+def _distinct(t: Tree) -> tuple[set, set]:
+    """The distinct subtrees of ``t`` and the distinct node objects."""
+    nodes = [node for _, _, node in t.preorder()]
+    return set(nodes), {id(node) for node in nodes}
+
+
+@given(st.one_of(trees, machine_self_trees))
+def test_the_node_table_round_trips_and_writes_each_distinct_subtree_once(t):
+    table = tree_to_table(t)
+    subtrees, _ = _distinct(t)
+    assert len(table) == len(subtrees)
+    assert tree_to_table(_rebuilt(t)) == table  # by value, not by object identity
+    back = tree_from_table(json.loads(canonical_dumps(table)))
+    assert back == t
+    assert len(_distinct(back)[1]) == len(table)  # the reader shares equal subtrees
+
+
+@given(machine_self_trees)
+def test_a_built_self_tree_is_one_object_per_distinct_subtree(t):
+    subtrees, objects = _distinct(t)
+    assert len(objects) == len(subtrees)
+
+
+@given(st.one_of(trees, machine_self_trees))
+@example(Tree("r", (Tree(XI), Tree("leaf", (), SetVal(frozenset({NatVal(2), Atom("p")}))))))
+@example(Tree("r", (Tree("leaf", (), TreeValue(Tree('q"t', (Tree("ü"),)))),)))
+def test_the_composed_digest_is_the_sha256_of_the_canonical_tree_json(t):
+    expected = hashlib.sha256(canonical_dumps(tree_to_json(t)).encode("utf-8")).hexdigest()
+    assert self_digest(t) == expected
+
+
+@given(st.lists(trees, min_size=2, max_size=4))
+@example([Tree("x", (), NatVal(1)), Tree("x", (), TRUE)])
+@example([Tree("x", (), NatVal(0)), Tree("x", (), FALSE), Tree("x", (), Atom("0"))])
+def test_interning_shares_equal_trees_and_never_merges_unequal_ones(forest):
+    node = interner()
+
+    def interned(t: Tree) -> Tree:
+        return node(t.label, tuple(interned(c) for c in t.children), t.value)
+
+    built = [interned(t) for t in forest]
+    assert built == forest
+    for (a, x), (b, y) in itertools.combinations(zip(forest, built), 2):
+        assert (x is y) == (a == b)

@@ -33,13 +33,25 @@ from rsasm.structures import (
     eval_term,
     is_consistent,
     rename_term,
-    rename_update_set,
     rename_value,
 )
 
 
 def upd(*pairs):
     return UpdateSet(frozenset(Update(loc, v) for loc, v in pairs))
+
+
+def rename_update_set(delta, sigma):
+    """Oracle: an update set with every argument and value renamed along the bijection ``sigma``."""
+    return UpdateSet(
+        frozenset(
+            Update(
+                Location(u.location.symbol, tuple(rename_value(a, sigma) for a in u.location.args)),
+                rename_value(u.value, sigma),
+            )
+            for u in delta
+        )
+    )
 
 
 def test_eval_constant():
@@ -284,7 +296,7 @@ def test_isomorphism_commutes_with_update_application():
         sigma = dict(zip(atoms, perm))
         left = apply_isomorphism(apply_update_set(state, delta), sigma)
         right = apply_update_set(
-            apply_isomorphism(state, sigma), rename_update_set(delta, state, sigma)
+            apply_isomorphism(state, sigma), rename_update_set(delta, sigma)
         )
         assert left == right
 
