@@ -6,7 +6,6 @@ tree, executes the rule, and applies the collapsed update set.  Programs can
 therefore extend their own signature and rewrite their own rule mid-run.
 """
 
-from . import background as _background  # register term functions and operators
 from .engine import (
     Machine,
     Report,

@@ -327,10 +327,6 @@ class SpliceOp:
     path: tuple[int, ...]
     inner: str | None = None
 
-    def __repr__(self) -> str:
-        at = ".".join(map(str, self.path))
-        return f"splice@({at})" + (f":{self.inner}" if self.inner else "")
-
 
 class OperatorFailure(RuleError):
     """Internal: operator application failed; collapse turns this into a clash."""

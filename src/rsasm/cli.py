@@ -16,9 +16,9 @@ import sys
 
 from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay, run
 from .errors import EngineError, RsasmError
-from .frontend import SourcePrinter, parse_file
+from .frontend import parse_file
 from .reflect import tree_diff
-from .structures import NodeLocation, canonical_dumps, state_to_json
+from .structures import TreeValue, canonical_dumps, state_to_json
 
 
 def _cmd_run(args) -> int:
@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
         else:
             print(f"error: no step {index} in the trace", file=sys.stderr)
             return 2
-        print(SourcePrinter().tree_literal(tree))
+        print(repr(TreeValue(tree)))
     final = trace.final_state
     if args.format == "json":
         print(
@@ -53,30 +53,21 @@ def _cmd_run(args) -> int:
             )
         )
     else:
-        printer = SourcePrinter()
         print(f"status: {trace.status} after {len(trace.steps)} step(s)")
         for loc in final.defined_locations():
             if loc.symbol == "self":
                 continue
-            print(f"  {_location_text(loc)} = {printer.value_literal(final.interp[loc])}")
+            print(f"  {loc!r} = {final.interp[loc]!r}")
     if trace.status == "error":
         print(f"error: {trace.detail}", file=sys.stderr)
         if trace.detail == "clash_stall":
             clash = trace.steps[-1].result
-            at = "" if clash.location is None else f" at {_location_text(clash.location)}"
+            at = "" if clash.location is None else f" at {clash.location!r}"
             print(f"clash{at}: {clash.reason}", file=sys.stderr)
         return 1
     if args.strict and any(s.clashed for s in trace.steps):
         return 1
     return 0
-
-
-def _location_text(loc) -> str:
-    """A location in program syntax: ``f(a, 1)``, ``x`` or a sublocation ``self@0.1``."""
-    if isinstance(loc, NodeLocation) or not loc.args:
-        return repr(loc)
-    printer = SourcePrinter()
-    return f"{loc.symbol}({', '.join(printer.value_literal(a) for a in loc.args)})"
 
 
 def _cmd_check(args) -> int:
@@ -119,7 +110,7 @@ def _cmd_diff_self(args) -> int:
     except (RsasmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(SourcePrinter().term(theta))
+    print(repr(theta))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Program format: lexer, parser, pretty-printer, and machine construction.
+"""Program format: lexer, parser, machine construction, and ``machine_to_source``.
 
 A program has the sections DOMAINS, SIGNATURE, PROJECTIONS, INIT, RULE and
 OPTIONS, in that order; only SIGNATURE and RULE are required.  The parser
@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from . import background as bg
 from .engine import Machine
 from .errors import ParseError
+from .printer import SourcePrinter
 from .reflect import build_self_tree, decode_rule, drop, rule_of_self
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_children, rule_substitute
 from .structures import (
     Atom,
     BackgroundConfig,
     BoolConnective,
-    BoolVal,
     Constant,
     DroppedTerm,
     Equality,
@@ -50,7 +50,6 @@ from .structures import (
     term_substitute,
     value_sort_key,
 )
-from .treealg import Tree, XI
 
 KEYWORDS = {
     "DOMAINS",
@@ -806,179 +805,13 @@ def load_program(name: str) -> str:
     )
 
 
-# -- pretty printing -------------------------------------------------------------------
-
-
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_EQ = 4
-_PREC_ADD = 5
-_PREC_MOD = 6
-_PREC_PRIMARY = 7
-
-
-class SourcePrinter:
-    """Render machines, rules, and terms back to program text."""
-
-    def __init__(self, signature: Signature | None = None, domains=()):
-        self.signature = signature
-        self.domains = dict(domains)
-
-    def value_literal(self, value: Value) -> str:
-        if isinstance(value, NatVal):
-            return str(value.n)
-        if isinstance(value, BoolVal):
-            return "true" if value.flag else "false"
-        if value is UNDEF:
-            return "undef"
-        if isinstance(value, Atom):
-            return value.name
-        if isinstance(value, SymbolName):
-            return f"DROP({value.name})"
-        if isinstance(value, DroppedTerm):
-            return f"DROP({self.term(value.term)})"
-        if isinstance(value, TreeValue):
-            return self.tree_literal(value.tree)
-        if isinstance(value, SetVal):
-            for name, members in self.domains.items():
-                if frozenset(members) == value.members:
-                    return name
-            text = "emptyset()"
-            for m in sorted(value.members, key=value_sort_key):
-                text = f"setadd({text}, {self.value_literal(m)}, true)"
-            return text
-        if isinstance(value, TupleVal):
-            inner = ", ".join(self.value_literal(v) for v in value.items)
-            return f"concat({inner})" if len(value.items) == 2 else f"({inner})"
-        return repr(value)
-
-    def tree_literal(self, t: Tree) -> str:
-        if t.label == XI:
-            return "XI"
-        if t.children:
-            return f"{t.label}<{', '.join(self.tree_literal(c) for c in t.children)}>"
-        if t.value is not None:
-            return f"{t.label}({self.leaf_content(t.value)})"
-        return f"{t.label}<>"
-
-    def leaf_content(self, value: Value) -> str:
-        if isinstance(value, DroppedTerm):
-            return f"DROP({self.term(value.term)})"
-        return self.value_literal(value)
-
-    def term(self, term: Term, prec: int = 0) -> str:
-        text, level = self._term(term)
-        if level < prec:
-            return f"({text})"
-        return text
-
-    def _term(self, term: Term) -> tuple[str, int]:
-        if isinstance(term, Constant):
-            return self.value_literal(term.value), _PREC_PRIMARY
-        if isinstance(term, Variable):
-            return term.name, _PREC_PRIMARY
-        if isinstance(term, Equality):
-            left = self.term(term.left, _PREC_ADD)
-            right = self.term(term.right, _PREC_ADD)
-            return f"{left} = {right}", _PREC_EQ
-        if isinstance(term, BoolConnective):
-            if term.op == "not":
-                return f"NOT {self.term(term.operands[0], _PREC_NOT)}", _PREC_NOT
-            joiner = " AND " if term.op == "and" else " OR "
-            level = _PREC_AND if term.op == "and" else _PREC_OR
-            inner = joiner.join(self.term(a, level + 1) for a in term.operands)
-            return inner, level
-        if isinstance(term, Iota):
-            domain = "NODES" if term.domain == NODES_DOMAIN else term.domain
-            return (
-                f"IOTA {term.var} IN {domain} . {self.term(term.condition)}",
-                _PREC_PRIMARY,
-            )
-        if isinstance(term, FunctionApp):
-            return self._application(term)
-        raise ParseError(f"cannot print term {term!r}")
-
-    def _application(self, term: FunctionApp) -> tuple[str, int]:
-        name = term.symbol
-        if name in ("+", "-") and len(term.args) == 2:
-            left = self.term(term.args[0], _PREC_ADD)
-            right = self.term(term.args[1], _PREC_ADD + 1)
-            return f"{left} {name} {right}", _PREC_ADD
-        if name == "mod" and len(term.args) == 2:
-            left = self.term(term.args[0], _PREC_MOD)
-            right = self.term(term.args[1], _PREC_MOD + 1)
-            return f"{left} MOD {right}", _PREC_MOD
-        if name == "card_of" and len(term.args) == 1:
-            return f"CARD({self.term(term.args[0])})", _PREC_PRIMARY
-        if name == "raise_eval" and len(term.args) == 1:
-            return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
-        if name == "hole" and not term.args:
-            return "XI", _PREC_PRIMARY
-        if name == "leaf" and len(term.args) == 2:
-            label = term.args[0]
-            if isinstance(label, Constant) and isinstance(label.value, Atom):
-                content = term.args[1]
-                if isinstance(content, Constant):
-                    inner = self.leaf_content(content.value)
-                elif isinstance(content, Variable):
-                    inner = content.name
-                else:
-                    inner = self.term(content)
-                return f"{label.value.name}({inner})", _PREC_PRIMARY
-        if name == "label_hedge" and term.args:
-            label = term.args[0]
-            if isinstance(label, Constant) and isinstance(label.value, Atom):
-                parts = []
-                for child in term.args[1:]:
-                    text, _ = self._term(child)
-                    parts.append(text)
-                return f"{label.value.name}<{', '.join(parts)}>", _PREC_PRIMARY
-        if not term.args:
-            if name in bg.TERM_FUNCTIONS:
-                return f"{name}()", _PREC_PRIMARY
-            return name, _PREC_PRIMARY
-        inner = ", ".join(self.term(a) for a in term.args)
-        return f"{name}({inner})", _PREC_PRIMARY
-
-    def rule(self, rule: Rule, indent: int = 0) -> str:
-        pad = "  " * indent
-        if isinstance(rule, Assign):
-            if rule.args:
-                args = ", ".join(self.term(a) for a in rule.args)
-                return f"{pad}{rule.target}({args}) := {self.term(rule.rhs)}"
-            return f"{pad}{rule.target} := {self.term(rule.rhs)}"
-        if isinstance(rule, PartialAssign):
-            operands = ", ".join(self.term(a) for a in rule.operands)
-            if rule.args:
-                args = ", ".join(self.term(a) for a in rule.args)
-                return f"{pad}{rule.target}({args}) <=[{rule.op}] {operands}"
-            return f"{pad}{rule.target} <=[{rule.op}] {operands}"
-        if isinstance(rule, If):
-            lines = [f"{pad}IF {self.term(rule.cond)} THEN", self.rule(rule.then, indent + 1)]
-            if rule.orelse != Par(()):
-                lines.append(f"{pad}ELSE")
-                lines.append(self.rule(rule.orelse, indent + 1))
-            lines.append(f"{pad}ENDIF")
-            return "\n".join(lines)
-        if isinstance(rule, Par):
-            lines = [f"{pad}PAR"]
-            for b in rule.branches:
-                lines.append(self.rule(b, indent + 1))
-            lines.append(f"{pad}ENDPAR")
-            return "\n".join(lines)
-        if isinstance(rule, Let):
-            return (
-                f"{pad}LET {rule.var} = {self.term(rule.bound)} IN\n"
-                + self.rule(rule.body, indent + 1)
-            )
-        raise ParseError(f"cannot print rule {rule!r}")
+# -- printing -------------------------------------------------------------------------
 
 
 def machine_to_source(machine: Machine) -> str:
     """Render a machine back to program text (sections in canonical order)."""
     state = machine.initial_state
-    printer = SourcePrinter(state.signature, state.background.domains)
+    printer = SourcePrinter(state.background.domains)
     lines: list[str] = []
     if state.background.domains:
         lines.append("DOMAINS")

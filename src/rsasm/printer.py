@@ -1,0 +1,195 @@
+"""The one printer: values, terms, trees and rules as program text.
+
+Every value and every term prints through ``SourcePrinter``, and it is their
+``repr`` too, so error details, clash reasons and CLI output all show the
+syntax a program is written in: ``a(DROP(m = 0))``, ``concat(a<>, b<>)``,
+``x + 1 = 2``.  A node of the self tree prints as ``node@p``, its child-index
+path joined by dots, the address tree difference uses.
+"""
+
+from __future__ import annotations
+
+from . import background as bg
+from . import rules
+from .errors import ParseError
+from .structures import (
+    Atom,
+    BoolConnective,
+    BoolVal,
+    Constant,
+    DroppedTerm,
+    Equality,
+    FunctionApp,
+    Iota,
+    NatVal,
+    NodeRef,
+    NODES_DOMAIN,
+    SetVal,
+    SymbolName,
+    Term,
+    TreeValue,
+    TupleVal,
+    UNDEF,
+    Value,
+    Variable,
+    value_sort_key,
+)
+from .treealg import Tree, XI
+
+_PREC_OR = 1
+_PREC_AND = 2
+_PREC_NOT = 3
+_PREC_EQ = 4
+_PREC_ADD = 5
+_PREC_MOD = 6
+_PREC_PRIMARY = 7
+
+
+class SourcePrinter:
+    """Render values, terms, trees and rules as program text.
+
+    ``domains`` names finite domains; a set equal to one prints as its name.
+    """
+
+    def __init__(self, domains=()):
+        self.domains = dict(domains)
+
+    def value_literal(self, value: Value) -> str:
+        if isinstance(value, NatVal):
+            return str(value.n)
+        if isinstance(value, BoolVal):
+            return "true" if value.flag else "false"
+        if value is UNDEF:
+            return "undef"
+        if isinstance(value, Atom):
+            return value.name
+        if isinstance(value, SymbolName):
+            return f"DROP({value.name})"
+        if isinstance(value, DroppedTerm):
+            return f"DROP({self.term(value.term)})"
+        if isinstance(value, TreeValue):
+            return self.tree_literal(value.tree)
+        if isinstance(value, NodeRef):
+            return "node@" + ".".join(map(str, value.path))
+        if isinstance(value, SetVal):
+            for name, members in self.domains.items():
+                if frozenset(members) == value.members:
+                    return name
+            text = "emptyset()"
+            for m in sorted(value.members, key=value_sort_key):
+                text = f"setadd({text}, {self.value_literal(m)}, true)"
+            return text
+        if isinstance(value, TupleVal):
+            # a hedge: its trees concatenated from the left
+            items = [self.value_literal(v) for v in value.items]
+            if len(items) < 2:
+                return f"({', '.join(items)})"
+            text = items[0]
+            for item in items[1:]:
+                text = f"concat({text}, {item})"
+            return text
+        return repr(value)
+
+    def tree_literal(self, t: Tree) -> str:
+        if t.label == XI:
+            return "XI"
+        if t.children:
+            return f"{t.label}<{', '.join(self.tree_literal(c) for c in t.children)}>"
+        if t.value is not None:
+            return f"{t.label}({self.value_literal(t.value)})"
+        return f"{t.label}<>"
+
+    def term(self, term: Term, prec: int = 0) -> str:
+        text, level = self._term(term)
+        if level < prec:
+            return f"({text})"
+        return text
+
+    def _term(self, term: Term) -> tuple[str, int]:
+        if isinstance(term, Constant):
+            return self.value_literal(term.value), _PREC_PRIMARY
+        if isinstance(term, Variable):
+            return term.name, _PREC_PRIMARY
+        if isinstance(term, Equality):
+            left = self.term(term.left, _PREC_ADD)
+            right = self.term(term.right, _PREC_ADD)
+            return f"{left} = {right}", _PREC_EQ
+        if isinstance(term, BoolConnective):
+            if term.op == "not":
+                return f"NOT {self.term(term.operands[0], _PREC_NOT)}", _PREC_NOT
+            joiner = " AND " if term.op == "and" else " OR "
+            level = _PREC_AND if term.op == "and" else _PREC_OR
+            inner = joiner.join(self.term(a, level + 1) for a in term.operands)
+            return inner, level
+        if isinstance(term, Iota):
+            domain = "NODES" if term.domain == NODES_DOMAIN else term.domain
+            return (
+                f"IOTA {term.var} IN {domain} . {self.term(term.condition)}",
+                _PREC_PRIMARY,
+            )
+        if isinstance(term, FunctionApp):
+            return self._application(term)
+        raise ParseError(f"cannot print a {type(term).__name__} as a term")
+
+    def _application(self, term: FunctionApp) -> tuple[str, int]:
+        name = term.symbol
+        if name in ("+", "-") and len(term.args) == 2:
+            left = self.term(term.args[0], _PREC_ADD)
+            right = self.term(term.args[1], _PREC_ADD + 1)
+            return f"{left} {name} {right}", _PREC_ADD
+        if name == "mod" and len(term.args) == 2:
+            left = self.term(term.args[0], _PREC_MOD)
+            right = self.term(term.args[1], _PREC_MOD + 1)
+            return f"{left} MOD {right}", _PREC_MOD
+        if name == "card_of" and len(term.args) == 1:
+            return f"CARD({self.term(term.args[0])})", _PREC_PRIMARY
+        if name == "raise_eval" and len(term.args) == 1:
+            return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
+        if name == "hole" and not term.args:
+            return "XI", _PREC_PRIMARY
+        label = term.args[0] if term.args else None
+        if isinstance(label, Constant) and isinstance(label.value, Atom):
+            if name == "leaf" and len(term.args) == 2:
+                return f"{label.value.name}({self.term(term.args[1])})", _PREC_PRIMARY
+            if name == "label_hedge":
+                parts = ", ".join(self.term(child) for child in term.args[1:])
+                return f"{label.value.name}<{parts}>", _PREC_PRIMARY
+        if not term.args:
+            if name in bg.TERM_FUNCTIONS:
+                return f"{name}()", _PREC_PRIMARY
+            return name, _PREC_PRIMARY
+        inner = ", ".join(self.term(a) for a in term.args)
+        return f"{name}({inner})", _PREC_PRIMARY
+
+    def rule(self, rule: rules.Rule, indent: int = 0) -> str:
+        pad = "  " * indent
+        if isinstance(rule, rules.Assign):
+            if rule.args:
+                args = ", ".join(self.term(a) for a in rule.args)
+                return f"{pad}{rule.target}({args}) := {self.term(rule.rhs)}"
+            return f"{pad}{rule.target} := {self.term(rule.rhs)}"
+        if isinstance(rule, rules.PartialAssign):
+            operands = ", ".join(self.term(a) for a in rule.operands)
+            if rule.args:
+                args = ", ".join(self.term(a) for a in rule.args)
+                return f"{pad}{rule.target}({args}) <=[{rule.op}] {operands}"
+            return f"{pad}{rule.target} <=[{rule.op}] {operands}"
+        if isinstance(rule, rules.If):
+            lines = [f"{pad}IF {self.term(rule.cond)} THEN", self.rule(rule.then, indent + 1)]
+            if rule.orelse != rules.Par(()):
+                lines.append(f"{pad}ELSE")
+                lines.append(self.rule(rule.orelse, indent + 1))
+            lines.append(f"{pad}ENDIF")
+            return "\n".join(lines)
+        if isinstance(rule, rules.Par):
+            lines = [f"{pad}PAR"]
+            for b in rule.branches:
+                lines.append(self.rule(b, indent + 1))
+            lines.append(f"{pad}ENDPAR")
+            return "\n".join(lines)
+        if isinstance(rule, rules.Let):
+            return (
+                f"{pad}LET {rule.var} = {self.term(rule.bound)} IN\n"
+                + self.rule(rule.body, indent + 1)
+            )
+        raise ParseError(f"cannot print rule {rule!r}")

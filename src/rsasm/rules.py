@@ -132,9 +132,6 @@ class SharedUpdate:
     op: str | SpliceOp
     args: tuple[Value, ...]
 
-    def __repr__(self) -> str:
-        return f"({self.location!r} <=[{self.op!r}] {self.args!r})"
-
 
 Entry = object  # Update | SharedUpdate
 
@@ -146,7 +143,9 @@ def _entry_key(entry) -> str:
 def entry_to_json(entry) -> object:
     if isinstance(entry, Update):
         return {"location": location_to_json(entry.location), "value": value_to_json(entry.value)}
-    op = repr(entry.op) if isinstance(entry.op, SpliceOp) else entry.op
+    op = entry.op
+    if isinstance(op, SpliceOp):
+        op = f"splice@({'.'.join(map(str, op.path))})" + (f":{op.inner}" if op.inner else "")
     return {
         "location": location_to_json(entry.location),
         "op": op,
@@ -194,9 +193,6 @@ class ClashReport:
 
     location: Location | NodeLocation | None
     reason: str
-
-    def __repr__(self) -> str:
-        return f"ClashReport({self.location!r}: {self.reason})"
 
 
 # -- computing update multisets -----------------------------------------------------
@@ -325,14 +321,16 @@ def _splice_fold(state: State, loc, current: Value, shareds) -> Value:
     for (s1), (s2) in itertools.combinations(set(shareds), 2):
         p1, p2 = s1.op.path, s2.op.path
         if p1 == p2:
-            raise _Clash(f"conflicting writes at node {p1} of {loc!r}")
+            raise _Clash(f"conflicting writes at {NodeRef(p1)!r} of {loc!r}")
         if not (_is_prefix(p1, p2) or _is_prefix(p2, p1)):
             continue
         outer, inner = (s1, s2) if _is_prefix(p1, p2) else (s2, s1)
         if outer.op.inner is not None:
-            raise _Clash(f"node {inner.op.path} overlaps a shared write at {outer.op.path}")
+            raise _Clash(
+                f"{NodeRef(inner.op.path)!r} overlaps a shared write at {NodeRef(outer.op.path)!r}"
+            )
         if len(outer.args) != 1 or not isinstance(outer.args[0], TreeValue):
-            raise _Clash(f"malformed splice operand at {outer.op.path}")
+            raise _Clash(f"malformed splice operand at {NodeRef(outer.op.path)!r}")
         written = outer.args[0].tree
         rel = inner.op.path[len(outer.op.path) :]
         if written.find(rel) is None:
@@ -340,7 +338,8 @@ def _splice_fold(state: State, loc, current: Value, shareds) -> Value:
         after = apply_operator(state, SpliceOp(rel, inner.op.inner), TreeValue(written), inner.args)
         if after != TreeValue(written):
             raise _Clash(
-                f"overlapping writes at nodes {outer.op.path} and {inner.op.path} disagree"
+                f"overlapping writes at {NodeRef(outer.op.path)!r} and "
+                f"{NodeRef(inner.op.path)!r} disagree"
             )
     ordered = sorted(shareds, key=lambda s: (len(s.op.path), s.op.path))
     return _fold_in_order(state, current, ordered)
@@ -379,7 +378,7 @@ def _collapse_group(state: State, loc, plains: list[Value], shareds: list[Shared
                 after = apply_operator(state, s.op, plain_value, s.args)
                 if after != plain_value:
                     raise _Clash(
-                        f"node write at {s.op.path} disagrees with a plain update"
+                        f"node write at {NodeRef(s.op.path)!r} disagrees with a plain update"
                     )
             return plain_value
         folded = _splice_fold(state, loc, current, shareds)

@@ -19,7 +19,16 @@ from .treealg import Tree
 # -- values --------------------------------------------------------------------
 
 
-class _Undef:
+class Value:
+    """A value of the extended base set; its ``repr`` is its program literal."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return _printer.SourcePrinter().value_literal(self)
+
+
+class _Undef(Value):
     """The single undefinedness value."""
 
     _instance = None
@@ -29,132 +38,105 @@ class _Undef:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self) -> str:
-        return "undef"
-
 
 UNDEF = _Undef()
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, repr=False)
+class Atom(Value):
     """An opaque standard value from the base set."""
 
     name: str
 
-    def __repr__(self) -> str:
-        return self.name
 
-
-@dataclass(frozen=True)
-class BoolVal:
+@dataclass(frozen=True, repr=False)
+class BoolVal(Value):
     flag: bool
-
-    def __repr__(self) -> str:
-        return "true" if self.flag else "false"
 
 
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)
 
 
-@dataclass(frozen=True)
-class NatVal:
+@dataclass(frozen=True, repr=False)
+class NatVal(Value):
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise StateError(f"natural number value cannot be negative: {self.n}")
 
-    def __repr__(self) -> str:
-        return str(self.n)
 
-
-@dataclass(frozen=True)
-class SymbolName:
+@dataclass(frozen=True, repr=False)
+class SymbolName(Value):
     """A function symbol treated as a value (the result of dropping it)."""
 
     name: str
 
-    def __repr__(self) -> str:
-        return f"DROP({self.name})"
 
-
-@dataclass(frozen=True)
-class DroppedTerm:
+@dataclass(frozen=True, repr=False)
+class DroppedTerm(Value):
     """A term treated as a value."""
 
     term: "Term"
 
-    def __repr__(self) -> str:
-        return f"DROP({self.term!r})"
 
-
-@dataclass(frozen=True)
-class TreeValue:
+@dataclass(frozen=True, repr=False)
+class TreeValue(Value):
     tree: Tree
 
-    def __repr__(self) -> str:
-        return treealg.format_tree(self.tree)
+
+@dataclass(frozen=True, repr=False)
+class TupleVal(Value):
+    """A tuple of values; a tuple of tree values is a hedge."""
+
+    items: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class TupleVal:
-    items: tuple["Value", ...]
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(map(repr, self.items)) + ")"
-
-
-@dataclass(frozen=True)
-class SetVal:
+@dataclass(frozen=True, repr=False)
+class SetVal(Value):
     """A finite set value; equality is order-insensitive."""
 
     members: frozenset
 
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(m) for m in sorted(self.members, key=value_sort_key))
-        return "{" + inner + "}"
 
-
-@dataclass(frozen=True)
-class NodeRef:
+@dataclass(frozen=True, repr=False)
+class NodeRef(Value):
     """A node of the current self tree, addressed by its child-index path."""
 
     path: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return "node@" + ".".join(map(str, self.path))
-
-
-Value = object  # Atom | _Undef | BoolVal | NatVal | SymbolName | DroppedTerm | TreeValue | TupleVal | NodeRef
 
 
 # -- terms ---------------------------------------------------------------------
 
 
 class Term:
+    """A rule term; its ``repr`` is its program text."""
+
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        return _printer.SourcePrinter().term(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Constant(Term):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FunctionApp(Term):
     symbol: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Equality(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BoolConnective(Term):
     op: str  # "and" | "or" | "not"
     operands: tuple[Term, ...]
@@ -169,7 +151,7 @@ class BoolConnective(Term):
 NODES_DOMAIN = "@nodes"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Iota(Term):
     """The unique element of a finite search domain satisfying the condition.
 
@@ -182,7 +164,7 @@ class Iota(Term):
     condition: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Variable(Term):
     name: str
 
@@ -300,9 +282,6 @@ SELF_LOCATION = Location("self", ())
 class Update:
     location: Location | NodeLocation
     value: Value
-
-    def __repr__(self) -> str:
-        return f"({self.location!r} := {self.value!r})"
 
 
 @dataclass(frozen=True)
@@ -886,5 +865,7 @@ def _eval_projection(
     return row[pos.n - 1]
 
 
-# The background term functions import this module, so they are bound last.
+# The background term functions and the printer import this module, so they
+# are bound last.
 from . import background as _bg  # noqa: E402
+from . import printer as _printer  # noqa: E402

@@ -317,14 +317,3 @@ def inject_hedge(c: Context, h: Hedge) -> Tree:
 def inject_context(c1: Context, c2: Context) -> Context:
     """Substitute a context for the hole (same operation as ``subst_cc``)."""
     return subst_cc(c1, c2)
-
-
-def format_tree(t: Tree) -> str:
-    """Render a tree in the program literal syntax."""
-    if t.label == XI:
-        return "XI"
-    if t.children:
-        return f"{t.label}<{', '.join(format_tree(c) for c in t.children)}>"
-    if t.value is not None:
-        return f"{t.label}({t.value})"
-    return t.label

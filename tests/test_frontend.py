@@ -1,6 +1,7 @@
 """Program parsing, pretty-printing round-trips, and the command line."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -499,3 +500,113 @@ def test_a_sum_chain_at_the_nesting_cap_parses_runs_and_serializes_its_trace():
     assert json.loads(trace.to_json())["status"] == "fixpoint"
     with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
         parse(_sum_chain(operands + 1))
+
+
+# Programs whose faults and clashes carry terms, trees and node paths in their text.
+DROPPED_OPERAND_PROGRAM = """
+SIGNATURE
+  x/0
+  m/0
+INIT
+  x = 0
+RULE
+  x <=[+] DROP(m = 0)
+"""
+
+CARD_OF_TREE_PROGRAM = """
+SIGNATURE
+  n/0
+  x/0
+RULE
+  n := CARD(leaf(a, DROP(x = 0)))
+"""
+
+TREE_CONDITION_PROGRAM = """
+SIGNATURE
+  n/0
+  x/0
+RULE
+  IF leaf(a, DROP(x = 0)) THEN
+    n := 1
+  ENDIF
+"""
+
+NODE_CLASH_PROGRAM = """
+SIGNATURE
+  n/0
+RULE
+  LET o = child_n(root_node(), 1) IN
+    PAR
+      o := a<>
+      o := b<>
+    ENDPAR
+"""
+
+
+def _run_with_trace(tmp_path, source):
+    program = tmp_path / "program.rsasm"
+    program.write_text(source)
+    trace_path = tmp_path / "trace.json"
+    code = cli_main(["run", str(program), "--trace", str(trace_path)])
+    return code, trace_path.read_text()
+
+
+def test_a_node_clash_names_the_node_in_the_trace(tmp_path, capsys):
+    code, trace_text = _run_with_trace(tmp_path, NODE_CLASH_PROGRAM)
+    assert code == 1
+    clash = json.loads(trace_text)["steps"][-1]["clash"]
+    assert clash["reason"] == "conflicting writes at node@0 of self"
+    assert capsys.readouterr().err == (
+        "error: clash_stall\nclash at self: conflicting writes at node@0 of self\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        DROPPED_OPERAND_PROGRAM,
+        CARD_OF_TREE_PROGRAM,
+        TREE_CONDITION_PROGRAM,
+        NODE_CLASH_PROGRAM,
+        FAULTY_PROGRAM,
+        SHAPE_BREAKING_PROGRAM,
+    ],
+    ids=["dropped_operand", "card_of_tree", "tree_condition", "node_clash", "faulty", "shape"],
+)
+def test_messages_and_traces_print_no_dataclass_repr(source, tmp_path, capsys):
+    code, trace_text = _run_with_trace(tmp_path, source)
+    captured = capsys.readouterr()
+    assert code == 1
+    dataclass_repr = re.compile(r"\b[A-Z]\w*\(\w+=")
+    for text in (captured.out, captured.err, trace_text):
+        assert not dataclass_repr.search(text), text
+
+
+def test_a_dropped_operand_clash_prints_the_term_in_program_syntax(tmp_path, capsys):
+    _, trace_text = _run_with_trace(tmp_path, DROPPED_OPERAND_PROGRAM)
+    clash = json.loads(trace_text)["steps"][-1]["clash"]
+    assert clash["reason"] == "+ expects a natural number, got DROP(m = 0)"
+    assert capsys.readouterr().err.endswith(
+        "clash at x: + expects a natural number, got DROP(m = 0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "hedge",
+    [
+        "concat(a<>, b<>)",
+        "concat(concat(a<>, b<>), c<>)",
+        "concat(a<b<>>, concat(XI, d<e<>, f<>>))",
+    ],
+)
+def test_a_printed_hedge_parses_back_to_the_same_value(hedge, tmp_path, capsys):
+    program = "SIGNATURE\n  h/0\nRULE\n  h := {}\nOPTIONS\n  max_steps = 1\n"
+    path = tmp_path / "hedge.rsasm"
+    path.write_text(program.format(hedge))
+    assert cli_main(["run", str(path)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  h = ")]
+    printed = line[len("  h = ") :]
+    value = run(parse(program.format(hedge))).final_state.value_at(Location("h"))
+    reparsed = run(parse(program.format(printed))).final_state.value_at(Location("h"))
+    assert reparsed == value
+    assert repr(value) == printed

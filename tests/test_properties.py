@@ -1,5 +1,5 @@
 """Property tests: substitution, atom collection, collapse order-independence, parsing,
-and shared subtrees (hash-consing, node tables, the composed digest)."""
+printing, and shared subtrees (hash-consing, node tables, the composed digest)."""
 
 import hashlib
 import itertools
@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import make_state
 from rsasm import generate
 from rsasm.background import COMMUTATIVE_OPERATORS
+from rsasm.engine import run
 from rsasm.errors import ParseError, RsasmError
 from rsasm.frontend import (
     KEYWORDS,
     _collect_atoms_rule,
     _collect_atoms_term,
     load_program,
+    machine_to_source,
     parse,
     tokenize,
 )
@@ -494,3 +496,26 @@ def test_interning_shares_equal_trees_and_never_merges_unequal_ones(forest):
     assert built == forest
     for (a, x), (b, y) in itertools.combinations(zip(forest, built), 2):
         assert (x is y) == (a == b)
+
+
+generated_machines = st.integers(0, 2**32 - 1).map(
+    lambda seed: generate.random_machine(random.Random(seed))
+)
+
+
+def _run_outcome(machine):
+    trace = run(machine)
+    final = trace.final_state
+    return trace.status, len(trace.steps), {
+        loc: value for loc, value in final.interp.items() if loc.symbol != "self"
+    }
+
+
+@given(generated_machines)
+def test_a_printed_machine_parses_back_to_a_machine_that_prints_and_runs_alike(machine):
+    # Tree constants reparse as label_hedge terms whose labels join the base
+    # set, so the states need not be equal; the text and the run must be.
+    printed = machine_to_source(machine)
+    reparsed = parse(printed)
+    assert machine_to_source(reparsed) == printed
+    assert _run_outcome(reparsed) == _run_outcome(machine)

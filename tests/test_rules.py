@@ -424,3 +424,40 @@ def test_operator_faults_clash_with_the_term_function_message():
     state = make_state({"card": 0}, {loc: Atom("foo")})
     report = collapse(UpdateMultiset((SharedUpdate(loc, "+", (NatVal(1),)),)), state)
     assert report == ClashReport(loc, "+ expects a natural number, got foo")
+
+
+def _node_clash_entries(state):
+    """Each splice clash of ``_splice_fold``/``_collapse_group``, with its reason."""
+    par = TreeValue(Tree("rule", (Tree("par"),)))
+    other = TreeValue(Tree("rule", (Tree("if"),)))
+    node, below = NodeLocation((1, 0, 0)), NodeLocation((1, 0, 0, 0))
+    return [
+        (
+            (Update(node, par), Update(node, other)),
+            "conflicting writes at node@1.0.0 of self",
+        ),
+        (
+            (SharedUpdate(node, "right_extend", (par,)), Update(below, other)),
+            "node@1.0.0.0 overlaps a shared write at node@1.0.0",
+        ),
+        (
+            (Update(node, NatVal(1)), Update(below, other)),
+            "malformed splice operand at node@1.0.0",
+        ),
+        (
+            (Update(node, par), Update(below, other)),
+            "overlapping writes at node@1.0.0 and node@1.0.0.0 disagree",
+        ),
+        (
+            (Update(SELF_LOCATION, TreeValue(state.self_tree)), Update(node, other)),
+            "node write at node@1.0.0 disagrees with a plain update",
+        ),
+    ]
+
+
+def test_splice_clash_reasons_print_node_paths_as_nodes():
+    state = _node_state()
+    for entries, reason in _node_clash_entries(state):
+        for order in (entries, entries[::-1]):
+            report = collapse(UpdateMultiset(order), state)
+            assert report == ClashReport(SELF_LOCATION, reason)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_state, random_context, random_tree, reference_preorder
 from rsasm.errors import TreeError
-from rsasm.frontend import SourcePrinter
+from rsasm.printer import SourcePrinter
 from rsasm.reflect import build_self_tree, eval_algebra, tree_diff, tree_update_rule
 from rsasm.rules import Par
 from rsasm.structures import (
