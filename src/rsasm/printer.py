@@ -91,10 +91,17 @@ class SourcePrinter:
         return repr(value)
 
     def tree_literal(self, t: Tree) -> str:
+        """A tree as a term; a value-carrying leaf is ``leaf(l, c)``, as ``l(c)`` would call ``l``."""
+        if t.value is not None and not t.children:
+            return f"leaf({t.label}, {self.value_literal(t.value)})"
+        return self._tree_item(t)
+
+    def _tree_item(self, t: Tree) -> str:
+        """A tree inside a tree literal's ``<…>``, where ``l(c)`` is a leaf."""
         if t.label == XI:
             return "XI"
         if t.children:
-            return f"{t.label}<{', '.join(self.tree_literal(c) for c in t.children)}>"
+            return f"{t.label}<{', '.join(self._tree_item(c) for c in t.children)}>"
         if t.value is not None:
             return f"{t.label}({self.value_literal(t.value)})"
         return f"{t.label}<>"
@@ -147,19 +154,26 @@ class SourcePrinter:
             return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
         if name == "hole" and not term.args:
             return "XI", _PREC_PRIMARY
-        label = term.args[0] if term.args else None
-        if isinstance(label, Constant) and isinstance(label.value, Atom):
-            if name == "leaf" and len(term.args) == 2:
-                return f"{label.value.name}({self.term(term.args[1])})", _PREC_PRIMARY
-            if name == "label_hedge":
-                parts = ", ".join(self.term(child) for child in term.args[1:])
-                return f"{label.value.name}<{parts}>", _PREC_PRIMARY
+        label = _atom_label(term)
+        if name == "label_hedge" and label is not None:
+            parts = ", ".join(self._term_item(child) for child in term.args[1:])
+            return f"{label}<{parts}>", _PREC_PRIMARY
         if not term.args:
             if name in bg.TERM_FUNCTIONS:
                 return f"{name}()", _PREC_PRIMARY
             return name, _PREC_PRIMARY
         inner = ", ".join(self.term(a) for a in term.args)
         return f"{name}({inner})", _PREC_PRIMARY
+
+    def _term_item(self, term: Term) -> str:
+        """A child term of a tree literal's ``<…>``, where ``l(c)`` is a leaf."""
+        if isinstance(term, Constant) and isinstance(term.value, TreeValue):
+            return self._tree_item(term.value.tree)
+        if isinstance(term, FunctionApp) and term.symbol == "leaf" and len(term.args) == 2:
+            label = _atom_label(term)
+            if label is not None:
+                return f"{label}({self.term(term.args[1])})"
+        return self.term(term)
 
     def rule(self, rule: rules.Rule, indent: int = 0) -> str:
         pad = "  " * indent
@@ -193,3 +207,11 @@ class SourcePrinter:
                 + self.rule(rule.body, indent + 1)
             )
         raise ParseError(f"cannot print rule {rule!r}")
+
+
+def _atom_label(term: FunctionApp) -> str | None:
+    """The label of a tree-building application whose first argument is an atom constant."""
+    label = term.args[0] if term.args else None
+    if isinstance(label, Constant) and isinstance(label.value, Atom):
+        return label.value.name
+    return None

@@ -12,6 +12,7 @@ and ``tree_update_rule`` turns it into node-level assignments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import ReflectError, TreeError
@@ -525,45 +526,47 @@ def _node_terms(t: Tree):
     """
     # The first preorder path of each distinct subtree below the rule wrapper.
     # The subtrees of an equal tree met earlier are already indexed, so the
-    # walk descends into each distinct subtree once.
+    # walk descends into each distinct subtree once.  Both walks are module
+    # functions so that no reference cycle keeps ``t`` alive.
     reuse: dict[Tree, Path] = {}
+    _index_subtrees(t.children[1], (1,), reuse)
+    return functools.partial(_node_term, t, reuse)
 
-    def index(node: Tree, path: Path) -> None:
-        for i, child in enumerate(node.children):
-            if child not in reuse:
-                reuse[child] = path + (i,)
-                index(child, path + (i,))
 
-    index(t.children[1], (1,))
+def _index_subtrees(node: Tree, path: Path, reuse: dict[Tree, Path]) -> None:
+    for i, child in enumerate(node.children):
+        if child not in reuse:
+            reuse[child] = path + (i,)
+            _index_subtrees(child, path + (i,), reuse)
 
-    def node_term(node2: Tree, path2: Path) -> Term:
-        old = t.find(path2)
-        if old == node2:
-            return _subtree_at(path2)
-        if node2 in reuse:
-            return _subtree_at(reuse[node2])
-        if (
-            old is not None
-            and (old.label, old.value) == (node2.label, node2.value)
-            and node2.children[: len(old.children)] == old.children
-        ):
-            # not equal to ``old``, so the child list grew on the right
-            n = len(old.children)
-            return FunctionApp(
-                "right_extend",
-                (_subtree_at(path2),)
-                + tuple(
-                    node_term(c, path2 + (n + i,)) for i, c in enumerate(node2.children[n:])
-                ),
-            )
-        if node2.label in (L_UPDATE, L_PARTIAL) or node2.is_leaf:
-            return Constant(TreeValue(node2))
-        return _label_hedge(
-            node2.label,
-            tuple(node_term(c, path2 + (i,)) for i, c in enumerate(node2.children)),
+
+def _node_term(t: Tree, reuse: dict[Tree, Path], node2: Tree, path2: Path) -> Term:
+    old = t.find(path2)
+    if old == node2:
+        return _subtree_at(path2)
+    if node2 in reuse:
+        return _subtree_at(reuse[node2])
+    if (
+        old is not None
+        and (old.label, old.value) == (node2.label, node2.value)
+        and node2.children[: len(old.children)] == old.children
+    ):
+        # not equal to ``old``, so the child list grew on the right
+        n = len(old.children)
+        return FunctionApp(
+            "right_extend",
+            (_subtree_at(path2),)
+            + tuple(
+                _node_term(t, reuse, c, path2 + (n + i,))
+                for i, c in enumerate(node2.children[n:])
+            ),
         )
-
-    return node_term
+    if node2.label in (L_UPDATE, L_PARTIAL) or node2.is_leaf:
+        return Constant(TreeValue(node2))
+    return _label_hedge(
+        node2.label,
+        tuple(_node_term(t, reuse, c, path2 + (i,)) for i, c in enumerate(node2.children)),
+    )
 
 
 def tree_diff(t: Tree, t2: Tree) -> Term:

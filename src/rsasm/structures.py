@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable
 
 from . import treealg
 from .errors import EvalError, IsoError, SignatureError, StateError
@@ -240,6 +241,11 @@ class Signature:
         if SELF_SYMBOL not in self.symbols:
             raise SignatureError("signature must contain the nullary symbol 'self'")
         object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
+        object.__setattr__(self, "_hash", hash(self.symbols))
+
+    # Hash cached at construction: a compiled term is looked up by its signature.
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def arity_of(self, name: str) -> int | None:
         return self._arities.get(name)  # type: ignore[attr-defined]
@@ -506,23 +512,27 @@ def tree_to_table(t: Tree) -> list:
     Subtrees are told apart by tree equality, not by object identity, so the
     table depends only on the tree's value.
     """
-    ids: dict[Tree, int] = {}
     table: list = []
-
-    def visit(node: Tree) -> int:
-        nid = ids.get(node)
-        if nid is None:
-            kids = [visit(c) for c in node.children]
-            entry: list = [node.label]
-            if node.value is not None:
-                entry.append(value_to_json(node.value))
-            entry.append(kids)
-            nid = ids[node] = len(table)
-            table.append(entry)
-        return nid
-
-    visit(t)
+    _table_id(t, {}, table)
     return table
+
+
+# The recursive walks of the table and of the digest are module functions: a
+# nested function that calls itself is a reference cycle, which would keep
+# every tree it reaches, and the memos kept on them, alive until a full
+# garbage collection.
+def _table_id(node: Tree, ids: dict[Tree, int], table: list) -> int:
+    """The id of ``node`` in ``table``; a new subtree is appended after its children."""
+    nid = ids.get(node)
+    if nid is None:
+        kids = [_table_id(c, ids, table) for c in node.children]
+        entry: list = [node.label]
+        if node.value is not None:
+            entry.append(value_to_json(node.value))
+        entry.append(kids)
+        nid = ids[node] = len(table)
+        table.append(entry)
+    return nid
 
 
 def term_to_json(term: Term) -> object:
@@ -660,48 +670,74 @@ def state_to_json(state: State) -> dict:
 
 
 def self_digest(t: Tree) -> str:
-    """sha256 of ``canonical_dumps(tree_to_json(t))``, computed once per tree object."""
+    """sha256 of ``canonical_dumps(tree_to_json(t))``, computed once per tree object.
+
+    The canonical text of each child of the root (a self tree's signature and
+    rule regions) is kept on that child, UTF-8 encoded, so a region that
+    several self trees share is written once: a step that extends only the
+    signature keeps the rule region as the same object.
+    """
     return treealg.memoized(t, "_self_digest", _self_digest)
 
 
 def _self_digest(t: Tree) -> str:
-    """Compose the canonical text from the text of each distinct subtree object.
+    digest = hashlib.sha256(b'{"children":[')
+    for i, region in enumerate(t.children):
+        if i:
+            digest.update(b",")
+        digest.update(treealg.memoized(region, "_canonical_text", _canonical_text))
+    digest.update(_text_tail(t, {}).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _text_tail(node: Tree, labels: dict[str, str]) -> str:
+    """The text of ``node`` after its children: ``],"label":…,"value":…}``."""
+    label = labels.get(node.label)
+    if label is None:
+        label = labels[node.label] = '],"label":' + canonical_dumps(node.label)
+    if node.value is None:
+        return label + "}"
+    return label + ',"value":' + canonical_dumps(value_to_json(node.value)) + "}"
+
+
+def _canonical_text(t: Tree) -> bytes:
+    """``canonical_dumps(tree_to_json(t))`` in UTF-8, composed from the text of each distinct subtree object.
 
     The text of a node is ``{"children":[…],"label":…,"value":…}``, keys in
-    ``canonical_dumps`` order.  It is written once per object and call, as a
-    run of pieces; a later occurrence of the same object copies that run.  A
-    tree built through one intern table, and a tree a step rebuilds from it,
-    keep every repeated subtree as one object.
+    ``canonical_dumps`` order.  It is written once per object, as a run of
+    pieces; a later occurrence of the same object copies that run.  A tree
+    built through one intern table, and a tree a step rebuilds from it, keep
+    every repeated subtree as one object.
     """
     pieces: list[str] = []
-    runs: dict[int, tuple[int, int]] = {}
-    labels: dict[str, str] = {}
+    _write_text(t, pieces, {}, {})
+    return "".join(pieces).encode("utf-8")
 
-    def write(node: Tree) -> None:
-        run = runs.get(id(node))
-        if run is not None:
-            pieces.extend(pieces[run[0] : run[1]])
-            return
-        start = len(pieces)
-        pieces.append('{"children":[')
-        for i, child in enumerate(node.children):
-            if i:
-                pieces.append(",")
-            write(child)
-        label = labels.get(node.label)
-        if label is None:
-            label = labels[node.label] = '],"label":' + canonical_dumps(node.label)
-        pieces.append(label)
-        if node.value is not None:
-            pieces.append(',"value":' + canonical_dumps(value_to_json(node.value)))
-        pieces.append("}")
-        runs[id(node)] = (start, len(pieces))
 
-    write(t)
-    return hashlib.sha256("".join(pieces).encode("utf-8")).hexdigest()
+def _write_text(
+    node: Tree, pieces: list[str], runs: dict[int, tuple[int, int]], labels: dict[str, str]
+) -> None:
+    run = runs.get(id(node))
+    if run is not None:
+        pieces.extend(pieces[run[0] : run[1]])
+        return
+    start = len(pieces)
+    pieces.append('{"children":[')
+    for i, child in enumerate(node.children):
+        if i:
+            pieces.append(",")
+        _write_text(child, pieces, runs, labels)
+    pieces.append(_text_tail(node, labels))
+    runs[id(node)] = (start, len(pieces))
 
 
 # -- term evaluation ----------------------------------------------------------------
+
+if TYPE_CHECKING:
+    # A compiled term: ``(state, env, reads) -> Value``.  Not built at run
+    # time: typing caches a subscripted ``Callable``, and the cached alias
+    # would keep this module alive after a fresh import replaces it.
+    Compiled = Callable[[State, dict | None, set | None], Value]
 
 
 def eval_term(
@@ -719,133 +755,273 @@ def eval_term(
     surfaces and ``reads`` covers every operand, which the bounded-exploration
     probe relies on.  ``reads`` optionally collects the locations whose values
     the evaluation consulted.
+
+    The term is compiled once per signature (see :func:`compile_term`) and
+    the closure is kept on the term object, so a term met again, as the terms
+    of a decoded rule are on every step, is not compiled again.  Inside an
+    ``IOTA``, a subterm that does not mention the bound variable is evaluated
+    at its first use and reused for the rest of that ``IOTA``'s evaluation;
+    the value, ``reads`` and any error are the ones evaluating it at every
+    member would give.
     """
-    evaluate = _EVALUATORS.get(type(term))
-    if evaluate is None:
-        raise EvalError(f"unknown term {term!r}")
-    return evaluate(state, term, env, reads)
+    table = treealg.memoized(term, "_compiled", lambda _: {})
+    run = table.get(state.signature)
+    if run is None:
+        run = table[state.signature] = compile_term(term, state.signature)
+    return run(state, env, reads)
 
 
-def _eval_constant(state, term, env, reads) -> Value:
-    return term.value
+def compile_term(term: Term, signature: Signature) -> Compiled:
+    """A closure ``(state, env, reads) -> Value`` that evaluates ``term`` as :func:`eval_term`.
+
+    Each function symbol is resolved here, once, against ``signature``: a
+    ``self@p`` sublocation (its path parsed), a location of the signature, a
+    background term function, or an unknown symbol, with its arity checked.
+    Whether a location is a derived projection, and the members of a search
+    domain, are read from the state's background when the closure runs.  A
+    fault found here (a wrong arity, an unknown symbol) is raised only when
+    the closure runs, with the same message, so a term that is never
+    evaluated never fails.
+    """
+    return _compile(term, signature, None)[0]
 
 
-def _eval_variable(state, term, env, reads) -> Value:
-    if env and term.name in env:
-        return env[term.name]
-    raise EvalError(f"unbound variable {term.name!r}")
+def _compile(term: Term, signature: Signature, var: str | None) -> tuple[Compiled, bool]:
+    """The closure of ``term`` and whether it mentions ``var``, the innermost IOTA's variable.
+
+    A compound subterm that does not mention ``var`` under one that does is
+    evaluated once per evaluation of that IOTA (see :func:`_once`).
+    """
+    kind = type(term)
+    if kind is Constant:
+        value = term.value
+        return (lambda state, env, reads: value), False
+    if kind is Variable:
+        return _variable(term.name), term.name == var
+    if kind is Iota:
+        return _iota(term, signature), var is not None and _mentions(term, var)
+    build = _BUILDERS.get(kind)
+    if build is None:
+        return _failing(EvalError, f"unknown term {term!r}"), False
+    children = term_children(term)
+    if var is None:  # outside every IOTA: nothing to hoist
+        return build(term, [_compile(c, signature, None)[0] for c in children], signature), False
+    parts = [_compile(c, signature, var) for c in children]
+    mentions = any(m for _, m in parts)
+    fns = [
+        _once(fn) if mentions and not m and type(c) not in _LEAVES else fn
+        for c, (fn, m) in zip(children, parts)
+    ]
+    return build(term, fns, signature), mentions
 
 
-def _eval_equality(state, term, env, reads) -> Value:
-    left = eval_term(state, term.left, env, reads)
-    right = eval_term(state, term.right, env, reads)
-    return TRUE if left == right else FALSE
+_LEAVES = (Constant, Variable)
 
 
-def _eval_connective(state, term, env, reads) -> Value:
+def _mentions(term: Term, var: str) -> bool:
+    """True iff ``var`` occurs free in ``term``."""
+    if isinstance(term, Variable):
+        return term.name == var
+    if isinstance(term, Iota) and term.var == var:
+        return False
+    return any(_mentions(c, var) for c in term_children(term))
+
+
+def _failing(error: type, message: str) -> Compiled:
+    def fail(state, env, reads):
+        raise error(message)
+
+    return fail
+
+
+def _once(fn: Compiled) -> Compiled:
+    """``fn`` evaluated at its first use in an IOTA's evaluation, then reused.
+
+    The value is kept in the IOTA's own environment for that evaluation, which
+    the IOTA copies afresh each time, under a key no variable can have.
+    """
+    key = object()
+
+    def once(state, env, reads):
+        value = env.get(key)
+        if value is None:
+            value = env[key] = fn(state, env, reads)
+        return value
+
+    return once
+
+
+def _variable(name: str) -> Compiled:
+    def variable(state, env, reads):
+        try:
+            return env[name]
+        except (KeyError, TypeError):
+            raise EvalError(f"unbound variable {name!r}") from None
+
+    return variable
+
+
+def _equality(term, fns, signature) -> Compiled:
+    left, right = fns
+
+    def equality(state, env, reads):
+        return TRUE if left(state, env, reads) == right(state, env, reads) else FALSE
+
+    return equality
+
+
+def _flag(value: Value) -> bool | None:
+    return value.flag if isinstance(value, BoolVal) else None
+
+
+def _connective(term, fns, signature) -> Compiled:
     # three-valued connectives: a false conjunct (true disjunct) decides the
     # result even when another operand is undefined (flag None)
-    flags = []
-    for a in term.operands:
-        v = eval_term(state, a, env, reads)
-        flags.append(v.flag if isinstance(v, BoolVal) else None)
     if term.op == "not":
-        return UNDEF if flags[0] is None else FALSE if flags[0] else TRUE
-    if term.op == "and":
-        if False in flags:
-            return FALSE
-        return UNDEF if None in flags else TRUE
-    if True in flags:
-        return TRUE
-    return UNDEF if None in flags else FALSE
+        (operand,) = fns
+
+        def negation(state, env, reads):
+            flag = _flag(operand(state, env, reads))
+            return UNDEF if flag is None else FALSE if flag else TRUE
+
+        return negation
+    decisive = term.op == "or"  # the operand flag that decides the result
+    decided, otherwise = (TRUE, FALSE) if decisive else (FALSE, TRUE)
+
+    def connective(state, env, reads):
+        flags = [_flag(f(state, env, reads)) for f in fns]
+        if decisive in flags:
+            return decided
+        return UNDEF if None in flags else otherwise
+
+    return connective
 
 
-def _eval_iota(state, term, env, reads) -> Value:
-    if term.domain == NODES_DOMAIN:
-        if reads is not None:
-            reads.add(SELF_LOCATION)
-        members = (NodeRef(path) for _, path, _ in state.self_tree.preorder())
-    else:
-        members = state.background.domain(term.domain)
+def _iota(term: Iota, signature: Signature) -> Compiled:
+    var, domain = term.var, term.domain
+    condition, mentions = _compile(term.condition, signature, var)
+    if not mentions and type(term.condition) not in _LEAVES:
+        condition = _once(condition)
+
+    def members_of(state, reads):
+        if domain == NODES_DOMAIN:
+            if reads is not None:
+                reads.add(SELF_LOCATION)
+            return (NodeRef(path) for _, path, _ in state.self_tree.preorder())
+        members = state.background.domain(domain)
         if members is None:
-            raise EvalError(f"unknown search domain {term.domain!r}")
-    inner = dict(env) if env else {}
-    witnesses = []
-    for m in members:
-        inner[term.var] = m
-        if eval_term(state, term.condition, inner, reads) == TRUE:
-            witnesses.append(m)
-            if len(witnesses) > 1:
-                return UNDEF
-    return witnesses[0] if witnesses else UNDEF
+            raise EvalError(f"unknown search domain {domain!r}")
+        return members
+
+    def iota(state, env, reads):
+        inner = dict(env) if env else {}
+        witness = None
+        for m in members_of(state, reads):
+            inner[var] = m
+            if condition(state, inner, reads) == TRUE:
+                if witness is not None:
+                    return UNDEF
+                witness = m
+        return UNDEF if witness is None else witness
+
+    return iota
 
 
-def _eval_args(state, args, env, reads) -> tuple[Value, ...] | None:
-    """Every argument's value in order, or None if one is undefined."""
-    vals = tuple([eval_term(state, a, env, reads) for a in args])
-    for v in vals:
-        if v is UNDEF:
-            return None
-    return vals
+def _arguments(fns: list[Compiled]):
+    """A closure giving every argument's value in order, or None if one is undefined."""
+    if not fns:
+        return lambda state, env, reads: ()
+    if len(fns) == 1:
+        (only,) = fns
+
+        def one(state, env, reads):
+            value = only(state, env, reads)
+            return None if value is UNDEF else (value,)
+
+        return one
+    if len(fns) == 2:
+        first, second = fns
+
+        def two(state, env, reads):
+            a, b = first(state, env, reads), second(state, env, reads)
+            return None if a is UNDEF or b is UNDEF else (a, b)
+
+        return two
+
+    def many(state, env, reads):
+        vals = tuple([f(state, env, reads) for f in fns])
+        for v in vals:
+            if v is UNDEF:
+                return None
+        return vals
+
+    return many
 
 
-def _eval_app(state, term, env, reads) -> Value:
-    sym = term.symbol
+def _application(term: FunctionApp, fns, signature: Signature) -> Compiled:
+    sym, count = term.symbol, len(fns)
 
     if sym.startswith("self@"):
         # nullary sublocation symbol produced by raising a node value
-        if term.args:
-            raise SignatureError(f"sublocation symbol {sym!r} is nullary")
-        path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
-        if reads is not None:
-            reads.add(SELF_LOCATION)
-        node = state.self_tree.find(path)
-        return UNDEF if node is None else TreeValue(node)
+        if count:
+            return _failing(SignatureError, f"sublocation symbol {sym!r} is nullary")
+        try:
+            path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
+        except ValueError as exc:
+            return _failing(ValueError, str(exc))
 
-    arity = state.signature.arity_of(sym)
+        def sublocation(state, env, reads):
+            if reads is not None:
+                reads.add(SELF_LOCATION)
+            node = state.self_tree.find(path)
+            return UNDEF if node is None else TreeValue(node)
+
+        return sublocation
+
+    arity = signature.arity_of(sym)
     if arity is not None:
-        if len(term.args) != arity:
-            raise SignatureError(
-                f"{sym!r} has arity {arity}, got {len(term.args)} arguments"
-            )
-        vals = _eval_args(state, term.args, env, reads)
-        if vals is None:
-            return UNDEF
-        base_name = state.background.projection_base(sym)
-        if base_name is not None:
-            return _eval_projection(state, sym, base_name, vals, reads)
-        loc = Location(sym, vals)
-        if reads is not None:
-            reads.add(loc)
-        return state.value_at(loc)
+        if count != arity:
+            return _failing(SignatureError, f"{sym!r} has arity {arity}, got {count} arguments")
+        args = _arguments(fns)
+
+        def location(state, env, reads):
+            vals = args(state, env, reads)
+            if vals is None:
+                return UNDEF
+            base_name = state.background.projection_base(sym)
+            if base_name is not None:
+                return _projection(state, base_name, vals, reads)
+            loc = Location(sym, vals)
+            if reads is not None:
+                reads.add(loc)
+            return state.value_at(loc)
+
+        return location
 
     fn = _bg.TERM_FUNCTIONS.get(sym)
     if fn is not None:
-        if fn.arity is not None and len(term.args) != fn.arity:
-            raise SignatureError(
-                f"background function {sym!r} takes {fn.arity} arguments"
-            )
-        vals = _eval_args(state, term.args, env, reads)
-        if vals is None:
-            return UNDEF
-        return fn.fn(state, vals, reads)
+        if fn.arity is not None and count != fn.arity:
+            return _failing(SignatureError, f"background function {sym!r} takes {fn.arity} arguments")
+        apply, args = fn.fn, _arguments(fns)
 
-    raise SignatureError(f"unknown symbol {sym!r}")
+        def function(state, env, reads):
+            vals = args(state, env, reads)
+            return UNDEF if vals is None else apply(state, vals, reads)
+
+        return function
+
+    return _failing(SignatureError, f"unknown symbol {sym!r}")
 
 
-_EVALUATORS = {
-    Constant: _eval_constant,
-    Variable: _eval_variable,
-    Equality: _eval_equality,
-    BoolConnective: _eval_connective,
-    Iota: _eval_iota,
-    FunctionApp: _eval_app,
+_BUILDERS = {
+    Equality: _equality,
+    BoolConnective: _connective,
+    FunctionApp: _application,
 }
 
 
-def _eval_projection(
+def _projection(
     state: State,
-    name: str,
     base_name: str,
     vals: tuple[Value, ...],
     reads: set[Location] | None,

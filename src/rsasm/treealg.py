@@ -100,11 +100,13 @@ class Tree:
     def find(self, path: Path) -> "Tree | None":
         """The node at ``path``, or None if the path leaves the tree."""
         node = self
-        for i in path:
-            kids = node.children
-            if i < 0 or i >= len(kids):
-                return None
-            node = kids[i]
+        try:
+            for i in path:
+                if i < 0:
+                    return None
+                node = node.children[i]
+        except IndexError:
+            return None
         return node
 
     def node_at_path(self, path: Path) -> "Tree":
@@ -139,11 +141,12 @@ def interner():
     return node
 
 
-def memoized(t: Tree, key: str, compute):
-    """``compute(t)``, computed once per tree object and kept on it.
+def memoized(t, key: str, compute):
+    """``compute(t)``, computed once per object and kept on it.
 
-    Trees are immutable, so the result lives exactly as long as the tree; a
-    tree whose computation raises raises again on every call.
+    ``t`` is an immutable object with a ``__dict__`` (a tree or a term),
+    so the result lives exactly as long as the object; an object whose
+    computation raises raises again on every call.
     """
     memo = t.__dict__
     if key not in memo:

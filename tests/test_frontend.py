@@ -336,7 +336,7 @@ def test_cli_run_prints_values_in_program_syntax(tmp_path, capsys):
     )
     assert cli_main(["run", str(program), "--max-steps", "1"]) == 0
     out = capsys.readouterr().out
-    assert "  t = a(DROP(m = 0))\n" in out
+    assert "  t = leaf(a, DROP(m = 0))\n" in out
     assert "  f(DROP(m = 0)) = 1\n" in out
     assert "Equality(" not in out and "FunctionApp(" not in out
 
@@ -589,6 +589,26 @@ def test_a_dropped_operand_clash_prints_the_term_in_program_syntax(tmp_path, cap
     assert capsys.readouterr().err.endswith(
         "clash at x: + expects a natural number, got DROP(m = 0)\n"
     )
+
+
+def test_a_printed_leaf_application_reparses_and_runs_alike(tmp_path, capsys):
+    machine = parse("SIGNATURE\n  t/0\nRULE\n  t := leaf(a, 1)\nOPTIONS\n  max_steps = 3\n")
+    printed = machine_to_source(machine)
+    assert "t := leaf(a, 1)" in printed
+    reparsed = parse(printed)
+    original, again = run(machine), run(reparsed)
+    # the step writes t again each time, so both runs end at the step cap, not in an error
+    assert (again.status, again.detail) == (original.status, original.detail) == ("max_steps", "")
+    t = original.final_state.value_at(Location("t"))
+    assert again.final_state.value_at(Location("t")) == t
+    # the value prints as the same application, and so does a leaf inside a tree literal
+    path = tmp_path / "leaf.rsasm"
+    path.write_text(printed)
+    assert cli_main(["run", str(path)]) == 0
+    assert "  t = leaf(a, 1)\n" in capsys.readouterr().out
+    nested = parse("SIGNATURE\n  t/0\nRULE\n  t := b<a(1), c<d(2)>>\n")
+    assert "t := b<a(1), c<d(2)>>" in machine_to_source(nested)
+    assert repr(run(nested).final_state.value_at(Location("t"))) == "b<a(1), c<d(2)>>"
 
 
 @pytest.mark.parametrize(
