@@ -1,10 +1,11 @@
 """Command line interface: run, check, probe, diff-self.
 
 Exit codes: ``run`` gives 2 on a parse or I/O error (and on a ``--dump-self``
-step outside the trace), 1 on a runtime error or, with ``--strict``, a clash,
-and 0 otherwise; ``check`` gives 1 on a parse error; ``probe`` gives 1 when a
-probe finds a violation; ``diff-self`` gives 2 on an unreadable trace, one
-that is not format 3, or one whose replayed self trees do not match their
+step outside the trace), 1 on a runtime error, on a value nested too deeply
+to print (then it prints and writes nothing else) or, with ``--strict``, a
+clash, and 0 otherwise; ``check`` gives 1 on a parse error; ``probe`` gives 1
+when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace,
+one that is not format 3, or one whose replayed self trees do not match their
 digests.
 """
 
@@ -28,36 +29,35 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = run(machine)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json())
-    if args.dump_self is not None:
-        index = args.dump_self
-        if index == 0:
-            tree = trace.initial_state.self_tree
-        elif 1 <= index <= len(trace.steps):
-            tree = trace.steps[index - 1].after.self_tree
+    final, index = trace.final_state, args.dump_self
+    points = [trace.initial_state] + [s.after for s in trace.steps]
+    try:  # all output is built before any is written
+        trace_text = trace.to_json() if args.trace else None
+        dumped = None
+        if index is not None and 0 <= index < len(points):
+            dumped = repr(TreeValue(points[index].self_tree))
+        if args.format == "json":
+            obj = {"status": trace.status, "steps": len(trace.steps), "final": state_to_json(final)}
+            lines = [canonical_dumps(obj)]
         else:
+            lines = [f"status: {trace.status} after {len(trace.steps)} step(s)"] + [
+                f"  {loc!r} = {final.interp[loc]!r}"
+                for loc in final.defined_locations()
+                if loc.symbol != "self"
+            ]
+    except RecursionError:
+        ended = f"the run ended {trace.status} after {len(trace.steps)} step(s)"
+        print(f"error: {ended}, but a value is nested too deeply to print", file=sys.stderr)
+        return 1
+    if trace_text is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write(trace_text)
+    if index is not None:
+        if dumped is None:
             print(f"error: no step {index} in the trace", file=sys.stderr)
             return 2
-        print(repr(TreeValue(tree)))
-    final = trace.final_state
-    if args.format == "json":
-        print(
-            canonical_dumps(
-                {
-                    "status": trace.status,
-                    "steps": len(trace.steps),
-                    "final": state_to_json(final),
-                }
-            )
-        )
-    else:
-        print(f"status: {trace.status} after {len(trace.steps)} step(s)")
-        for loc in final.defined_locations():
-            if loc.symbol == "self":
-                continue
-            print(f"  {loc!r} = {final.interp[loc]!r}")
+        print(dumped)
+    print("\n".join(lines))
     if trace.status == "error":
         print(f"error: {trace.detail}", file=sys.stderr)
         if trace.detail == "clash_stall":

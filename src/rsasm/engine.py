@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EngineError, RsasmError
+from .errors import EngineError, ReflectError, RsasmError
 from .reflect import (
     beta,
     decode_rule,
@@ -215,9 +215,10 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
         added: tuple[str, ...] = ()
     else:
         applied = apply_update_set(exec_state, result)
-        if not is_self_shaped(applied.self_tree):
-            raise EngineError("step left self without the self-representation shape")
-        new_signature = decode_signature(signature_of_self(applied.self_tree))
+        try:
+            new_signature = decode_signature(signature_of_self(applied.self_tree))
+        except ReflectError:
+            raise EngineError("step left self without the self-representation shape") from None
         if not signature.is_subsignature_of(new_signature):
             raise EngineError("step shrank or changed the decoded signature")
         successor = applied.with_signature(new_signature)

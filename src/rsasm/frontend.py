@@ -17,7 +17,7 @@ from . import background as bg
 from .engine import Machine
 from .errors import ParseError
 from .printer import SourcePrinter
-from .reflect import build_self_tree, decode_rule, drop, rule_of_self
+from .reflect import MAX_NESTING, build_self_tree, decode_rule, drop, rule_of_self
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_children, rule_substitute
 from .structures import (
     Atom,
@@ -83,15 +83,6 @@ KEYWORDS = {
 RESERVED_WORDS = {"true", "false", "undef"}
 
 DEFAULT_MAX_STEPS = 1000
-
-# Deepest nesting of rules, parenthesised terms, negations and tree literals a
-# program may use; operators chained after the first in a ``+``/``-`` or
-# ``MOD`` chain and the members a set comprehension expands over count one
-# level each, since each nests the term built so far one level deeper.
-# Parsing, evaluation, encoding, decoding and trace serialization each recurse
-# a few frames per level; at this depth all of them stay well inside Python's
-# default recursion limit of 1000.
-MAX_NESTING = 64
 
 
 @dataclass

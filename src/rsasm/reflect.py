@@ -1,5 +1,13 @@
 """The self-representation: rules and signatures as trees, raise/drop, extraction.
 
+A self tree is exactly ``self<signature<…>, rule<R>>``: a root labelled
+``self`` whose two children are the signature tree and a rule wrapper holding
+the one rule tree ``R``; an interior node carries no value, so neither does
+the root.  The signature tree holds one ``func<name, arity>`` entry per
+symbol, whose two leaves hold the symbol's name and its arity.  ``_regions``
+is the one reader of this layout; every other check of a self tree goes
+through it and the decoders.
+
 Rules encode as syntax trees over the reserved label vocabulary; the terms
 inside them are stored as dropped values on leaves.  ``raise_`` and ``drop``
 mediate between terms/rules and their value-level form.  ``beta`` extracts
@@ -39,6 +47,8 @@ from .structures import (
     UNDEF,
     Variable,
     eval_term,
+    sublocation_path,
+    sublocation_symbol,
     term_substitute,
 )
 from .treealg import (
@@ -60,6 +70,17 @@ from .treealg import (
     interner,
     memoized,
 )
+
+# Deepest nesting of rules, parenthesised terms, negations and tree literals a
+# program may use; operators chained after the first in a ``+``/``-`` or
+# ``MOD`` chain and the members a set comprehension expands over count one
+# level each, since each nests the term built so far one level deeper.  The
+# decoder rejects a rule nested deeper than this many rule levels, which a
+# rule that rewrites itself can reach at run time.  Parsing, evaluation,
+# encoding, decoding and trace serialization each recurse a few frames per
+# level; at this depth all of them stay well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 64
 
 # -- raise and drop ---------------------------------------------------------------
 
@@ -84,9 +105,8 @@ def drop(x: Term | Rule):
             return x.value
         return DroppedTerm(x)
     if isinstance(x, FunctionApp) and not x.args:
-        if x.symbol.startswith("self@"):
-            return _noderef_of_symbol(x.symbol)
-        return SymbolName(x.symbol)
+        path = sublocation_path(x.symbol)
+        return SymbolName(x.symbol) if path is None else NodeRef(path)
     if isinstance(x, Term):
         return DroppedTerm(x)
     raise ReflectError(f"drop is defined on terms and rules, got {x!r}")
@@ -103,21 +123,12 @@ def raise_(v) -> Term | Rule:
     if isinstance(v, SymbolName):
         return FunctionApp(v.name, ())
     if isinstance(v, NodeRef):
-        return FunctionApp(_symbol_of_noderef(v), ())
+        return FunctionApp(sublocation_symbol(v.path), ())
     if isinstance(v, TreeValue):
         return decode_rule(v.tree)
     if isinstance(v, Rule) or isinstance(v, Term):
         raise ReflectError(f"{v!r} is already raised")
     return Constant(v)
-
-
-def _symbol_of_noderef(v: NodeRef) -> str:
-    return "self@" + ".".join(map(str, v.path))
-
-
-def _noderef_of_symbol(sym: str) -> NodeRef:
-    rest = sym[len("self@") :]
-    return NodeRef(tuple(int(p) for p in rest.split(".")) if rest else ())
 
 
 # -- rule encoding -----------------------------------------------------------------
@@ -189,15 +200,12 @@ def _fail(path: tuple[int, ...], message: str):
 
 
 def _decode_term_value(value, path) -> Term:
+    """The term a leaf's value stands for; a tree value is a constant, not a raised rule."""
     if value is None:
         _fail(path, "term leaf carries no value")
-    if isinstance(value, DroppedTerm):
-        return value.term
-    if isinstance(value, SymbolName):
-        return FunctionApp(value.name, ())
-    if isinstance(value, NodeRef):
-        return FunctionApp(_symbol_of_noderef(value), ())
-    return Constant(value)
+    if isinstance(value, TreeValue):
+        return Constant(value)
+    return raise_(value)
 
 
 def _decode_term_wrapper(t: Tree, path) -> tuple[Term, ...]:
@@ -226,6 +234,8 @@ def _decode_rule_wrapper(t: Tree, path) -> Rule:
 
 
 def _decode_rule_at(t: Tree, path) -> Rule:
+    if len(path) > 2 * MAX_NESTING:  # a rule wrapper and its content per level
+        raise ReflectError(f"rule nested deeper than {MAX_NESTING} levels")
     if t.label == L_UPDATE:
         if len(t.children) != 3:
             _fail(path, f"update node needs 3 children, found {len(t.children)}")
@@ -257,7 +267,7 @@ def _decode_rule_at(t: Tree, path) -> Rule:
         if len(t.children) != 3:
             _fail(path, f"let node needs 3 children, found {len(t.children)}")
         var_terms = _decode_term_wrapper(t.children[0], path + (0,))
-        var = var_terms[0]
+        var = var_terms[0] if len(var_terms) == 1 else None
         if isinstance(var, Variable):
             name = var.name
         elif isinstance(var, FunctionApp) and not var.args:
@@ -301,17 +311,11 @@ def encode_signature(sig: Signature) -> Tree:
 
 
 def _encode_signature(sig: Signature, node) -> Tree:
-    entries = tuple(
-        node(
-            L_FUNC,
-            (
-                node(L_NAME, (), SymbolName(s.name)),
-                node(L_ARITY, (), NatVal(s.arity)),
-            ),
-        )
-        for s in sig.symbols
-    )
-    return node(L_SIGNATURE, entries)
+    return node(L_SIGNATURE, tuple(_signature_entry(s, node) for s in sig.symbols))
+
+
+def _signature_entry(s: FunctionSymbol, node) -> Tree:
+    return node(L_FUNC, (node(L_NAME, (), SymbolName(s.name)), node(L_ARITY, (), NatVal(s.arity))))
 
 
 def decode_signature(t: Tree) -> Signature:
@@ -324,7 +328,8 @@ def _decode_signature(t: Tree) -> Signature:
         raise ReflectError(f"expected a signature tree, found {t.label!r}")
     symbols = []
     for i, entry in enumerate(t.children):
-        if entry.label != L_FUNC or len(entry.children) != 2:
+        # two children and three nodes: the children are leaves
+        if entry.label != L_FUNC or len(entry.children) != 2 or entry.size != 3:
             _fail((i,), "signature entries must be func nodes with name and arity")
         name_leaf, arity_leaf = entry.children
         if name_leaf.label != L_NAME or not isinstance(name_leaf.value, SymbolName):
@@ -347,29 +352,25 @@ def build_self_tree(sig: Signature, rule: Rule) -> Tree:
 # -- selectors on the self tree --------------------------------------------------------
 
 
-def _unique_root_child(t: Tree, label: str) -> Tree:
-    """The unique child of a self tree's root with the given label (an iota search)."""
-    if t.label != L_SELF:
-        raise ReflectError(f"expected a self tree, found {t.label!r}")
-    hits = [c for c in t.children if c.label == label]
-    if len(hits) != 1:
-        raise ReflectError(
-            f"self tree needs exactly one {label!r} child, found {len(hits)}"
-        )
-    return hits[0]
+def _regions(t: Tree) -> tuple[Tree, Tree]:
+    """The signature tree and the rule tree of a self tree laid out as the module docstring says."""
+    labels = tuple(c.label for c in t.children)
+    if (t.label, labels) != (L_SELF, (L_SIGNATURE, L_RULE)):
+        found = f"{t.label}<{', '.join(labels)}>"
+        raise ReflectError(f"expected self<signature<...>, rule<R>>, found {found}")
+    if len(t.children[1].children) != 1:
+        raise ReflectError("the rule wrapper of a self tree must hold exactly one subtree")
+    return t.children[0], t.children[1].children[0]
 
 
 def signature_of_self(t: Tree) -> Tree:
     """The signature subtree of a self tree."""
-    return _unique_root_child(t, L_SIGNATURE)
+    return _regions(t)[0]
 
 
 def rule_of_self(t: Tree) -> Tree:
     """The rule subtree of a self tree (the wrapper's single content tree)."""
-    wrapper = _unique_root_child(t, L_RULE)
-    if len(wrapper.children) != 1:
-        raise ReflectError("rule wrapper must hold exactly one subtree")
-    return wrapper.children[0]
+    return _regions(t)[1]
 
 
 # -- extraction ---------------------------------------------------------------------
@@ -462,13 +463,7 @@ def new_function(
     """
     allocator = allocator or ReserveAllocator()
     name = allocator.fresh(state.signature.names())
-    entry = Tree(
-        L_FUNC,
-        (
-            Tree(L_NAME, (), SymbolName(name)),
-            Tree(L_ARITY, (), NatVal(arity)),
-        ),
-    )
+    entry = _signature_entry(FunctionSymbol(name, arity), Tree)
     update = SharedUpdate(NodeLocation((0,)), "right_extend", (TreeValue(entry),))
     return SymbolName(name), update
 
@@ -477,28 +472,12 @@ def new_function(
 
 
 def is_self_shaped(t: Tree) -> bool:
-    """Check the outer shape of a self-representation tree.
-
-    Root labelled ``self`` with exactly a signature child (func entries, each
-    with name and arity leaves) followed by a rule child wrapping one subtree.
-    Rule well-formedness is checked by decoding.
-    """
-    if t.label != L_SELF or len(t.children) != 2 or t.value is not None:
+    """True iff ``t`` has the self-tree layout and its signature decodes; its rule is not read."""
+    try:
+        decode_signature(signature_of_self(t))
+        return True
+    except ReflectError:
         return False
-    sig, rule = t.children
-    if sig.label != L_SIGNATURE or rule.label != L_RULE:
-        return False
-    if len(rule.children) != 1:
-        return False
-    for entry in sig.children:
-        if entry.label != L_FUNC or len(entry.children) != 2:
-            return False
-        name, arity = entry.children
-        if name.label != L_NAME or arity.label != L_ARITY:
-            return False
-        if name.children or arity.children:
-            return False
-    return True
 
 
 def _require_self_shaped(t: Tree, what: str) -> None:

@@ -180,9 +180,6 @@ class UpdateMultiset:
     def union(self, other: "UpdateMultiset") -> "UpdateMultiset":
         return UpdateMultiset(self.entries + other.entries)
 
-    def canonical(self) -> tuple[Entry, ...]:
-        return tuple(sorted(self.entries, key=_entry_key))
-
 
 EMPTY_MULTISET = UpdateMultiset(())
 

@@ -278,7 +278,20 @@ class NodeLocation:
     path: tuple[int, ...]
 
     def __repr__(self) -> str:
-        return "self@" + ".".join(map(str, self.path))
+        return sublocation_symbol(self.path)
+
+
+def sublocation_symbol(path: tuple[int, ...]) -> str:
+    """The nullary symbol ``self@p`` that names the self-tree node at ``path``."""
+    return "self@" + ".".join(map(str, path))
+
+
+def sublocation_path(symbol: str) -> tuple[int, ...] | None:
+    """The path a ``self@p`` symbol names (``ValueError`` if malformed), or None for another symbol."""
+    if not symbol.startswith("self@"):
+        return None
+    path = symbol[len("self@") :]
+    return tuple(int(p) for p in path.split(".")) if path else ()
 
 
 SELF_LOCATION = Location("self", ())
@@ -961,14 +974,14 @@ def _arguments(fns: list[Compiled]):
 def _application(term: FunctionApp, fns, signature: Signature) -> Compiled:
     sym, count = term.symbol, len(fns)
 
-    if sym.startswith("self@"):
+    try:
+        path = sublocation_path(sym)
+    except ValueError as exc:
+        return _failing(ValueError, str(exc))
+    if path is not None:
         # nullary sublocation symbol produced by raising a node value
         if count:
             return _failing(SignatureError, f"sublocation symbol {sym!r} is nullary")
-        try:
-            path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
-        except ValueError as exc:
-            return _failing(ValueError, str(exc))
 
         def sublocation(state, env, reads):
             if reads is not None:

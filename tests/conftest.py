@@ -165,8 +165,8 @@ RULE
   x := x + 1
 """
 
-# Appends a third child to the root of the self tree: the representation keeps
-# decoding (signature and rule are found by label) but is no longer self-shaped.
+# Appends a third child to the root of the self tree, so the successor no
+# longer has the self-tree layout and its signature cannot be read.
 SHAPE_BREAKING_PROGRAM = """
 SIGNATURE
   mode/0

@@ -1,5 +1,6 @@
 """Program parsing, pretty-printing round-trips, and the command line."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -20,7 +21,8 @@ from rsasm.frontend import (
 )
 from rsasm.reflect import decode_rule, decode_signature, rule_of_self, signature_of_self
 from rsasm.rules import If, Par
-from rsasm.structures import Atom, Location, NatVal, SymbolName, UNDEF
+from rsasm.structures import SELF_LOCATION, Atom, Location, NatVal, SymbolName, TreeValue, UNDEF
+from rsasm.treealg import Tree
 
 
 MINIMAL = """
@@ -326,6 +328,111 @@ def test_cli_run_reports_a_broken_self_shape_without_a_traceback(tmp_path, capsy
         "error: step 1: step left self without the self-representation shape\n"
     )
     assert json.loads(trace_path.read_text())["status"] == "error"
+
+
+def _swapped_root_machine():
+    """A machine whose self tree holds its rule region before its signature region."""
+    machine = parse("SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  x := 1\n", "swapped")
+    state = machine.initial_state
+    sig, wrapper = state.self_tree.children
+    swapped = {**state.interp, SELF_LOCATION: TreeValue(Tree("self", (wrapper, sig)))}
+    return dataclasses.replace(machine, initial_state=dataclasses.replace(state, interp=swapped))
+
+
+# Programs that crashed ``rsasm run`` with a traceback: one writes a ``let``
+# with an empty variable slot into its own rule, one nests its rule one level
+# deeper each step, and one builds a value too deep to print.
+EMPTY_LET_SLOT_PROGRAM = """
+SIGNATURE
+  mode/0
+  x/0
+INIT
+  mode = init
+RULE
+  IF mode = init THEN
+    PAR
+      LET o = child_n(child_n(child_n(child_n(root_node(), 2), 1), 2), 1) IN
+        o <=[right_extend] rule<let<term<>, term(1), rule<par<>>>>
+      mode := go
+    ENDPAR
+  ELSE
+    x := 1
+  ENDIF
+"""
+
+SELF_NESTING_PROGRAM = """
+SIGNATURE
+  n/0
+INIT
+  n = 0
+RULE
+  PAR
+    n := n + 1
+    LET o = child_n(child_n(root_node(), 2), 1) IN
+      o := label_hedge(par, label_hedge(rule, subtree(o)))
+  ENDPAR
+OPTIONS
+  max_steps = 1000
+"""
+
+DEEP_VALUE_PROGRAM = """
+SIGNATURE
+  x/0
+INIT
+  x = 0
+RULE
+  x := leaf(a, x)
+OPTIONS
+  max_steps = 600
+"""
+
+# Each case's program (None: the swapped-root machine) and its error line.
+RUN_ERRORS = {
+    "swapped_root": (
+        None,
+        "step 1: expected self<signature<...>, rule<R>>, found self<rule, signature>",
+    ),
+    "empty_let_slot": (
+        EMPTY_LET_SLOT_PROGRAM,
+        "step 2: let variable slot must hold a name (at node 1.0.2.0.0)",
+    ),
+    "self_nesting": (
+        SELF_NESTING_PROGRAM,
+        f"step {MAX_NESTING}: rule nested deeper than {MAX_NESTING} levels",
+    ),
+    "too_deep_to_print": (
+        DEEP_VALUE_PROGRAM,
+        "the run ended max_steps after 600 step(s), but a value is nested too deeply to print",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_ERRORS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_run_reports_a_malformed_or_unprintable_run_without_a_traceback(
+    case, fmt, tmp_path, capsys, monkeypatch
+):
+    source, error = RUN_ERRORS[case]
+    program, trace_path = tmp_path / "program.rsasm", tmp_path / "trace.json"
+    if source is None:
+        machine = _swapped_root_machine()
+        monkeypatch.setattr("rsasm.cli.parse_file", lambda path, max_steps=None: machine)
+    else:
+        program.write_text(source)
+    argv = ["run", str(program), "--format", fmt, "--trace", str(trace_path)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert "Traceback" not in captured.out + captured.err
+    if case == "too_deep_to_print":
+        assert captured.out == "" and not trace_path.exists()
+        return
+    assert json.loads(trace_path.read_text())["status"] == "error"
+    if case == "swapped_root":  # the rule never ran
+        assert json.loads(trace_path.read_text())["steps"] == []
+        assert "x = 1" not in captured.out
+    if case == "self_nesting":
+        assert cli_main(["diff-self", str(trace_path), "0", str(MAX_NESTING - 1)]) == 0
 
 
 def test_cli_run_prints_values_in_program_syntax(tmp_path, capsys):

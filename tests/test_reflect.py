@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import make_state, random_rule, random_self_tree, random_signature, random_term
-from rsasm.errors import ReflectError
+from rsasm import generate
+from rsasm.errors import ReflectError, TreeError
 from rsasm.reflect import (
     ReserveAllocator,
     beta,
@@ -15,10 +16,13 @@ from rsasm.reflect import (
     drop,
     encode_rule,
     encode_signature,
+    eval_algebra,
+    is_self_shaped,
     new_function,
     raise_,
     rule_of_self,
     signature_of_self,
+    tree_diff,
 )
 from rsasm.rules import (
     Assign,
@@ -278,22 +282,42 @@ def test_self_selectors():
     assert signature_of_self(t) == encode_signature(sig)
 
 
-def _first_root_child_scan(t: Tree, label: str) -> Tree:
-    """Oracle: the first child of the root with the label, by a plain scan."""
-    for c in t.children:
-        if c.label == label:
-            return c
-    raise ReflectError(f"self tree has no {label!r} child")
+def _malformed_self_trees(t: Tree):
+    """Trees that break the self-tree layout of ``t`` in one way each, by name."""
+    sig, wrapper = t.children
+    (rule,) = wrapper.children
+    bad_entry = Tree("func", (Tree("name", (), NatVal(1)), Tree("arity", (), NatVal(0))))
+    return {
+        "swapped": Tree("self", (wrapper, sig)),
+        "extra_child": Tree("self", (sig, wrapper, Tree("extra"))),
+        "empty_wrapper": Tree("self", (sig, Tree("rule"))),
+        "two_rules": Tree("self", (sig, Tree("rule", (rule, rule)))),
+        "root_value": Tree("self", (), Atom("v")),
+        "bad_entry": Tree("self", (Tree("signature", sig.children + (bad_entry,)), wrapper)),
+    }
 
 
-def test_selector_iota_equals_direct_scan():
-    from rsasm.reflect import _unique_root_child
-
+def test_the_self_layout_has_one_reader():
     rng = random.Random(7)
     for _ in range(30):
-        t = build_self_tree(random_signature(rng), random_rule(rng))
-        for label in ("signature", "rule"):
-            assert _unique_root_child(t, label) == _first_root_child_scan(t, label)
+        t = generate.random_machine(rng).initial_state.self_tree
+        assert is_self_shaped(t)
+        assert decode_signature(signature_of_self(t)) == generate.SIGNATURE
+        decode_rule(rule_of_self(t))
+        assert eval_algebra(tree_diff(t, t), t) == t
+        for name, bad in _malformed_self_trees(t).items():
+            if name == "bad_entry":
+                with pytest.raises(ReflectError):
+                    decode_signature(signature_of_self(bad))
+            else:
+                with pytest.raises(ReflectError):
+                    signature_of_self(bad)
+                with pytest.raises(ReflectError):
+                    rule_of_self(bad)
+            assert not is_self_shaped(bad), name
+            for pair in ((t, bad), (bad, t)):
+                with pytest.raises(TreeError, match="is not a self-representation tree"):
+                    tree_diff(*pair)
 
 
 def test_selectors_reject_missing_children():
