@@ -1,12 +1,13 @@
 """Command line interface: run, check, probe, diff-self.
 
-Exit codes: ``run`` gives 2 on a parse or I/O error (and on a ``--dump-self``
-step outside the trace), 1 on a runtime error, on a value nested too deeply
+Exit codes: ``run`` gives 2 on a parse or I/O error (a program file that is
+not UTF-8, a trace path that cannot be written) and on a ``--dump-self``
+step outside the trace, 1 on a runtime error, on a value nested too deeply
 to print (then it prints and writes nothing else) or, with ``--strict``, a
-clash, and 0 otherwise; ``check`` gives 1 on a parse error; ``probe`` gives 1
-when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace,
-one that is not format 3, or one whose replayed self trees do not match their
-digests.
+clash, and 0 otherwise; ``check`` gives 1 on a parse or read error; ``probe``
+gives 1 when a probe finds a violation; ``diff-self`` gives 2 on an unreadable
+trace (one nested too deeply included), one that is not format 3, or one
+whose replayed self trees do not match their digests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .structures import TreeValue, canonical_dumps, state_to_json
 def _cmd_run(args) -> int:
     try:
         machine = parse_file(args.file, max_steps=args.max_steps)
-    except (RsasmError, OSError) as exc:
+    except (RsasmError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = run(machine)
@@ -50,8 +51,12 @@ def _cmd_run(args) -> int:
         print(f"error: {ended}, but a value is nested too deeply to print", file=sys.stderr)
         return 1
     if trace_text is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_text)
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(trace_text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if index is not None:
         if dumped is None:
             print(f"error: no step {index} in the trace", file=sys.stderr)
@@ -73,7 +78,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     try:
         parse_file(args.file)
-    except (RsasmError, OSError) as exc:
+    except (RsasmError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.file}: ok")
@@ -109,6 +114,9 @@ def _cmd_diff_self(args) -> int:
         theta = tree_diff(points[args.i], points[args.j])
     except (RsasmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the trace is nested too deeply to read", file=sys.stderr)
         return 2
     print(repr(theta))
     return 0

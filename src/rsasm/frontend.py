@@ -18,7 +18,7 @@ from .engine import Machine
 from .errors import ParseError
 from .printer import SourcePrinter
 from .reflect import MAX_NESTING, build_self_tree, decode_rule, drop, rule_of_self
-from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_children, rule_substitute
+from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_substitute
 from .structures import (
     Atom,
     BackgroundConfig,
@@ -734,20 +734,19 @@ def _collect_atoms_value(value: Value, out: set[Atom]) -> None:
     elif isinstance(value, DroppedTerm):
         _collect_atoms_term(value.term, out)
     elif isinstance(value, TreeValue):
-        for _, _, node in value.tree.preorder():
+        # each distinct subtree once: a self tree repeats many of them
+        seen, stack = set(), [value.tree]
+        while stack:
+            node = stack.pop()
             if node.value is not None:
                 _collect_atoms_value(node.value, out)
-
-
-def _collect_atoms_rule(rule: Rule, out: set[Atom]) -> None:
-    terms, rules = rule_children(rule)
-    for t in terms:
-        _collect_atoms_term(t, out)
-    for r in rules:
-        _collect_atoms_rule(r, out)
+            fresh = [c for c in node.children if c not in seen]
+            seen.update(fresh)
+            stack.extend(fresh)
 
 
 def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machine:
+    self_tree = build_self_tree(program.signature, program.rule)
     atoms: set[Atom] = set()
     for members in program.domains.values():
         for m in members:
@@ -755,13 +754,12 @@ def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machi
     for loc, value in program.init.items():
         for v in loc.args + (value,):
             _collect_atoms_value(v, atoms)
-    _collect_atoms_rule(program.rule, atoms)
+    _collect_atoms_value(TreeValue(self_tree), atoms)  # the rule's atoms
 
     background = BackgroundConfig(
         domains=tuple(sorted(program.domains.items())),
         projections=tuple(sorted(program.projections.items())),
     )
-    self_tree = build_self_tree(program.signature, program.rule)
     interp = dict(program.init)
     interp[SELF_LOCATION] = TreeValue(self_tree)
     state = State(program.signature, frozenset(atoms), interp, background)

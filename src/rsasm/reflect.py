@@ -32,7 +32,6 @@ from .structures import (
     DroppedTerm,
     FunctionApp,
     NatVal,
-    NodeLocation,
     NodeRef,
     SELF_LOCATION,
     SELF_SYMBOL,
@@ -47,8 +46,6 @@ from .structures import (
     UNDEF,
     Variable,
     eval_term,
-    sublocation_path,
-    sublocation_symbol,
     term_substitute,
 )
 from .treealg import (
@@ -89,14 +86,19 @@ MAX_NESTING = 64
 _PLAIN_VALUE_KINDS = (Atom, NatVal, BoolVal, TupleVal, SetVal)
 
 
+def _subtree_at(path: Path) -> Term:
+    return FunctionApp("subtree", (Constant(NodeRef(path)),))
+
+
 def drop(x: Term | Rule):
     """Turn a term or rule into a value.
 
-    Base-set constants drop to themselves, and a bare nullary application
-    drops to the name of its function symbol (names used as values); every
-    other term drops to a term-as-value, and a rule drops to its encoding
-    tree.  Symbol-name, node, and tree constants keep their term wrapper so
-    that raising is unambiguous.
+    Base-set constants drop to themselves, a bare nullary application drops
+    to the name of its function symbol (names used as values), and
+    ``subtree(node@p)``, the term ``raise_`` makes of a node, drops to that
+    node; every other term drops to a term-as-value, and a rule drops to its
+    encoding tree.  Symbol-name, node, and tree constants keep their term
+    wrapper so that raising is unambiguous.
     """
     if isinstance(x, Rule):
         return TreeValue(encode_rule(x))
@@ -105,8 +107,11 @@ def drop(x: Term | Rule):
             return x.value
         return DroppedTerm(x)
     if isinstance(x, FunctionApp) and not x.args:
-        path = sublocation_path(x.symbol)
-        return SymbolName(x.symbol) if path is None else NodeRef(path)
+        return SymbolName(x.symbol)
+    if isinstance(x, FunctionApp) and x.symbol == "subtree" and len(x.args) == 1:
+        node = x.args[0]
+        if isinstance(node, Constant) and isinstance(node.value, NodeRef):
+            return node.value
     if isinstance(x, Term):
         return DroppedTerm(x)
     raise ReflectError(f"drop is defined on terms and rules, got {x!r}")
@@ -115,15 +120,16 @@ def drop(x: Term | Rule):
 def raise_(v) -> Term | Rule:
     """Turn a value back into a term or rule (inverse of ``drop``).
 
-    Tree-node values raise to their nullary sublocation symbols; tree values
-    of rule shape raise to the rule they encode.
+    A node value ``node@p`` raises to ``subtree(node@p)``, the term that
+    reads the node's subtree of ``self``; tree values of rule shape raise to
+    the rule they encode.
     """
     if isinstance(v, DroppedTerm):
         return v.term
     if isinstance(v, SymbolName):
         return FunctionApp(v.name, ())
     if isinstance(v, NodeRef):
-        return FunctionApp(sublocation_symbol(v.path), ())
+        return _subtree_at(v.path)
     if isinstance(v, TreeValue):
         return decode_rule(v.tree)
     if isinstance(v, Rule) or isinstance(v, Term):
@@ -464,7 +470,7 @@ def new_function(
     allocator = allocator or ReserveAllocator()
     name = allocator.fresh(state.signature.names())
     entry = _signature_entry(FunctionSymbol(name, arity), Tree)
-    update = SharedUpdate(NodeLocation((0,)), "right_extend", (TreeValue(entry),))
+    update = SharedUpdate(NodeRef((0,)), "right_extend", (TreeValue(entry),))
     return SymbolName(name), update
 
 
@@ -488,10 +494,6 @@ def _require_self_shaped(t: Tree, what: str) -> None:
 # Paths of the signature and of the rule content: the subtrees a difference
 # term builds node by node.
 _DIFF_ROOTS: tuple[Path, ...] = ((0,), (1, 0))
-
-
-def _subtree_at(path: Path) -> Term:
-    return FunctionApp("subtree", (Constant(NodeRef(path)),))
 
 
 def _label_hedge(label: str, parts: tuple[Term, ...]) -> Term:

@@ -24,7 +24,6 @@ from .errors import RuleError, SignatureError
 from .structures import (
     BoolVal,
     Location,
-    NodeLocation,
     NodeRef,
     SELF_LOCATION,
     State,
@@ -128,7 +127,7 @@ def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
 
 @dataclass(frozen=True)
 class SharedUpdate:
-    location: Location | NodeLocation
+    location: Location | NodeRef
     op: str | SpliceOp
     args: tuple[Value, ...]
 
@@ -188,7 +187,7 @@ EMPTY_MULTISET = UpdateMultiset(())
 class ClashReport:
     """Why a multiset failed to collapse; the engine keeps the state unchanged."""
 
-    location: Location | NodeLocation | None
+    location: Location | None
     reason: str
 
 
@@ -203,7 +202,7 @@ def _target_location(
         if isinstance(v, NodeRef):
             if args:
                 raise RuleError(f"tree-node target {target!r} takes no arguments")
-            return NodeLocation(v.path)
+            return v
         raise RuleError(f"bound target {target!r} does not hold a tree node")
     arity = state.signature.arity_of(target)
     if arity is None:
@@ -267,7 +266,7 @@ def normalize_sublocations(m: UpdateMultiset, state: State) -> UpdateMultiset:
     out = []
     for entry in m:
         loc = entry.location
-        if not isinstance(loc, NodeLocation):
+        if not isinstance(loc, NodeRef):
             out.append(entry)
             continue
         if isinstance(entry, Update):

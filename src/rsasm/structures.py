@@ -271,35 +271,14 @@ class Location:
         return f"{self.symbol}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class NodeLocation:
-    """A sublocation: a node of the self tree addressed as its own location."""
-
-    path: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return sublocation_symbol(self.path)
-
-
-def sublocation_symbol(path: tuple[int, ...]) -> str:
-    """The nullary symbol ``self@p`` that names the self-tree node at ``path``."""
-    return "self@" + ".".join(map(str, path))
-
-
-def sublocation_path(symbol: str) -> tuple[int, ...] | None:
-    """The path a ``self@p`` symbol names (``ValueError`` if malformed), or None for another symbol."""
-    if not symbol.startswith("self@"):
-        return None
-    path = symbol[len("self@") :]
-    return tuple(int(p) for p in path.split(".")) if path else ()
-
-
 SELF_LOCATION = Location("self", ())
 
 
 @dataclass(frozen=True)
 class Update:
-    location: Location | NodeLocation
+    """A write of ``value`` to a location, or to a node of ``self`` (a sublocation)."""
+
+    location: Location | NodeRef
     value: Value
 
 
@@ -402,7 +381,7 @@ def apply_update_set(state: State, delta: UpdateSet) -> State:
         return state
     interp = dict(state.interp)
     for u in delta:
-        if isinstance(u.location, NodeLocation):
+        if isinstance(u.location, NodeRef):
             raise StateError("sublocation updates must be collapsed before application")
         if u.value is UNDEF:
             interp.pop(u.location, None)
@@ -655,15 +634,15 @@ def value_sort_key(value: Value) -> tuple:
     return (6, canonical_dumps(value_to_json(value)))
 
 
-def location_sort_key(loc: Location | NodeLocation) -> tuple:
-    if isinstance(loc, NodeLocation):
-        return (1, "", tuple(loc.path))
+def location_sort_key(loc: Location | NodeRef) -> tuple:
+    if isinstance(loc, NodeRef):
+        return (1, "", loc.path)
     return (0, loc.symbol, tuple(value_sort_key(a) for a in loc.args))
 
 
-def location_to_json(loc: Location | NodeLocation) -> object:
-    if isinstance(loc, NodeLocation):
-        return {"node": list(loc.path)}
+def location_to_json(loc: Location | NodeRef) -> object:
+    if isinstance(loc, NodeRef):
+        return value_to_json(loc)
     return {"symbol": loc.symbol, "args": [value_to_json(a) for a in loc.args]}
 
 
@@ -788,8 +767,9 @@ def compile_term(term: Term, signature: Signature) -> Compiled:
     """A closure ``(state, env, reads) -> Value`` that evaluates ``term`` as :func:`eval_term`.
 
     Each function symbol is resolved here, once, against ``signature``: a
-    ``self@p`` sublocation (its path parsed), a location of the signature, a
-    background term function, or an unknown symbol, with its arity checked.
+    location of the signature, a background term function, or an unknown
+    symbol, with its arity checked.  A node of ``self`` is read as
+    ``subtree(node@p)``, a background function like any other.
     Whether a location is a derived projection, and the members of a search
     domain, are read from the state's background when the closure runs.  A
     fault found here (a wrong arity, an unknown symbol) is raised only when
@@ -973,24 +953,6 @@ def _arguments(fns: list[Compiled]):
 
 def _application(term: FunctionApp, fns, signature: Signature) -> Compiled:
     sym, count = term.symbol, len(fns)
-
-    try:
-        path = sublocation_path(sym)
-    except ValueError as exc:
-        return _failing(ValueError, str(exc))
-    if path is not None:
-        # nullary sublocation symbol produced by raising a node value
-        if count:
-            return _failing(SignatureError, f"sublocation symbol {sym!r} is nullary")
-
-        def sublocation(state, env, reads):
-            if reads is not None:
-                reads.add(SELF_LOCATION)
-            node = state.self_tree.find(path)
-            return UNDEF if node is None else TreeValue(node)
-
-        return sublocation
-
     arity = signature.arity_of(sym)
     if arity is not None:
         if count != arity:

@@ -48,12 +48,10 @@ from rsasm.structures import (
     Iota,
     Location,
     NatVal,
-    NodeLocation,
     NodeRef,
     State,
     SymbolName,
     Term,
-    TreeValue,
     Update,
     Variable,
     compile_term,
@@ -133,15 +131,6 @@ def _eval_args(state, args, env, reads):
 
 def _eval_app(state, term, env, reads):
     sym = term.symbol
-    if sym.startswith("self@"):
-        if term.args:
-            raise SignatureError(f"sublocation symbol {sym!r} is nullary")
-        path = tuple(int(p) for p in sym[5:].split(".")) if sym != "self@" else ()
-        if reads is not None:
-            reads.add(SELF_LOCATION)
-        node = state.self_tree.find(path)
-        return UNDEF if node is None else TreeValue(node)
-
     arity = state.signature.arity_of(sym)
     if arity is not None:
         if len(term.args) != arity:
@@ -205,7 +194,7 @@ def _target_location(target, args, state, env):
         if isinstance(v, NodeRef):
             if args:
                 raise RuleError(f"tree-node target {target!r} takes no arguments")
-            return NodeLocation(v.path)
+            return v
         raise RuleError(f"bound target {target!r} does not hold a tree node")
     arity = state.signature.arity_of(target)
     if arity is None:

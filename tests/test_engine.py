@@ -433,6 +433,16 @@ def test_program_fault_ends_the_run_as_an_error_outcome():
     assert trace.final_state.value_at(Location("x")) == Atom("foo")
 
 
+@pytest.mark.parametrize("symbol", ["self@x", "self@0"])
+def test_a_self_at_symbol_built_through_the_api_is_an_unknown_symbol(symbol):
+    # a node of self is read as subtree(node@p); "self@…" names no symbol
+    state = make_state({"x": 0}, rule=Assign("x", (), FunctionApp(symbol, ())))
+    trace = run(Machine(state, max_steps=3, name="self-at"))
+    assert trace.status == "error"
+    assert trace.detail == f"step 1: unknown symbol {symbol!r}"
+    assert trace.steps == ()
+
+
 def test_rewritten_rule_takes_effect_at_the_next_step():
     # while n0 = 0, set n0 to 1 and append "n1 := 5" to the machine's own PAR
     appended = Tree(L_RULE, (encode_rule(Assign("n1", (), Constant(NatVal(5)))),))

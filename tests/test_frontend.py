@@ -271,6 +271,31 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
 
 
+def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin.rsasm"
+    not_utf8.write_bytes(b"SIGNATURE\n  x/0\nRULE\n  x := \xff\xfe\n")
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
+    trace_obj = json.loads(trace_path.read_text())
+    next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"] = "THETA"
+    deep = '{"app": "x", "args": [' * 3000 + "]}" * 3000  # too deep for json.dumps too
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(trace_obj).replace('"THETA"', deep))
+    unwritable = str(tmp_path / "no" / "such" / "dir" / "t.json")
+    cases = (
+        (["run", str(not_utf8)], 2),
+        (["check", str(not_utf8)], 1),
+        (["run", _program_path("parity"), "--trace", unwritable], 2),
+        (["diff-self", str(nested), "0", "1"], 2),
+    )
+    capsys.readouterr()
+    for argv, code in cases:
+        assert cli_main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err
+
+
 def _corrupt_theta(trace_obj):
     entry = next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)
     entry["theta"]["args"][0] = {"const": {"atom": "other"}}  # relabels the root

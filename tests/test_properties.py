@@ -16,13 +16,14 @@ from rsasm.engine import run
 from rsasm.errors import ParseError, RsasmError
 from rsasm.frontend import (
     KEYWORDS,
-    _collect_atoms_rule,
     _collect_atoms_term,
+    _collect_atoms_value,
     load_program,
     machine_to_source,
     parse,
     tokenize,
 )
+from rsasm.reflect import encode_rule
 from rsasm.rules import (
     Assign,
     ClashReport,
@@ -47,7 +48,7 @@ from rsasm.structures import (
     Iota,
     Location,
     NatVal,
-    NodeLocation,
+    NodeRef,
     SetVal,
     SymbolName,
     TRUE,
@@ -210,8 +211,9 @@ def test_collected_atoms_cover_every_atom_of_a_term(term):
 
 @given(rules)
 def test_collected_atoms_of_a_rule_cover_its_terms(rule):
+    # a machine collects its rule's atoms from the rule's encoding in self
     collected: set = set()
-    _collect_atoms_rule(rule, collected)
+    _collect_atoms_value(TreeValue(encode_rule(rule)), collected)
     for t in _rule_terms(rule):
         assert _json_atoms(term_to_json(t)) <= collected
 
@@ -282,7 +284,7 @@ PAYLOADS = (Tree("rule", (Tree("par"),)), Tree("rule", (Tree("if"),)), Tree("par
 
 @st.composite
 def node_entries(draw):
-    path = NodeLocation(draw(st.sampled_from(NODE_PATHS)))
+    path = NodeRef(draw(st.sampled_from(NODE_PATHS)))
     payload = TreeValue(draw(st.sampled_from(PAYLOADS)))
     if draw(st.booleans()):
         return Update(path, payload)

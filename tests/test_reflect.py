@@ -183,7 +183,8 @@ def test_drop_raise_inverse_on_liftable_values():
 
 def test_raise_of_node_value_is_sublocation_symbol():
     raised = raise_(NodeRef((1, 0, 2)))
-    assert raised == FunctionApp("self@1.0.2", ())
+    assert raised == FunctionApp("subtree", (Constant(NodeRef((1, 0, 2))),))
+    assert repr(raised) == "subtree(node@1.0.2)"
 
 
 def test_raise_rejects_unliftable():

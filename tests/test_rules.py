@@ -29,7 +29,6 @@ from rsasm.structures import (
     FALSE,
     Location,
     NatVal,
-    NodeLocation,
     NodeRef,
     SELF_LOCATION,
     SetVal,
@@ -161,7 +160,7 @@ def _node_state():
 def test_normalize_rewrites_node_updates_to_splices():
     state = _node_state()
     payload = TreeValue(Tree("rule", (Tree("par"),)))
-    m = UpdateMultiset((Update(NodeLocation((1, 0, 0)), payload),))
+    m = UpdateMultiset((Update(NodeRef((1, 0, 0)), payload),))
     normalized = normalize_sublocations(m, state)
     entries = list(normalized)
     assert len(entries) == 1
@@ -174,7 +173,7 @@ def test_normalize_rewrites_node_updates_to_splices():
 def test_normalize_root_node_update_becomes_plain_self_update():
     state = _node_state()
     tree = state.self_tree
-    m = UpdateMultiset((Update(NodeLocation(()), TreeValue(tree)),))
+    m = UpdateMultiset((Update(NodeRef(()), TreeValue(tree)),))
     normalized = normalize_sublocations(m, state)
     assert list(normalized) == [Update(SELF_LOCATION, TreeValue(tree))]
 
@@ -183,8 +182,8 @@ def test_sibling_node_updates_are_compatible_in_both_orders():
     state = _node_state()
     t1 = Tree("rule", (Tree("par", (Tree("rule", (Tree("par"),)),)),))
     t2 = Tree("rule", (Tree("par"),))
-    u1 = Update(NodeLocation((1, 0, 0)), TreeValue(t1))
-    u2 = Update(NodeLocation((1, 0, 1)), TreeValue(t2))
+    u1 = Update(NodeRef((1, 0, 0)), TreeValue(t1))
+    u2 = Update(NodeRef((1, 0, 1)), TreeValue(t2))
     result_a = collapse(UpdateMultiset((u1, u2)), state)
     result_b = collapse(UpdateMultiset((u2, u1)), state)
     assert isinstance(result_a, UpdateSet)
@@ -202,8 +201,8 @@ def test_ancestor_descendant_with_unequal_effect_clashes():
     descendant_value = TreeValue(Tree("update", (), None))
     m = UpdateMultiset(
         (
-            Update(NodeLocation((1, 0, 0)), ancestor_value),
-            Update(NodeLocation((1, 0, 0, 0)), descendant_value),
+            Update(NodeRef((1, 0, 0)), ancestor_value),
+            Update(NodeRef((1, 0, 0, 0)), descendant_value),
         )
     )
     report = collapse(m, state)
@@ -217,8 +216,8 @@ def test_ancestor_descendant_with_equal_effect_collapses():
     ancestor_value = TreeValue(Tree("rule", (child,)))
     m = UpdateMultiset(
         (
-            Update(NodeLocation((1, 0, 0)), ancestor_value),
-            Update(NodeLocation((1, 0, 0, 0)), TreeValue(child)),
+            Update(NodeRef((1, 0, 0)), ancestor_value),
+            Update(NodeRef((1, 0, 0, 0)), TreeValue(child)),
         )
     )
     result = collapse(m, state)
@@ -232,8 +231,8 @@ def test_disjoint_right_extends_on_self_merge_into_one_update():
     addition = TreeValue(Tree("rule", (Tree("par"),)))
     m = UpdateMultiset(
         (
-            SharedUpdate(NodeLocation((1, 0, 0)), "right_extend", (addition,)),
-            SharedUpdate(NodeLocation((1, 0, 1)), "right_extend", (addition,)),
+            SharedUpdate(NodeRef((1, 0, 0)), "right_extend", (addition,)),
+            SharedUpdate(NodeRef((1, 0, 1)), "right_extend", (addition,)),
         )
     )
     result = collapse(m, state)
@@ -249,8 +248,8 @@ def test_same_node_extends_with_different_payloads_clash():
     state = _node_state()
     m = UpdateMultiset(
         (
-            SharedUpdate(NodeLocation((1, 0, 0)), "right_extend", (TreeValue(Tree("rule", (Tree("par"),))),)),
-            SharedUpdate(NodeLocation((1, 0, 0)), "right_extend", (TreeValue(Tree("rule", (Tree("if"),))),)),
+            SharedUpdate(NodeRef((1, 0, 0)), "right_extend", (TreeValue(Tree("rule", (Tree("par"),))),)),
+            SharedUpdate(NodeRef((1, 0, 0)), "right_extend", (TreeValue(Tree("rule", (Tree("if"),))),)),
         )
     )
     assert isinstance(collapse(m, state), ClashReport)
@@ -259,7 +258,7 @@ def test_same_node_extends_with_different_payloads_clash():
 def test_identical_same_node_extends_fold_in_sequence():
     state = _node_state()
     addition = TreeValue(Tree("rule", (Tree("par"),)))
-    entry = SharedUpdate(NodeLocation((1, 0, 0)), "right_extend", (addition,))
+    entry = SharedUpdate(NodeRef((1, 0, 0)), "right_extend", (addition,))
     m = UpdateMultiset((entry, entry, entry))
     before = state.self_tree.node_at_path((1, 0, 0)).children
     result = collapse(m, state)
@@ -328,7 +327,7 @@ def test_node_target_through_let_binding():
     )
     result, multiset = execute(rule, state)
     entries = list(multiset)
-    assert entries[0].location == NodeLocation((1, 0, 0))
+    assert entries[0].location == NodeRef((1, 0, 0))
     assert isinstance(result, UpdateSet)
     (update,) = tuple(result)
     assert update.location == SELF_LOCATION
@@ -346,12 +345,12 @@ def test_parity_init_count_emits_node_addressed_extends():
         e
         for e in multiset
         if isinstance(e, SharedUpdate)
-        and isinstance(e.location, NodeLocation)
+        and isinstance(e.location, NodeRef)
         and e.op == "right_extend"
     ]
     # one shared update per marked element, all at the count-branch node
     assert len(node_extends) == 3
-    assert {e.location for e in node_extends} == {NodeLocation((1, 0, 2, 0, 1, 0))}
+    assert {e.location for e in node_extends} == {NodeRef((1, 0, 2, 0, 1, 0))}
 
 
 def test_parity_eval_step_updates_parity_and_mode():
@@ -414,7 +413,7 @@ def test_extending_a_value_leaf_at_a_node_is_a_clash():
     state = make_state({"card": 0})
     name_leaf = (0, 1, 0)  # the name leaf of the signature entry for card
     assert state.self_tree.node_at_path(name_leaf).value is not None
-    entry = SharedUpdate(NodeLocation(name_leaf), "right_extend", (TreeValue(Tree("x")),))
+    entry = SharedUpdate(NodeRef(name_leaf), "right_extend", (TreeValue(Tree("x")),))
     report = collapse(UpdateMultiset((entry,)), state)
     assert report == ClashReport(SELF_LOCATION, "cannot extend a value-carrying leaf")
 
@@ -430,7 +429,7 @@ def _node_clash_entries(state):
     """Each splice clash of ``_splice_fold``/``_collapse_group``, with its reason."""
     par = TreeValue(Tree("rule", (Tree("par"),)))
     other = TreeValue(Tree("rule", (Tree("if"),)))
-    node, below = NodeLocation((1, 0, 0)), NodeLocation((1, 0, 0, 0))
+    node, below = NodeRef((1, 0, 0)), NodeRef((1, 0, 0, 0))
     return [
         (
             (Update(node, par), Update(node, other)),

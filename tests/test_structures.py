@@ -358,7 +358,7 @@ def test_iota_over_self_nodes():
 
 
 def test_sublocation_symbol_reads_self_subtree():
-    from rsasm.reflect import raise_
+    from rsasm.reflect import drop, raise_
     from rsasm.structures import NodeRef, TreeValue
 
     state = make_state()
@@ -367,3 +367,19 @@ def test_sublocation_symbol_reads_self_subtree():
     assert isinstance(value, TreeValue)
     assert value.tree.label == "rule"
     assert eval_term(state, raise_(NodeRef((9, 9)))) is UNDEF
+    # at every node of generated self trees, and one path off each tree, the
+    # raised node reads what subtree(node@p) reads
+    rng = random.Random(5)
+    for _ in range(20):
+        state = generate.random_machine(rng).initial_state
+        paths = [path for _, path, _ in state.self_tree.preorder()]
+        for path in paths + [paths[-1] + (0,)]:
+            node = NodeRef(path)
+            raised_reads, subtree_reads = set(), set()
+            raised = eval_term(state, raise_(node), None, raised_reads)
+            subtree = FunctionApp("subtree", (Constant(node),))
+            assert raised == eval_term(state, subtree, None, subtree_reads)
+            found = state.self_tree.find(path)
+            assert raised == (UNDEF if found is None else TreeValue(found))
+            assert raised_reads == subtree_reads == {SELF_LOCATION}
+            assert drop(raise_(node)) == node
