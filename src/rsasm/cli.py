@@ -1,19 +1,21 @@
 """Command line interface: run, check, probe, diff-self.
 
 Exit codes: ``run`` gives 2 on a parse or I/O error (a program file that is
-not UTF-8, a trace path that cannot be written) and on a ``--dump-self``
-step outside the trace, 1 on a runtime error, on a value nested too deeply
-to print (then it prints and writes nothing else) or, with ``--strict``, a
-clash, and 0 otherwise; ``check`` gives 1 on a parse or read error; ``probe``
-gives 1 when a probe finds a violation; ``diff-self`` gives 2 on an unreadable
-trace (one nested too deeply included), one that is not format 3, or one
-whose replayed self trees do not match their digests.
+not UTF-8, a trace path that cannot be written, found before the program is
+read) and on a ``--dump-self`` step outside the trace, 1 on a runtime error,
+on a value nested too deeply to print (then it prints and writes nothing
+else) or, with ``--strict``, a clash, and 0 otherwise; ``check`` gives 1 on a
+parse or read error; ``probe`` gives 1 when a probe finds a violation;
+``diff-self`` gives 2 on an unreadable trace (one nested too deeply included),
+one that is not format 3, or one whose replayed self trees do not match their
+digests.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay, run
@@ -23,10 +25,21 @@ from .reflect import tree_diff
 from .structures import TreeValue, canonical_dumps, state_to_json
 
 
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` if ``path`` cannot be written; a file that was not there is not left."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     try:
+        if args.trace:
+            _check_writable(args.trace)
         machine = parse_file(args.file, max_steps=args.max_steps)
-    except (RsasmError, OSError, UnicodeDecodeError) as exc:
+    except (RsasmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = run(machine)
@@ -78,7 +91,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     try:
         parse_file(args.file)
-    except (RsasmError, OSError, UnicodeDecodeError) as exc:
+    except (RsasmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.file}: ok")

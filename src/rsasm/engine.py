@@ -1,7 +1,7 @@
 """The execution loop: decode self, execute, collapse, apply; runs and probes.
 
 Every step decodes the signature and rule from the tree stored at ``self``.
-Decoding is memoized on the tree object; a step that rewrites the
+Decoding is memoized on each tree object; a step that rewrites the
 representation makes a new tree, so it changes the machine's behaviour from
 the next step on.  A run ends at a fixpoint (empty collapsed update set), at
 the step cap, or on an error; a clash leaves the state unchanged and, since
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import EngineError, ReflectError, RsasmError
 from .reflect import (
+    RULE_AT,
     beta,
     decode_rule,
     decode_signature,
@@ -206,7 +207,7 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
     """One machine step: decode, execute, collapse, apply; ``index`` numbers the record."""
     tree = state.self_tree
     signature = decode_signature(signature_of_self(tree))
-    rule = decode_rule(rule_of_self(tree))
+    rule = decode_rule(rule_of_self(tree), RULE_AT)
     exec_state = state.with_signature(signature)
 
     result, multiset = execute(rule, exec_state)
@@ -332,7 +333,7 @@ def probe_bounded_exploration(trials: int = 500, seed: int = 0) -> Report:
     while report.checked < trials:
         machine = generate.random_machine(rng)
         s1 = generate.perturb_state(machine.initial_state, rng)
-        rule = decode_rule(rule_of_self(s1.self_tree))
+        rule = decode_rule(rule_of_self(s1.self_tree), RULE_AT)
         reads: set = set()
         for t in beta(rule_of_self(s1.self_tree)):
             eval_term(s1, t, reads=reads)

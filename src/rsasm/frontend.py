@@ -17,7 +17,7 @@ from . import background as bg
 from .engine import Machine
 from .errors import ParseError
 from .printer import SourcePrinter
-from .reflect import MAX_NESTING, build_self_tree, decode_rule, drop, rule_of_self
+from .reflect import MAX_NESTING, RULE_AT, build_self_tree, decode_rule, drop, rule_of_self
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_substitute
 from .structures import (
     Atom,
@@ -778,9 +778,21 @@ def parse(source: str, name: str = "program", max_steps: int | None = None) -> M
     return build_machine(parse_program(source, name), max_steps)
 
 
+def _text(data: bytes) -> str:
+    """``data`` decoded as UTF-8, its line ends read as text-mode ``open`` reads them."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_file(path: str, max_steps: int | None = None) -> Machine:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+    """Parse a program file; a byte that is not UTF-8 raises ``ParseError`` at its position."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        source = _text(data)
+    except UnicodeDecodeError as exc:
+        lines = _text(data[: exc.start]).split("\n")
+        message = f"{path}: not UTF-8 at byte {data[exc.start]:#04x}"
+        raise ParseError(message, len(lines), len(lines[-1]) + 1) from None
     name = os.path.splitext(os.path.basename(path))[0]
     return parse(source, name, max_steps)
 
@@ -831,7 +843,7 @@ def machine_to_source(machine: Machine) -> str:
                 lines.append(f"  {loc.symbol} = {value}")
         lines.append("")
     lines.append("RULE")
-    rule = decode_rule(rule_of_self(state.self_tree))
+    rule = decode_rule(rule_of_self(state.self_tree), RULE_AT)
     lines.append(printer.rule(rule, 1))
     lines.append("")
     lines.append("OPTIONS")

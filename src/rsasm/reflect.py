@@ -4,9 +4,9 @@ A self tree is exactly ``self<signature<…>, rule<R>>``: a root labelled
 ``self`` whose two children are the signature tree and a rule wrapper holding
 the one rule tree ``R``; an interior node carries no value, so neither does
 the root.  The signature tree holds one ``func<name, arity>`` entry per
-symbol, whose two leaves hold the symbol's name and its arity.  ``_regions``
-is the one reader of this layout; every other check of a self tree goes
-through it and the decoders.
+symbol, whose two leaves hold the symbol's name and its arity.  The signature
+is at ``node@0`` and the rule at ``node@1.0``; ``_regions`` is the one reader
+of this layout, and every other check goes through it and the decoders.
 
 Rules encode as syntax trees over the reserved label vocabulary; the terms
 inside them are stored as dropped values on leaves.  ``raise_`` and ``drop``
@@ -71,12 +71,12 @@ from .treealg import (
 # Deepest nesting of rules, parenthesised terms, negations and tree literals a
 # program may use; operators chained after the first in a ``+``/``-`` or
 # ``MOD`` chain and the members a set comprehension expands over count one
-# level each, since each nests the term built so far one level deeper.  The
-# decoder rejects a rule nested deeper than this many rule levels, which a
-# rule that rewrites itself can reach at run time.  Parsing, evaluation,
-# encoding, decoding and trace serialization each recurse a few frames per
-# level; at this depth all of them stay well inside Python's default
-# recursion limit of 1000.
+# level each, since each nests the term built so far one level deeper.  A rule
+# that rewrites itself can nest deeper at run time; the decoder reads that off
+# the rule tree's cached depth, two tree levels a rule level.  Parsing,
+# evaluation, encoding, decoding and trace serialization each recurse a few
+# frames per level; at this depth all of them stay well inside Python's
+# default recursion limit of 1000.
 MAX_NESTING = 64
 
 # -- raise and drop ---------------------------------------------------------------
@@ -200,15 +200,20 @@ def _encode_rule(r: Rule, node) -> Tree:
     raise ReflectError(f"cannot encode rule {r!r}")
 
 
-def _fail(path: tuple[int, ...], message: str):
-    at = ".".join(map(str, path)) or "root"
-    raise ReflectError(f"{message} (at node {at})")
+class _Fault(ReflectError):
+    """A malformed node at ``path``, which grows by the enclosing positions as the fault rises."""
+
+    def __init__(self, path: Path, message: str):
+        self.path, self.message = path, message
+
+    def __str__(self) -> str:
+        return f"{self.message} (at {NodeRef(self.path)!r})"
 
 
 def _decode_term_value(value, path) -> Term:
     """The term a leaf's value stands for; a tree value is a constant, not a raised rule."""
     if value is None:
-        _fail(path, "term leaf carries no value")
+        raise _Fault(path, "term leaf carries no value")
     if isinstance(value, TreeValue):
         return Constant(value)
     return raise_(value)
@@ -216,88 +221,87 @@ def _decode_term_value(value, path) -> Term:
 
 def _decode_term_wrapper(t: Tree, path) -> tuple[Term, ...]:
     if t.label != L_TERM:
-        _fail(path, f"expected a term node, found {t.label!r}")
+        raise _Fault(path, f"expected a term node, found {t.label!r}")
     if t.is_leaf and t.value is not None:
         return (_decode_term_value(t.value, path),)
     terms = []
     for i, child in enumerate(t.children):
         if child.label != L_TERM or child.children:
-            _fail(path + (i,), "term list entries must be term leaves")
+            raise _Fault(path + (i,), "term list entries must be term leaves")
         terms.append(_decode_term_value(child.value, path + (i,)))
     return tuple(terms)
 
 
 def _decode_symbol_leaf(t: Tree, path) -> str:
     if t.label != L_FUNC or t.children or not isinstance(t.value, SymbolName):
-        _fail(path, "expected a func leaf holding a symbol name")
+        raise _Fault(path, "expected a func leaf holding a symbol name")
     return t.value.name
 
 
 def _decode_rule_wrapper(t: Tree, path) -> Rule:
     if t.label != L_RULE or len(t.children) != 1:
-        _fail(path, "expected a rule wrapper with one subtree")
-    return _decode_rule_at(t.children[0], path + (0,))
+        raise _Fault(path, "expected a rule wrapper with one subtree")
+    try:
+        return memoized(t.children[0], "_decoded_rule", _decode_rule_at)
+    except _Fault as fault:
+        fault.path = path + (0,) + fault.path
+        raise
 
 
-def _decode_rule_at(t: Tree, path) -> Rule:
-    if len(path) > 2 * MAX_NESTING:  # a rule wrapper and its content per level
-        raise ReflectError(f"rule nested deeper than {MAX_NESTING} levels")
+_RULE_ARITY = {L_UPDATE: 3, L_IF: 3, L_LET: 3, L_PARTIAL: 4}  # par takes any number
+
+
+def _decode_rule_at(t: Tree) -> Rule:
+    arity = _RULE_ARITY.get(t.label, len(t.children))
+    if len(t.children) != arity:
+        raise _Fault((), f"{t.label} node needs {arity} children, found {len(t.children)}")
     if t.label == L_UPDATE:
-        if len(t.children) != 3:
-            _fail(path, f"update node needs 3 children, found {len(t.children)}")
-        target = _decode_symbol_leaf(t.children[0], path + (0,))
-        args = _decode_term_wrapper(t.children[1], path + (1,))
-        rhs = _decode_term_wrapper(t.children[2], path + (2,))
+        target = _decode_symbol_leaf(t.children[0], (0,))
+        args = _decode_term_wrapper(t.children[1], (1,))
+        rhs = _decode_term_wrapper(t.children[2], (2,))
         if len(rhs) != 1:
-            _fail(path + (2,), "update right side must be a single term")
+            raise _Fault((2,), "update right side must be a single term")
         return Assign(target, args, rhs[0])
     if t.label == L_IF:
-        if len(t.children) != 3:
-            _fail(path, f"if node needs 3 children, found {len(t.children)}")
         cond_leaf = t.children[0]
         if cond_leaf.label != L_BOOL or cond_leaf.children:
-            _fail(path + (0,), "if condition must be a bool leaf")
-        cond = _decode_term_value(cond_leaf.value, path + (0,))
-        return If(
-            cond,
-            _decode_rule_wrapper(t.children[1], path + (1,)),
-            _decode_rule_wrapper(t.children[2], path + (2,)),
-        )
+            raise _Fault((0,), "if condition must be a bool leaf")
+        cond = _decode_term_value(cond_leaf.value, (0,))
+        return If(cond, *(_decode_rule_wrapper(t.children[i], (i,)) for i in (1, 2)))
     if t.label == L_PAR:
-        return Par(
-            tuple(
-                _decode_rule_wrapper(c, path + (i,)) for i, c in enumerate(t.children)
-            )
-        )
+        return Par(tuple(_decode_rule_wrapper(c, (i,)) for i, c in enumerate(t.children)))
     if t.label == L_LET:
-        if len(t.children) != 3:
-            _fail(path, f"let node needs 3 children, found {len(t.children)}")
-        var_terms = _decode_term_wrapper(t.children[0], path + (0,))
+        var_terms = _decode_term_wrapper(t.children[0], (0,))
         var = var_terms[0] if len(var_terms) == 1 else None
         if isinstance(var, Variable):
             name = var.name
         elif isinstance(var, FunctionApp) and not var.args:
             name = var.symbol
         else:
-            _fail(path + (0,), "let variable slot must hold a name")
-        bound = _decode_term_wrapper(t.children[1], path + (1,))
+            raise _Fault((0,), "let variable slot must hold a name")
+        bound = _decode_term_wrapper(t.children[1], (1,))
         if len(bound) != 1:
-            _fail(path + (1,), "let binds a single term")
-        return Let(name, bound[0], _decode_rule_wrapper(t.children[2], path + (2,)))
+            raise _Fault((1,), "let binds a single term")
+        return Let(name, bound[0], _decode_rule_wrapper(t.children[2], (2,)))
     if t.label == L_PARTIAL:
-        if len(t.children) != 4:
-            _fail(path, f"partial node needs 4 children, found {len(t.children)}")
-        target = _decode_symbol_leaf(t.children[0], path + (0,))
-        op = _decode_symbol_leaf(t.children[1], path + (1,))
-        args = _decode_term_wrapper(t.children[2], path + (2,))
-        operands = _decode_term_wrapper(t.children[3], path + (3,))
+        target, op = (_decode_symbol_leaf(t.children[i], (i,)) for i in (0, 1))
+        args, operands = (_decode_term_wrapper(t.children[i], (i,)) for i in (2, 3))
         return PartialAssign(target, args, op, operands)
-    _fail(path, f"label {t.label!r} does not start a rule encoding")
+    raise _Fault((), f"label {t.label!r} does not start a rule encoding")
 
 
-def decode_rule(t: Tree) -> Rule:
-    """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism)."""
-    return memoized(t, "_decoded_rule", lambda t: _decode_rule_at(t, ()))
+def decode_rule(t: Tree, at: Path = ()) -> Rule:
+    """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism), each rule node once.
+
+    A fault names its node as ``node@p`` below ``at``, the tree's position in ``self``.
+    """
+    if t.depth > 2 * MAX_NESTING + 2:
+        raise ReflectError(f"rule nested deeper than {MAX_NESTING} levels")
+    try:
+        return memoized(t, "_decoded_rule", _decode_rule_at)
+    except _Fault as fault:
+        fault.path = at + fault.path
+        raise
 
 
 def is_rule_encoding(t: Tree) -> bool:
@@ -334,17 +338,17 @@ def _decode_signature(t: Tree) -> Signature:
         raise ReflectError(f"expected a signature tree, found {t.label!r}")
     symbols = []
     for i, entry in enumerate(t.children):
+        at = SIGNATURE_AT + (i,)
         # two children and three nodes: the children are leaves
         if entry.label != L_FUNC or len(entry.children) != 2 or entry.size != 3:
-            _fail((i,), "signature entries must be func nodes with name and arity")
+            raise _Fault(at, "signature entries must be func nodes with name and arity")
         name_leaf, arity_leaf = entry.children
         if name_leaf.label != L_NAME or not isinstance(name_leaf.value, SymbolName):
-            _fail((i, 0), "func entry needs a name leaf holding a symbol name")
+            raise _Fault(at + (0,), "func entry needs a name leaf holding a symbol name")
         if arity_leaf.label != L_ARITY or not isinstance(arity_leaf.value, NatVal):
-            _fail((i, 1), "func entry needs an arity leaf holding a natural number")
+            raise _Fault(at + (1,), "func entry needs an arity leaf holding a natural number")
         symbols.append(FunctionSymbol(name_leaf.value.name, arity_leaf.value.n))
-    names = [s.name for s in symbols]
-    if len(set(names)) != len(names):
+    if len({s.name for s in symbols}) != len(symbols):
         raise ReflectError("signature tree declares a symbol twice")
     return Signature(tuple(symbols))
 
@@ -357,6 +361,9 @@ def build_self_tree(sig: Signature, rule: Rule) -> Tree:
 
 # -- selectors on the self tree --------------------------------------------------------
 
+SIGNATURE_AT: Path = (0,)
+RULE_AT: Path = (1, 0)
+
 
 def _regions(t: Tree) -> tuple[Tree, Tree]:
     """The signature tree and the rule tree of a self tree laid out as the module docstring says."""
@@ -366,7 +373,7 @@ def _regions(t: Tree) -> tuple[Tree, Tree]:
         raise ReflectError(f"expected self<signature<...>, rule<R>>, found {found}")
     if len(t.children[1].children) != 1:
         raise ReflectError("the rule wrapper of a self tree must hold exactly one subtree")
-    return t.children[0], t.children[1].children[0]
+    return t.find(SIGNATURE_AT), t.find(RULE_AT)
 
 
 def signature_of_self(t: Tree) -> Tree:
@@ -399,10 +406,7 @@ def _beta_rule(rule: Rule, env: dict[str, Term]) -> tuple[Term, ...]:
             + _beta_rule(rule.orelse, env)
         )
     if isinstance(rule, Par):
-        out: tuple[Term, ...] = ()
-        for b in rule.branches:
-            out = out + _beta_rule(b, env)
-        return out
+        return tuple(t for b in rule.branches for t in _beta_rule(b, env))
     if isinstance(rule, Let):
         bound = _subst_env(rule.bound, env)
         inner = dict(env)
@@ -470,7 +474,7 @@ def new_function(
     allocator = allocator or ReserveAllocator()
     name = allocator.fresh(state.signature.names())
     entry = _signature_entry(FunctionSymbol(name, arity), Tree)
-    update = SharedUpdate(NodeRef((0,)), "right_extend", (TreeValue(entry),))
+    update = SharedUpdate(NodeRef(SIGNATURE_AT), "right_extend", (TreeValue(entry),))
     return SymbolName(name), update
 
 
@@ -491,20 +495,17 @@ def _require_self_shaped(t: Tree, what: str) -> None:
         raise TreeError(f"{what} is not a self-representation tree")
 
 
-# Paths of the signature and of the rule content: the subtrees a difference
-# term builds node by node.
-_DIFF_ROOTS: tuple[Path, ...] = ((0,), (1, 0))
-
-
 def _label_hedge(label: str, parts: tuple[Term, ...]) -> Term:
     return FunctionApp("label_hedge", (Constant(Atom(label)),) + parts)
 
 
-def _node_terms(t: Tree):
-    """``node_term(node2, path2)``: a term for the node ``node2`` at ``path2`` of a new self tree.
+def _node_terms(t: Tree, t2: Tree):
+    """``node_term(node2, path2)``: a term for the node ``node2`` at ``path2`` of ``t2``.
 
-    The term evaluates to ``node2`` in a state whose ``self`` holds ``t``.
+    Both trees must be self-shaped; the term evaluates to ``node2`` where ``self`` holds ``t``.
     """
+    _require_self_shaped(t, "first tree")
+    _require_self_shaped(t2, "second tree")
     # The first preorder path of each distinct subtree below the rule wrapper.
     # The subtrees of an equal tree met earlier are already indexed, so the
     # walk descends into each distinct subtree once.  Both walks are module
@@ -561,10 +562,8 @@ def tree_diff(t: Tree, t2: Tree) -> Term:
     subtree and a leaf are literals; any other node is rebuilt by
     ``label_hedge`` from its children's terms.
     """
-    _require_self_shaped(t, "first tree")
-    _require_self_shaped(t2, "second tree")
-    node_term = _node_terms(t)
-    sig, rule = (node_term(t2.find(p), p) for p in _DIFF_ROOTS)
+    node_term = _node_terms(t, t2)
+    sig, rule = (node_term(t2.find(p), p) for p in (SIGNATURE_AT, RULE_AT))
     return _label_hedge(L_SELF, (sig, _label_hedge(L_RULE, (rule,))))
 
 
@@ -586,9 +585,7 @@ def tree_update_rule(t: Tree, t2: Tree) -> Par:
     a state whose ``self`` holds ``t``, the rule's update multiset collapses
     to exactly the single update assigning ``t2`` to ``self``.
     """
-    _require_self_shaped(t, "first tree")
-    _require_self_shaped(t2, "second tree")
-    node_term = _node_terms(t)
+    node_term = _node_terms(t, t2)
     branches: list[Rule] = []
 
     def emit(node2: Tree, path2: Path) -> None:
@@ -599,6 +596,6 @@ def tree_update_rule(t: Tree, t2: Tree) -> Par:
             for i, c in enumerate(node2.children):
                 emit(c, path2 + (i,))
 
-    for path in _DIFF_ROOTS:
+    for path in (SIGNATURE_AT, RULE_AT):
         emit(t2.find(path), path)
     return Par(tuple(branches))

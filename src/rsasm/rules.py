@@ -176,12 +176,6 @@ class UpdateMultiset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def union(self, other: "UpdateMultiset") -> "UpdateMultiset":
-        return UpdateMultiset(self.entries + other.entries)
-
-
-EMPTY_MULTISET = UpdateMultiset(())
-
 
 @dataclass(frozen=True)
 class ClashReport:
@@ -218,39 +212,40 @@ def _target_location(
 def compute_update_multiset(
     rule: Rule, state: State, env: dict[str, Value] | None = None
 ) -> UpdateMultiset:
-    """The update multiset a rule yields in a state."""
+    """The update multiset a rule yields in a state, its entries in traversal order."""
+    entries: list[Entry] = []
+    _collect_updates(rule, state, env, entries)
+    return UpdateMultiset(tuple(entries))
+
+
+def _collect_updates(
+    rule: Rule, state: State, env: dict[str, Value] | None, out: list[Entry]
+) -> None:
+    """Append the updates ``rule`` yields in ``state`` to ``out``."""
     if isinstance(rule, Assign):
         loc = _target_location(rule.target, rule.args, state, env)
-        value = eval_term(state, rule.rhs, env)
-        return UpdateMultiset((Update(loc, value),))
-
-    if isinstance(rule, If):
+        out.append(Update(loc, eval_term(state, rule.rhs, env)))
+    elif isinstance(rule, If):
         cond = eval_term(state, rule.cond, env)
         if not isinstance(cond, BoolVal):
             raise RuleError(f"branch condition evaluated to non-Boolean {cond!r}")
-        branch = rule.then if cond.flag else rule.orelse
-        return compute_update_multiset(branch, state, env)
-
-    if isinstance(rule, Par):
-        out = EMPTY_MULTISET
+        _collect_updates(rule.then if cond.flag else rule.orelse, state, env, out)
+    elif isinstance(rule, Par):
         for b in rule.branches:
-            out = out.union(compute_update_multiset(b, state, env))
-        return out
-
-    if isinstance(rule, Let):
+            _collect_updates(b, state, env, out)
+    elif isinstance(rule, Let):
         value = eval_term(state, rule.bound, env)
         inner = dict(env) if env else {}
         inner[rule.var] = value
-        return compute_update_multiset(rule.body, state, inner)
-
-    if isinstance(rule, PartialAssign):
+        _collect_updates(rule.body, state, inner, out)
+    elif isinstance(rule, PartialAssign):
         if rule.op not in COLLAPSE_OPERATORS:
             raise RuleError(f"operator {rule.op!r} is not registered")
         loc = _target_location(rule.target, rule.args, state, env)
         vals = tuple(eval_term(state, a, env) for a in rule.operands)
-        return UpdateMultiset((SharedUpdate(loc, rule.op, vals),))
-
-    raise RuleError(f"unknown rule {rule!r}")
+        out.append(SharedUpdate(loc, rule.op, vals))
+    else:
+        raise RuleError(f"unknown rule {rule!r}")
 
 
 # -- sublocation normalization --------------------------------------------------------

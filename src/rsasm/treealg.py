@@ -56,18 +56,18 @@ class Tree:
             raise TreeError("tree children must be a tuple")
         if self.children and self.value is not None:
             raise TreeError(f"interior node {self.label!r} cannot carry a leaf value")
-        size = 1 + sum(c.size for c in self.children)
-        object.__setattr__(self, "_size", size)
-        h = hash((self.label, self.value, tuple(c._hash for c in self.children)))
-        object.__setattr__(self, "_hash", h)
+        size, depth, hashes = 1, 0, []
+        for c in self.children:
+            size += c.size
+            depth = max(depth, c.depth + 1)
+            hashes.append(c._hash)
+        # Cached so no reader re-walks the tree: nodes, edges to the deepest leaf, hash.
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "_hash", hash((self.label, self.value, tuple(hashes))))
 
-    # Structural hash cached at construction; avoids re-walking the tree.
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
-
-    @property
-    def size(self) -> int:
-        return self._size  # type: ignore[attr-defined]
 
     @property
     def is_leaf(self) -> bool:
@@ -142,16 +142,16 @@ def interner():
 
 
 def memoized(t, key: str, compute):
-    """``compute(t)``, computed once per object and kept on it.
+    """``compute(t)``, computed once per object and kept on it; it is never None.
 
-    ``t`` is an immutable object with a ``__dict__`` (a tree or a term),
-    so the result lives exactly as long as the object; an object whose
-    computation raises raises again on every call.
+    ``t`` is an immutable tree or term, so the result lives exactly as long as
+    the object; a computation that raises raises again on every call.  The memo
+    is an attribute, since reading ``t.__dict__`` would slow every later read.
     """
-    memo = t.__dict__
-    if key not in memo:
-        object.__setattr__(t, key, compute(t))
-    return memo[key]
+    value = getattr(t, key, None)
+    if value is None:
+        object.__setattr__(t, key, value := compute(t))
+    return value
 
 
 Hedge = tuple[Tree, ...]

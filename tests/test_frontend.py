@@ -282,18 +282,25 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     nested = tmp_path / "nested.json"
     nested.write_text(json.dumps(trace_obj).replace('"THETA"', deep))
     unwritable = str(tmp_path / "no" / "such" / "dir" / "t.json")
-    cases = (
-        (["run", str(not_utf8)], 2),
-        (["check", str(not_utf8)], 1),
-        (["run", _program_path("parity"), "--trace", unwritable], 2),
-        (["diff-self", str(nested), "0", "1"], 2),
+    fresh = tmp_path / "fresh.json"
+    at_line_4 = f"{not_utf8}: not UTF-8 at byte 0xff (line 4, column 8)"
+    cases = (  # each command, its exit code and what its error line names
+        (["run", str(not_utf8)], 2, at_line_4),
+        (["check", str(not_utf8)], 1, at_line_4),
+        (["run", str(not_utf8), "--trace", str(fresh)], 2, at_line_4),
+        (["run", _program_path("parity"), "--trace", unwritable], 2, unwritable),
+        (["run", str(not_utf8), "--trace", unwritable], 2, unwritable),  # before the parse
+        (["diff-self", str(nested), "0", "1"], 2, "nested too deeply"),
     )
     capsys.readouterr()
-    for argv, code in cases:
+    for argv, code, named in cases:
         assert cli_main(argv) == code, argv
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "Traceback" not in err
+        assert named in err and "Traceback" not in err, argv
+        assert captured.out == "", argv
+    assert not fresh.exists()  # the trace path was checked, but nothing ran
 
 
 def _corrupt_theta(trace_obj):
@@ -419,7 +426,7 @@ RUN_ERRORS = {
     ),
     "empty_let_slot": (
         EMPTY_LET_SLOT_PROGRAM,
-        "step 2: let variable slot must hold a name (at node 1.0.2.0.0)",
+        "step 2: let variable slot must hold a name (at node@1.0.1.0.2.0.0)",
     ),
     "self_nesting": (
         SELF_NESTING_PROGRAM,
@@ -622,6 +629,58 @@ def test_programs_at_the_nesting_cap_parse_run_and_serialize_their_trace():
     for too_deep in (_nested_ifs(ifs + 1), _nested_sums(sums + 1)):
         with pytest.raises(ParseError):
             parse(too_deep)
+
+
+RULE_NESTINGS = {
+    "if": "IF x = 0 THEN {body} ENDIF",
+    "par": "PAR {body} ENDPAR",
+    "let": "LET v{i} = x IN {body}",
+}
+
+
+def _nested_rules(wrap: str, levels: int) -> str:
+    """``levels`` rules, each but the innermost (an empty PAR) wrapping the next in ``wrap``."""
+    body = "PAR ENDPAR"
+    for i in range(levels - 1):
+        body = wrap.format(i=i, body=body)
+    return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  {body}\n"
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_NESTINGS))
+def test_every_program_at_the_rule_nesting_cap_decodes(kind):
+    source = _nested_rules(RULE_NESTINGS[kind], MAX_NESTING)
+    machine = parse(source)
+    rule_tree = rule_of_self(machine.initial_state.self_tree)
+    assert rule_tree.depth == 2 * (MAX_NESTING - 1)  # a wrapper and a rule per level below the root
+    assert decode_rule(rule_tree) == parse_program(source).rule
+    assert run(machine).status == "fixpoint"
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse(_nested_rules(RULE_NESTINGS[kind], MAX_NESTING + 1))
+
+
+RAISED_DEEP_TREE_PROGRAM = """
+SIGNATURE
+  x/0
+  y/0
+  n/0
+INIT
+  n = 0
+RULE
+  PAR
+    n := n + 1
+    IF n = 0 THEN x := par<> ELSE
+      IF n = 600 THEN y := RAISE(x) ELSE x := label_hedge(par, label_hedge(rule, x)) ENDIF
+    ENDIF
+  ENDPAR
+"""
+
+
+def test_raising_a_value_tree_built_over_600_steps_ends_the_run_in_error():
+    trace = run(parse(RAISED_DEEP_TREE_PROGRAM))
+    assert (trace.status, len(trace.steps)) == ("error", 600)
+    assert trace.detail == f"step 601: rule nested deeper than {MAX_NESTING} levels"
+    x = trace.final_state.value_at(Location("x"))
+    assert x.tree.depth == 2 * 599
 
 
 def test_a_sum_chain_at_the_nesting_cap_parses_runs_and_serializes_its_trace():

@@ -1,6 +1,7 @@
 """Encoding round-trips, raise/drop, extraction, selectors, reserve allocation."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from conftest import make_state, random_rule, random_self_tree, random_signature
 from rsasm import generate
 from rsasm.errors import ReflectError, TreeError
 from rsasm.reflect import (
+    MAX_NESTING,
+    RULE_AT,
     ReserveAllocator,
     beta,
     build_self_tree,
@@ -111,6 +114,96 @@ def test_decoding_is_memoized_per_tree_object():
         rebuilt = encode_rule(rule)
         assert rebuilt is not rule_tree
         assert decode_rule(rebuilt) == rule
+
+
+def _rule_nodes(t: Tree, rule):
+    """Each rule node of the rule tree ``t`` with the rule decoded for it inside ``rule``."""
+    yield t, rule
+    if isinstance(rule, If):
+        inner = ((1, rule.then), (2, rule.orelse))
+    elif isinstance(rule, Par):
+        inner = enumerate(rule.branches)
+    elif isinstance(rule, Let):
+        inner = ((2, rule.body),)
+    else:
+        inner = ()
+    for i, sub in inner:
+        yield from _rule_nodes(t.children[i].children[0], sub)
+
+
+def test_every_rule_subtree_is_decoded_once():
+    rng = random.Random(11)
+    for _ in range(20):
+        rule_tree = rule_of_self(random_self_tree(rng, extra_symbols=2))
+        for node, rule in _rule_nodes(rule_tree, decode_rule(rule_tree, RULE_AT)):
+            assert decode_rule(node) is rule
+        # a par grown on the right, as a splice grows it, keeps its old branches' rules
+        par = Tree("par", (Tree("rule", (rule_tree,)),))
+        grown = Tree("par", par.children + (Tree("rule", (encode_rule(Par(())),)),))
+        assert decode_rule(grown).branches[0] is decode_rule(par).branches[0]
+
+
+def _nested_pars(rule_tree: Tree, levels: int) -> Tree:
+    for _ in range(levels):
+        rule_tree = Tree("par", (Tree("rule", (rule_tree,)),))
+    return rule_tree
+
+
+def test_a_shared_rule_subtree_counts_at_its_deepest_occurrence():
+    # ``x := 1`` is one tree level high, so 60 levels of par make a tree 121 deep
+    shared = _nested_pars(encode_rule(Assign("x", (), Constant(NatVal(1)))), 60)
+    assert shared.depth == 2 * 60 + 1
+    decode_rule(shared)  # memoized on the shared subtree before it is met deeper
+    for extra, fits in ((3, True), (4, False)):
+        # the shallow occurrence fits; the deeper one sits 2 + 2 * extra levels down
+        tree = Tree("par", (Tree("rule", (shared,)), Tree("rule", (_nested_pars(shared, extra),))))
+        assert tree.depth == 2 + 2 * extra + shared.depth
+        if fits:
+            assert len(decode_rule(tree).branches) == 2
+        else:
+            with pytest.raises(ReflectError, match=f"rule nested deeper than {MAX_NESTING} levels"):
+                decode_rule(tree)
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_a_rule_tree_too_deep_is_rejected_before_the_decoder_recurses():
+    deep, fault = _nested_pars(Tree("par"), 600), None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 20)  # a few levels of decoding would pass it
+    try:
+        decode_rule(deep)
+    except (ReflectError, RecursionError) as exc:
+        fault = exc
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(fault, ReflectError)
+    assert str(fault) == f"rule nested deeper than {MAX_NESTING} levels"
+
+
+def test_decode_faults_name_their_node_from_the_root_of_self():
+    entry = encode_signature(Signature((SELF_SYMBOL,))).children[0]
+    unnamed = Tree("func", (Tree("name", (), NatVal(0)), entry.children[1]))
+    cases = (
+        (Tree("signature", (entry, Tree("func"))), "entries must be func nodes", "0.1"),
+        (Tree("signature", (entry, entry, unnamed)), "needs a name leaf", "0.2.0"),
+    )
+    for signature, message, at in cases:
+        with pytest.raises(ReflectError, match=rf"{message}.* \(at node@{at}\)$"):
+            decode_signature(signature)
+    two_sides = Tree("term", (Tree("term", (), NatVal(1)), Tree("term", (), NatVal(2))))
+    update = Tree("update", (Tree("func", (), SymbolName("x")), Tree("term"), two_sides))
+    bad_rule = Tree("par", (Tree("rule", (encode_rule(Par(())),)), Tree("rule", (update,))))
+    # the rule of a self tree is named from the root of self, a tree on its own from its root
+    for at, named in (((), "node@1.0.2"), (RULE_AT, "node@1.0.1.0.2")):
+        with pytest.raises(ReflectError) as info:
+            decode_rule(bad_rule, at)
+        assert str(info.value) == f"update right side must be a single term (at {named})"
 
 
 def test_malformed_tree_fails_on_every_decode():
