@@ -211,12 +211,9 @@ def _subtree(state, vals, reads):
 def _context_of(state, vals, reads):
     tree = _self_tree(state, reads)
     p1, p2 = _node(vals[0], "context_of"), _node(vals[1], "context_of")
-    if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
+    if len(p1) >= len(p2) or p2[: len(p1)] != p1 or tree.find(p2) is None:
         return UNDEF
-    sub, rel = tree.find(p1), p2[len(p1) :]
-    if sub is None or sub.find(rel) is None:
-        return UNDEF
-    return TreeValue(treealg.punch_hole(sub, rel).tree)
+    return TreeValue(treealg.context_of(tree, p1, p2).tree)
 
 
 # -- tree construction functions: thin adapters over the tree algebra ----------
@@ -375,4 +372,4 @@ def apply_operator(state: State, op, current: Value, args: tuple[Value, ...]) ->
         new_sub = _apply_named(state, op.inner, TreeValue(node), args)
         if not isinstance(new_sub, TreeValue):
             raise OperatorFailure(f"operator {op.inner!r} did not produce a tree")
-    return TreeValue(treealg._replace_at_path(current.tree, op.path, new_sub.tree))
+    return TreeValue(treealg.subst_tt(current.tree, op.path, new_sub.tree))

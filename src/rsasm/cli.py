@@ -3,12 +3,12 @@
 Exit codes: ``run`` gives 2 on a parse or I/O error (a program file that is
 not UTF-8, a trace path that cannot be written, found before the program is
 read) and on a ``--dump-self`` step outside the trace, 1 on a runtime error,
-on a value nested too deeply to print (then it prints and writes nothing
-else) or, with ``--strict``, a clash, and 0 otherwise; ``check`` gives 1 on a
-parse or read error; ``probe`` gives 1 when a probe finds a violation;
-``diff-self`` gives 2 on an unreadable trace (one nested too deeply included),
-one that is not format 3, or one whose replayed self trees do not match their
-digests.
+on a value nested too deeply to print (then it prints nothing else and
+leaves no file at the ``--trace`` path) or, with ``--strict``, a clash, and
+0 otherwise; ``check`` gives 1 on a parse or read error; ``probe`` gives 1
+when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace
+(one nested too deeply included), one that is not format 3, or one whose
+replayed self trees do not match their digests.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def _cmd_run(args) -> int:
     except RecursionError:
         ended = f"the run ended {trace.status} after {len(trace.steps)} step(s)"
         print(f"error: {ended}, but a value is nested too deeply to print", file=sys.stderr)
+        if args.trace and os.path.exists(args.trace):
+            os.remove(args.trace)  # an earlier run's trace must not pass for this one's
         return 1
     if trace_text is not None:
         try:
@@ -80,8 +82,7 @@ def _cmd_run(args) -> int:
         print(f"error: {trace.detail}", file=sys.stderr)
         if trace.detail == "clash_stall":
             clash = trace.steps[-1].result
-            at = "" if clash.location is None else f" at {clash.location!r}"
-            print(f"clash{at}: {clash.reason}", file=sys.stderr)
+            print(f"clash at {clash.location!r}: {clash.reason}", file=sys.stderr)
         return 1
     if args.strict and any(s.clashed for s in trace.steps):
         return 1

@@ -110,9 +110,7 @@ class StepRecord:
             )
         else:
             obj["clash"] = {
-                "location": None
-                if self.result.location is None
-                else location_to_json(self.result.location),
+                "location": location_to_json(self.result.location),
                 "reason": self.result.reason,
             }
         obj["shared"] = sorted(

@@ -249,9 +249,12 @@ def _decode_rule_wrapper(t: Tree, path) -> Rule:
 
 
 _RULE_ARITY = {L_UPDATE: 3, L_IF: 3, L_LET: 3, L_PARTIAL: 4}  # par takes any number
+_RULE_LABELS = frozenset(_RULE_ARITY) | {L_PAR}
 
 
 def _decode_rule_at(t: Tree) -> Rule:
+    if t.label not in _RULE_LABELS:
+        raise _Fault((), f"label {t.label!r} does not start a rule encoding")
     arity = _RULE_ARITY.get(t.label, len(t.children))
     if len(t.children) != arity:
         raise _Fault((), f"{t.label} node needs {arity} children, found {len(t.children)}")
@@ -283,19 +286,19 @@ def _decode_rule_at(t: Tree) -> Rule:
         if len(bound) != 1:
             raise _Fault((1,), "let binds a single term")
         return Let(name, bound[0], _decode_rule_wrapper(t.children[2], (2,)))
-    if t.label == L_PARTIAL:
-        target, op = (_decode_symbol_leaf(t.children[i], (i,)) for i in (0, 1))
-        args, operands = (_decode_term_wrapper(t.children[i], (i,)) for i in (2, 3))
-        return PartialAssign(target, args, op, operands)
-    raise _Fault((), f"label {t.label!r} does not start a rule encoding")
+    target, op = (_decode_symbol_leaf(t.children[i], (i,)) for i in (0, 1))
+    args, operands = (_decode_term_wrapper(t.children[i], (i,)) for i in (2, 3))
+    return PartialAssign(target, args, op, operands)
 
 
 def decode_rule(t: Tree, at: Path = ()) -> Rule:
     """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism), each rule node once.
 
     A fault names its node as ``node@p`` below ``at``, the tree's position in ``self``.
+    A root whose label starts no rule fails on that label, before any recursion,
+    however deep the tree.
     """
-    if t.depth > 2 * MAX_NESTING + 2:
+    if t.label in _RULE_LABELS and t.depth > 2 * MAX_NESTING + 2:
         raise ReflectError(f"rule nested deeper than {MAX_NESTING} levels")
     try:
         return memoized(t, "_decoded_rule", _decode_rule_at)

@@ -34,7 +34,6 @@ from .structures import (
     Value,
     canonical_dumps,
     eval_term,
-    is_consistent,
     location_sort_key,
     location_to_json,
     term_substitute,
@@ -181,7 +180,7 @@ class UpdateMultiset:
 class ClashReport:
     """Why a multiset failed to collapse; the engine keeps the state unchanged."""
 
-    location: Location | None
+    location: Location
     reason: str
 
 
@@ -418,10 +417,7 @@ def collapse(m: UpdateMultiset, state: State) -> UpdateSet | ClashReport:
         except (_Clash, OperatorFailure) as exc:
             return ClashReport(loc, str(exc))
         updates.add(Update(loc, value))
-    result = UpdateSet(frozenset(updates))
-    if not is_consistent(result):
-        return ClashReport(None, "collapsed set is inconsistent")
-    return result
+    return UpdateSet(frozenset(updates))
 
 
 def execute(rule: Rule, state: State) -> tuple[UpdateSet | ClashReport, UpdateMultiset]:

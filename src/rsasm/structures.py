@@ -253,9 +253,6 @@ class Signature:
     def names(self) -> frozenset[str]:
         return frozenset(self._arities)  # type: ignore[attr-defined]
 
-    def with_added(self, *symbols: FunctionSymbol) -> "Signature":
-        return Signature(self.symbols + symbols)
-
     def is_subsignature_of(self, other: "Signature") -> bool:
         return all(other.arity_of(s.name) == s.arity for s in self.symbols)
 
@@ -900,7 +897,7 @@ def _iota(term: Iota, signature: Signature) -> Compiled:
         if domain == NODES_DOMAIN:
             if reads is not None:
                 reads.add(SELF_LOCATION)
-            return (NodeRef(path) for _, path, _ in state.self_tree.preorder())
+            return (NodeRef(path) for path, _ in state.self_tree.preorder())
         members = state.background.domain(domain)
         if members is None:
             raise EvalError(f"unknown search domain {domain!r}")

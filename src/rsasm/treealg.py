@@ -1,10 +1,11 @@
 """Unranked labelled trees, hedges, contexts, substitutions, and the tree algebra.
 
-Trees are immutable recursive values.  Node identifiers are preorder indices
-derived from the structure, so every operator output automatically carries
-fresh identifiers, and value equality is isomorphism of ordered labelled
-value-carrying trees.  Leaf values are opaque to this module; a leaf may also
-carry no value at all (it then reads as undefined at higher layers).
+Trees are immutable recursive values.  A node is its path, the child indices
+that lead to it from the root: the selectors and substitutions take paths, so
+every operator output carries its own addresses.  Value equality is
+isomorphism of ordered labelled value-carrying trees.  Leaf values are opaque
+to this module; a leaf may also carry no value at all (it then reads as
+undefined at higher layers).
 
 A context is a tree with exactly one leaf carrying the reserved hole label;
 the hole leaf never carries a value.
@@ -73,29 +74,15 @@ class Tree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    # -- node addressing: preorder index <-> path ----------------------------
+    # -- node addressing: a node is its path ---------------------------------
 
     def preorder(self):
-        """Yield (node_id, path, subtree) in preorder; node_id is 0-based."""
+        """Yield (path, subtree) for every node in preorder; a node is its path."""
         stack: list[tuple[Path, Tree]] = [((), self)]
-        nid = 0
         while stack:
             path, node = stack.pop()
-            yield nid, path, node
-            nid += 1
+            yield path, node
             stack.extend(reversed([(path + (i,), c) for i, c in enumerate(node.children)]))
-
-    def path_of(self, o: int) -> Path:
-        for nid, path, _ in self.preorder():
-            if nid == o:
-                return path
-        raise TreeError(f"no node with id {o} (tree has {self.size} nodes)")
-
-    def node_at(self, o: int) -> "Tree":
-        for nid, _, node in self.preorder():
-            if nid == o:
-                return node
-        raise TreeError(f"no node with id {o} (tree has {self.size} nodes)")
 
     def find(self, path: Path) -> "Tree | None":
         """The node at ``path``, or None if the path leaves the tree."""
@@ -107,14 +94,6 @@ class Tree:
                 node = node.children[i]
         except IndexError:
             return None
-        return node
-
-    def node_at_path(self, path: Path) -> "Tree":
-        """The node at ``path``; a path that leaves the tree raises TreeError."""
-        node = self.find(path)
-        if node is None:
-            depth = next(d for d in range(len(path)) if self.find(path[: d + 1]) is None)
-            raise TreeError(f"path {path} leaves the tree at index {path[depth]}")
         return node
 
 
@@ -174,7 +153,7 @@ class Context:
     def __post_init__(self) -> None:
         holes = [
             (path, node)
-            for _, path, node in self.tree.preorder()
+            for path, node in self.tree.preorder()
             if node.label == XI
         ]
         if len(holes) != 1:
@@ -213,41 +192,39 @@ def _replace_at_path(t: Tree, path: Path, repl: Tree | Hedge) -> Tree:
     return Tree(t.label, new_kids, t.value)
 
 
-def punch_hole(t: Tree, path: Path) -> Context:
-    """The context obtained from ``t`` by replacing the subtree at ``path`` by the hole."""
-    return Context(_replace_at_path(t, path, _HOLE_LEAF))
-
-
 # -- selectors ----------------------------------------------------------------
 
 
-def subtree(t: Tree, o: int) -> Tree:
-    """The largest subtree rooted at node ``o``."""
-    return t.node_at(o)
+def subtree(t: Tree, p: Path) -> Tree:
+    """The largest subtree rooted at node ``p``; a path that leaves the tree raises TreeError."""
+    node = t.find(p)
+    if node is None:
+        depth = next(d for d in range(len(p)) if t.find(p[: d + 1]) is None)
+        raise TreeError(f"path {p} leaves the tree at index {p[depth]}")
+    return node
 
 
-def context_of(t: Tree, o1: int, o2: int) -> Context:
-    """The context obtained from the subtree at ``o1`` by punching out ``o2``.
+def context_of(t: Tree, p1: Path, p2: Path) -> Context:
+    """The context obtained from the subtree at ``p1`` by punching out ``p2``.
 
-    Requires ``o1`` to be a strict ancestor of ``o2``.
+    Requires ``p1`` to be a strict ancestor of ``p2``.
     """
-    p1, p2 = t.path_of(o1), t.path_of(o2)
     if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
-        raise TreeError(f"node {o1} is not a strict ancestor of node {o2}")
-    return punch_hole(t.node_at_path(p1), p2[len(p1) :])
+        raise TreeError(f"node {p1} is not a strict ancestor of node {p2}")
+    return subst_tc(subtree(t, p1), p2[len(p1) :])
 
 
 # -- the four substitutions ---------------------------------------------------
 
 
-def subst_tt(t1: Tree, o: int, t2: Tree) -> Tree:
-    """Replace the subtree of ``t1`` rooted at ``o`` by ``t2``."""
-    return _replace_at_path(t1, t1.path_of(o), t2)
+def subst_tt(t1: Tree, p: Path, t2: Tree) -> Tree:
+    """Replace the subtree of ``t1`` rooted at ``p`` by ``t2``."""
+    return _replace_at_path(t1, p, t2)
 
 
-def subst_tc(t1: Tree, o: int, c: Context = TRIVIAL_CONTEXT) -> Context:
-    """Replace the subtree of ``t1`` rooted at ``o`` by a context (default: the hole)."""
-    return Context(_replace_at_path(t1, t1.path_of(o), c.tree))
+def subst_tc(t1: Tree, p: Path, c: Context = TRIVIAL_CONTEXT) -> Context:
+    """Replace the subtree of ``t1`` rooted at ``p`` by a context (default: the hole)."""
+    return Context(_replace_at_path(t1, p, c.tree))
 
 
 def subst_cc(c1: Context, c2: Context) -> Context:

@@ -82,8 +82,8 @@ def random_tree(rng: random.Random, max_nodes: int = 20) -> Tree:
 
 def random_context(rng: random.Random, max_nodes: int = 20) -> Context:
     tree = random_tree(rng, max_nodes)
-    leaf_ids = [nid for nid, _, node in tree.preorder() if node.is_leaf]
-    target = rng.choice(leaf_ids)
+    leaf_paths = [path for path, node in tree.preorder() if node.is_leaf]
+    target = rng.choice(leaf_paths)
     from rsasm.treealg import subst_tc
 
     return subst_tc(tree, target)

@@ -105,7 +105,7 @@ def _eval_iota(state, term, env, reads):
     if term.domain == NODES_DOMAIN:
         if reads is not None:
             reads.add(SELF_LOCATION)
-        members = (NodeRef(path) for _, path, _ in state.self_tree.preorder())
+        members = (NodeRef(path) for path, _ in state.self_tree.preorder())
     else:
         members = state.background.domain(term.domain)
         if members is None:

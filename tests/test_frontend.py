@@ -451,6 +451,8 @@ def test_cli_run_reports_a_malformed_or_unprintable_run_without_a_traceback(
         monkeypatch.setattr("rsasm.cli.parse_file", lambda path, max_steps=None: machine)
     else:
         program.write_text(source)
+    if case == "too_deep_to_print" and fmt == "json":  # a stale trace from an earlier run
+        trace_path.write_text('{"old": 1}')
     argv = ["run", str(program), "--format", fmt, "--trace", str(trace_path)]
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
@@ -681,6 +683,31 @@ def test_raising_a_value_tree_built_over_600_steps_ends_the_run_in_error():
     assert trace.detail == f"step 601: rule nested deeper than {MAX_NESTING} levels"
     x = trace.final_state.value_at(Location("x"))
     assert x.tree.depth == 2 * 599
+
+
+RAISED_LABEL_CHAIN_PROGRAM = """
+SIGNATURE
+  x/0
+  y/0
+  n/0
+INIT
+  n = 0
+RULE
+  PAR
+    n := n + 1
+    IF n = 0 THEN x := a<> ELSE
+      IF n = {levels} THEN y := RAISE(x) ELSE x := label_hedge(a, x) ENDIF
+    ENDIF
+  ENDPAR
+"""
+
+
+@pytest.mark.parametrize("levels", [100, 300])
+def test_raising_a_label_chain_names_its_root_label_at_any_depth(levels):
+    trace = run(parse(RAISED_LABEL_CHAIN_PROGRAM.replace("{levels}", str(levels))))
+    assert (trace.status, len(trace.steps)) == ("error", levels)
+    assert trace.detail == f"step {levels + 1}: label 'a' does not start a rule encoding (at node@)"
+    assert trace.final_state.value_at(Location("x")).tree.depth == levels - 1
 
 
 def test_a_sum_chain_at_the_nesting_cap_parses_runs_and_serializes_its_trace():

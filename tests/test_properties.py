@@ -456,7 +456,7 @@ machine_self_trees = st.integers(0, 2**32 - 1).map(
 
 def _distinct(t: Tree) -> tuple[set, set]:
     """The distinct subtrees of ``t`` and the distinct node objects."""
-    nodes = [node for _, _, node in t.preorder()]
+    nodes = [node for _, node in t.preorder()]
     return set(nodes), {id(node) for node in nodes}
 
 

@@ -172,18 +172,33 @@ def _frames() -> int:
     return count
 
 
-def test_a_rule_tree_too_deep_is_rejected_before_the_decoder_recurses():
-    deep, fault = _nested_pars(Tree("par"), 600), None
+def _decode_fault_before_recursing(tree: Tree) -> Exception | None:
+    """What decoding ``tree`` raises when a few levels of decoding would exceed the stack."""
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frames() + 20)  # a few levels of decoding would pass it
+    sys.setrecursionlimit(_frames() + 20)
     try:
-        decode_rule(deep)
+        decode_rule(tree)
     except (ReflectError, RecursionError) as exc:
-        fault = exc
+        return exc
     finally:
         sys.setrecursionlimit(limit)
+    return None
+
+
+def test_a_rule_tree_too_deep_is_rejected_before_the_decoder_recurses():
+    fault = _decode_fault_before_recursing(_nested_pars(Tree("par"), 600))
     assert isinstance(fault, ReflectError)
     assert str(fault) == f"rule nested deeper than {MAX_NESTING} levels"
+
+
+def test_a_deep_tree_that_starts_no_rule_is_named_by_its_root_label_at_any_depth():
+    for levels in (100, 300, 600):
+        chain = Tree("a")
+        for _ in range(levels):
+            chain = Tree("a", (chain,))
+        fault = _decode_fault_before_recursing(chain)
+        assert isinstance(fault, ReflectError)
+        assert str(fault) == "label 'a' does not start a rule encoding (at node@)"
 
 
 def test_decode_faults_name_their_node_from_the_root_of_self():
@@ -454,7 +469,7 @@ def test_parity_rule_encoding_contains_right_extend_partial():
     tree = machine.initial_state.self_tree
     partial_ops = [
         node.children[1].value
-        for _, _, node in tree.preorder()
+        for _, node in tree.preorder()
         if node.label == "partial" and len(node.children) == 4
     ]
     assert SymbolName("right_extend") in partial_ops

@@ -40,7 +40,7 @@ from rsasm.structures import (
     Variable,
     is_consistent,
 )
-from rsasm.treealg import Tree
+from rsasm.treealg import Tree, subtree
 
 
 def test_assign_yields_single_update():
@@ -191,8 +191,8 @@ def test_sibling_node_updates_are_compatible_in_both_orders():
     (update,) = tuple(result_a)
     assert update.location == SELF_LOCATION
     new_tree = update.value.tree
-    assert new_tree.node_at_path((1, 0, 0)) == t1
-    assert new_tree.node_at_path((1, 0, 1)) == t2
+    assert subtree(new_tree, (1, 0, 0)) == t1
+    assert subtree(new_tree, (1, 0, 1)) == t2
 
 
 def test_ancestor_descendant_with_unequal_effect_clashes():
@@ -223,7 +223,7 @@ def test_ancestor_descendant_with_equal_effect_collapses():
     result = collapse(m, state)
     assert isinstance(result, UpdateSet)
     (update,) = tuple(result)
-    assert update.value.tree.node_at_path((1, 0, 0)) == ancestor_value.tree
+    assert subtree(update.value.tree, (1, 0, 0)) == ancestor_value.tree
 
 
 def test_disjoint_right_extends_on_self_merge_into_one_update():
@@ -240,8 +240,8 @@ def test_disjoint_right_extends_on_self_merge_into_one_update():
     (update,) = tuple(result)
     assert update.location == SELF_LOCATION
     merged = update.value.tree
-    assert merged.node_at_path((1, 0, 0)).children[-1] == addition.tree
-    assert merged.node_at_path((1, 0, 1)).children[-1] == addition.tree
+    assert subtree(merged, (1, 0, 0)).children[-1] == addition.tree
+    assert subtree(merged, (1, 0, 1)).children[-1] == addition.tree
 
 
 def test_same_node_extends_with_different_payloads_clash():
@@ -260,11 +260,11 @@ def test_identical_same_node_extends_fold_in_sequence():
     addition = TreeValue(Tree("rule", (Tree("par"),)))
     entry = SharedUpdate(NodeRef((1, 0, 0)), "right_extend", (addition,))
     m = UpdateMultiset((entry, entry, entry))
-    before = state.self_tree.node_at_path((1, 0, 0)).children
+    before = subtree(state.self_tree, (1, 0, 0)).children
     result = collapse(m, state)
     assert isinstance(result, UpdateSet)
     (update,) = tuple(result)
-    after = update.value.tree.node_at_path((1, 0, 0)).children
+    after = subtree(update.value.tree, (1, 0, 0)).children
     assert after == before + (addition.tree,) * 3
 
 
@@ -412,7 +412,7 @@ def test_plus_with_two_operands_adds_both():
 def test_extending_a_value_leaf_at_a_node_is_a_clash():
     state = make_state({"card": 0})
     name_leaf = (0, 1, 0)  # the name leaf of the signature entry for card
-    assert state.self_tree.node_at_path(name_leaf).value is not None
+    assert subtree(state.self_tree, name_leaf).value is not None
     entry = SharedUpdate(NodeRef(name_leaf), "right_extend", (TreeValue(Tree("x")),))
     report = collapse(UpdateMultiset((entry,)), state)
     assert report == ClashReport(SELF_LOCATION, "cannot extend a value-carrying leaf")

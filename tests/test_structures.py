@@ -372,7 +372,7 @@ def test_sublocation_symbol_reads_self_subtree():
     rng = random.Random(5)
     for _ in range(20):
         state = generate.random_machine(rng).initial_state
-        paths = [path for _, path, _ in state.self_tree.preorder()]
+        paths = [path for path, _ in state.self_tree.preorder()]
         for path in paths + [paths[-1] + (0,)]:
             node = NodeRef(path)
             raised_reads, subtree_reads = set(), set()

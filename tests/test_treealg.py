@@ -16,14 +16,19 @@ from rsasm.structures import (
     FunctionSymbol,
     NatVal,
     NodeRef,
+    SELF_LOCATION,
     SELF_SYMBOL,
     Signature,
+    State,
     SymbolName,
     TRUE,
+    TreeValue,
+    UNDEF,
     eval_term,
 )
 from rsasm.treealg import (
     Context,
+    L_SELF,
     Tree,
     TRIVIAL_CONTEXT,
     XI,
@@ -56,9 +61,9 @@ def test_tree_invariants():
         Tree("a", (leaf("b"),), NatVal(1))  # interior node with a value
     t = Tree("a", (leaf("b"), leaf("c", NatVal(2))))
     assert t.size == 3
-    assert t.node_at(0).label == "a"
-    assert t.node_at(2) == leaf("c", NatVal(2))
-    assert t.node_at(2).value == NatVal(2)
+    assert subtree(t, ()).label == "a"
+    assert subtree(t, (1,)) == leaf("c", NatVal(2))
+    assert subtree(t, (1,)).value == NatVal(2)
 
 
 _STATE = make_state()
@@ -74,24 +79,24 @@ def test_unique_root_and_parenthood():
     rng = random.Random(1)
     for _ in range(50):
         t = random_tree(rng)
-        paths = [path for _, path, _ in t.preorder()]
+        paths = [path for path, _ in t.preorder()]
         parents = {q: [p for p in paths if _related("child", p, q)] for q in paths}
         assert [q for q in paths if not parents[q]] == [()]
         for q in paths:
             if q:
                 assert parents[q] == [q[:-1]]
-                assert t.node_at_path(q[:-1]).children[q[-1]] is t.node_at_path(q)
+                assert subtree(t, q[:-1]).children[q[-1]] is subtree(t, q)
 
 
 def test_sibling_pairs_share_parent():
     rng = random.Random(2)
     for _ in range(50):
         t = random_tree(rng)
-        paths = [path for _, path, _ in t.preorder()]
+        paths = [path for path, _ in t.preorder()]
         pairs = [(p, q) for p in paths for q in paths if _related("next_sib", p, q)]
         expected = [
             (path + (i,), path + (i + 1,))
-            for _, path, node in t.preorder()
+            for path, node in t.preorder()
             for i in range(len(node.children) - 1)
         ]
         assert sorted(pairs) == sorted(expected)
@@ -103,10 +108,7 @@ def test_preorder_matches_the_recursive_definition():
     rng = random.Random(17)
     for _ in range(200):
         t = random_tree(rng, 40)
-        expected = list(reference_preorder(t))
-        got = list(t.preorder())
-        assert [nid for nid, _, _ in got] == list(range(t.size))
-        assert [(path, node) for _, path, node in got] == expected
+        assert list(t.preorder()) == list(reference_preorder(t))
 
 
 def test_find_returns_the_node_or_none():
@@ -115,30 +117,34 @@ def test_find_returns_the_node_or_none():
         t = random_tree(rng, 30)
         for path, node in reference_preorder(t):
             assert t.find(path) is node
-            assert t.node_at_path(path) is node
+            assert subtree(t, path) is node
             for missing in (path + (len(node.children),), path + (-1,)):
                 assert t.find(missing) is None
                 with pytest.raises(TreeError, match=f"leaves the tree at index {missing[-1]}"):
-                    t.node_at_path(missing)
+                    subtree(t, missing)
+
+
+def _paths(t):
+    """The node paths of ``t`` in preorder."""
+    return [path for path, _ in t.preorder()]
 
 
 def test_subtree_of_root_is_whole_tree():
     t = Tree("a", (leaf("b"),))
-    assert subtree(t, 0) == t
+    assert subtree(t, ()) == t
 
 
 def test_subtree_of_self_tree_signature_child():
     sig = Signature((SELF_SYMBOL, FunctionSymbol("f", 2)))
     t = build_self_tree(sig, Par(()))
-    sub = subtree(t, 1)
+    sub = subtree(t, (0,))
     assert sub.label == "signature"
     assert [c.label for c in sub.children] == ["func", "func"]
 
 
-def _embedding_conditions(t, o, sub):
+def _embedding_conditions(t, path, sub):
     """The five conditions of the subtree relation, via the canonical embedding."""
-    path = t.path_of(o)
-    anchored = t.node_at_path(path)
+    anchored = dict(reference_preorder(t))[path]
     # same structure, labels, and leaf values under the order-preserving bijection
     def walk(a, b):
         assert a.label == b.label
@@ -155,22 +161,22 @@ def test_subtree_conditions_hold_on_random_trees():
     rng = random.Random(3)
     for _ in range(100):
         t = random_tree(rng, max_nodes=10)
-        o = rng.randrange(t.size)
-        _embedding_conditions(t, o, subtree(t, o))
+        p = _paths(t)[rng.randrange(t.size)]
+        _embedding_conditions(t, p, subtree(t, p))
 
 
 def test_context_of_two_node_tree():
     t = Tree("a", (leaf("b"),))
-    c = context_of(t, 0, 1)
+    c = context_of(t, (), (0,))
     assert c.tree == Tree("a", (leaf(XI),))
 
 
 def test_context_of_requires_strict_ancestor():
     t = Tree("a", (leaf("b"), leaf("c")))
     with pytest.raises(TreeError):
-        context_of(t, 1, 2)
+        context_of(t, (0,), (1,))
     with pytest.raises(TreeError):
-        context_of(t, 0, 0)
+        context_of(t, (), ())
 
 
 def test_inject_hedge_context_of_round_trip():
@@ -179,30 +185,71 @@ def test_inject_hedge_context_of_round_trip():
         t = random_tree(rng)
         if t.size < 2:
             continue
-        o = rng.randrange(1, t.size)
-        c = context_of(t, 0, o)
-        assert inject_hedge(c, (subtree(t, o),)) == t
+        p = _paths(t)[rng.randrange(1, t.size)]
+        c = context_of(t, (), p)
+        assert inject_hedge(c, (subtree(t, p),)) == t
+
+
+def _node_term(name, *paths):
+    return FunctionApp(name, tuple(Constant(NodeRef(p)) for p in paths))
+
+
+def test_context_of_term_punches_a_descendant_out_of_its_ancestor():
+    rng = random.Random(23)
+    for _ in range(30):
+        t = Tree(L_SELF, tuple(random_tree(rng, 8) for _ in range(rng.randrange(1, 4))))
+        state = State(_STATE.signature, frozenset(), {SELF_LOCATION: TreeValue(t)})
+        paths = _paths(t)
+        missing = [p + (len(subtree(t, p).children),) for p in paths]
+        for p1 in paths + missing + [m + (0,) for m in missing]:
+            for p2 in paths + missing:
+                ctx = eval_term(state, _node_term("context_of", p1, p2))
+                if len(p1) < len(p2) and p2[: len(p1)] == p1 and t.find(p2) is not None:
+                    below = _node_term("subtree", p2)
+                    injected = FunctionApp("inject_hedge", (Constant(ctx), below))
+                    assert eval_term(state, injected) == TreeValue(subtree(t, p1))
+                else:
+                    assert ctx is UNDEF
+
+
+def test_context_of_term_keeps_a_context_to_one_hole():
+    rng = random.Random(24)
+    for _ in range(30):
+        c = random_context(rng, 10)
+        t = Tree(L_SELF, (c.tree,))
+        state = State(_STATE.signature, frozenset(), {SELF_LOCATION: TreeValue(t)})
+        hole, paths = (0,) + c.hole_path, _paths(t)
+        for p1 in paths:
+            for p2 in paths:
+                if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
+                    continue
+                term = _node_term("context_of", p1, p2)
+                if hole[: len(p1)] == p1 and hole[: len(p2)] != p2:
+                    with pytest.raises(TreeError, match="exactly one hole, found 2"):
+                        eval_term(state, term)
+                else:
+                    assert Context(eval_term(state, term).tree).hole_path == p2[len(p1) :]
 
 
 def test_substitutions():
     t = Tree("a", (leaf("b"), leaf("c")))
     assert subst_ct(TRIVIAL_CONTEXT, t) == t
-    c = subst_tc(t, 1)
+    c = subst_tc(t, (0,))
     assert subst_cc(c, TRIVIAL_CONTEXT) == c
     rng = random.Random(5)
     for _ in range(100):
         t = random_tree(rng)
-        o = rng.randrange(t.size)
-        assert subst_tt(t, o, subtree(t, o)) == t
+        p = _paths(t)[rng.randrange(t.size)]
+        assert subst_tt(t, p, subtree(t, p)) == t
 
 
 def test_subst_tc_shortcut_matches_composition():
     rng = random.Random(6)
     for _ in range(50):
         t = random_tree(rng)
-        o = rng.randrange(t.size)
+        p = _paths(t)[rng.randrange(t.size)]
         c2 = random_context(rng, 6)
-        assert subst_tc(t, o, c2) == subst_cc(subst_tc(t, o), c2)
+        assert subst_tc(t, p, c2) == subst_cc(subst_tc(t, p), c2)
 
 
 def test_label_hedge():
@@ -225,7 +272,7 @@ def test_label_context():
     for _ in range(50):
         inner = random_context(rng, 8)
         out = label_context("z", inner)
-        holes = [n for _, _, n in out.tree.preorder() if n.label == XI]
+        holes = [n for _, n in out.tree.preorder() if n.label == XI]
         assert len(holes) == 1
 
 
@@ -309,7 +356,7 @@ def test_tree_diff_signature_growth_is_single_right_extend():
     rng = random.Random(14)
     rule = random_rule(rng)
     sig1 = Signature((SELF_SYMBOL, FunctionSymbol("f", 1)))
-    sig2 = sig1.with_added(FunctionSymbol("g", 2))
+    sig2 = Signature(sig1.symbols + (FunctionSymbol("g", 2),))
     t1 = build_self_tree(sig1, rule)
     t2 = build_self_tree(sig2, rule)
     theta = tree_diff(t1, t2)
@@ -340,7 +387,7 @@ def test_tree_update_rule_signature_growth_shape():
     rng = random.Random(15)
     rule = random_rule(rng)
     sig1 = Signature((SELF_SYMBOL, FunctionSymbol("f", 1)))
-    sig2 = sig1.with_added(FunctionSymbol("g", 2))
+    sig2 = Signature(sig1.symbols + (FunctionSymbol("g", 2),))
     t1 = build_self_tree(sig1, rule)
     t2 = build_self_tree(sig2, rule)
     update_rule = tree_update_rule(t1, t2)
