@@ -1,12 +1,13 @@
 """Command line interface: run, check, probe, diff-self.
 
 Exit codes: ``run`` gives 2 on a parse or I/O error (a program file that is
-not UTF-8, a trace path that cannot be written, found before the program is
-read) and on a ``--dump-self`` step outside the trace, 1 on a runtime error,
-on a value nested too deeply to print (then it prints nothing else and
-leaves no file at the ``--trace`` path) or, with ``--strict``, a clash, and
-0 otherwise; ``check`` gives 1 on a parse or read error; ``probe`` gives 1
-when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace
+not UTF-8, a trace path that cannot be written or is the program file, found
+before the program is read) and on a ``--dump-self`` step outside the trace,
+1 on a runtime error, a clash or a value nested too deeply to print (then it
+prints nothing else), and 0 otherwise; a ``run`` that ends before it writes
+its trace, on a parse error or such a value, removes the file at the
+``--trace`` path; ``check`` gives 1 on a parse or read error; ``probe`` gives
+1 when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace
 (one nested too deeply included), one that is not format 3, or one whose
 replayed self trees do not match their digests.
 """
@@ -25,22 +26,35 @@ from .reflect import tree_diff
 from .structures import TreeValue, canonical_dumps, state_to_json
 
 
-def _check_writable(path: str) -> None:
-    """Raise ``OSError`` if ``path`` cannot be written; a file that was not there is not left."""
+def _check_writable(path: str, program: str) -> None:
+    """Raise ``OSError`` if ``path`` is the program or cannot be written; no new file is left."""
     existed = os.path.exists(path)
+    if existed and os.path.samefile(path, program):
+        raise OSError(f"the trace path {path} is the program file")
     with open(path, "a", encoding="utf-8"):
         pass
     if not existed:
         os.remove(path)
 
 
+def _remove_trace(path: str | None) -> None:
+    """Remove the file at the trace path: no earlier run's trace may pass for this one's."""
+    if path and os.path.isfile(path):
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     try:
         if args.trace:
-            _check_writable(args.trace)
+            _check_writable(args.trace, args.file)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         machine = parse_file(args.file, max_steps=args.max_steps)
     except (RsasmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _remove_trace(args.trace)
         return 2
     trace = run(machine)
     final, index = trace.final_state, args.dump_self
@@ -62,8 +76,7 @@ def _cmd_run(args) -> int:
     except RecursionError:
         ended = f"the run ended {trace.status} after {len(trace.steps)} step(s)"
         print(f"error: {ended}, but a value is nested too deeply to print", file=sys.stderr)
-        if args.trace and os.path.exists(args.trace):
-            os.remove(args.trace)  # an earlier run's trace must not pass for this one's
+        _remove_trace(args.trace)
         return 1
     if trace_text is not None:
         try:
@@ -83,8 +96,6 @@ def _cmd_run(args) -> int:
         if trace.detail == "clash_stall":
             clash = trace.steps[-1].result
             print(f"clash at {clash.location!r}: {clash.reason}", file=sys.stderr)
-        return 1
-    if args.strict and any(s.clashed for s in trace.steps):
         return 1
     return 0
 
@@ -146,7 +157,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--trace", help="write the trace JSON to this path")
     p_run.add_argument("--dump-self", type=int, default=None, metavar="STEP")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--strict", action="store_true", help="exit nonzero on clash")
     p_run.set_defaults(fn=_cmd_run)
 
     p_check = sub.add_parser("check", help="parse and validate a program")

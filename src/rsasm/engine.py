@@ -5,7 +5,7 @@ Decoding is memoized on each tree object; a step that rewrites the
 representation makes a new tree, so it changes the machine's behaviour from
 the next step on.  A run ends at a fixpoint (empty collapsed update set), at
 the step cap, or on an error; a clash leaves the state unchanged and, since
-stepping an unchanged state can only repeat the clash, stalls the run.
+stepping an unchanged state can only repeat the clash, ends the run at once.
 """
 
 from __future__ import annotations
@@ -236,9 +236,10 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
 
 
 def run(machine: Machine) -> Trace:
-    """Iterate steps until fixpoint, the step cap, a stalled clash, or a program fault.
+    """Iterate steps until fixpoint, the step cap, a clash, or a program fault.
 
-    A fault raised in a step ends the run with status ``error`` and the detail
+    A clash ends the run with status ``error`` and the detail ``clash_stall``.
+    A fault raised in a step ends it with status ``error`` and the detail
     ``step N: <cause>``; the steps before it are kept.
     """
     state = machine.initial_state
@@ -252,11 +253,8 @@ def run(machine: Machine) -> Trace:
             break
         records.append(record)
         if record.clashed:
-            if successor == state:
-                status, detail = "error", "clash_stall"
-                break
-            state = successor
-            continue
+            status, detail = "error", "clash_stall"
+            break
         if record.result.is_empty():
             status = "fixpoint"
             break

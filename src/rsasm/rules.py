@@ -4,7 +4,7 @@ A rule, interpreted in a state, first yields an update multiset of plain and
 shared updates.  Updates addressed at tree nodes of ``self`` are rewritten to
 shared updates on the root ``self`` location whose operator splices at the
 node's path.  The multiset then collapses to a plain update set; incompatible
-entries produce a clash report instead, which leaves the state unchanged.
+entries produce a clash report instead, which ends the run.
 """
 
 from __future__ import annotations
@@ -82,43 +82,27 @@ class PartialAssign(Rule):
     operands: tuple[Term, ...]
 
 
-# The terms and the subrules of each rule kind, and the constructor taking new
-# ones back.  Walks that treat every kind alike fold over this pair; only the
-# binder ``Let.var`` needs a case of its own.
-_RULE_SHAPES = {
-    Assign: (
-        lambda r: (r.args + (r.rhs,), ()),
-        lambda r, ts, rs: Assign(r.target, ts[:-1], ts[-1]),
-    ),
-    If: (lambda r: ((r.cond,), (r.then, r.orelse)), lambda r, ts, rs: If(ts[0], *rs)),
-    Par: (lambda r: ((), r.branches), lambda r, ts, rs: Par(rs)),
-    Let: (lambda r: ((r.bound,), (r.body,)), lambda r, ts, rs: Let(r.var, ts[0], rs[0])),
-    PartialAssign: (
-        lambda r: (r.args + r.operands, ()),
-        lambda r, ts, rs: PartialAssign(r.target, ts[: len(r.args)], r.op, ts[len(r.args) :]),
-    ),
-}
-
-
-def rule_children(rule: Rule) -> tuple[tuple[Term, ...], tuple[Rule, ...]]:
-    """The terms and the subrules of a rule, in source order."""
-    return _RULE_SHAPES[type(rule)][0](rule)
-
-
-def rule_map(rule: Rule, on_term, on_rule) -> Rule:
-    """``rule`` rebuilt with ``on_term`` applied to its terms and ``on_rule`` to its subrules."""
-    children, rebuild = _RULE_SHAPES[type(rule)]
-    terms, rules = children(rule)
-    return rebuild(rule, tuple([on_term(t) for t in terms]), tuple([on_rule(r) for r in rules]))
-
-
 def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
-    """Substitute a term for a variable in all terms of a rule."""
-    if isinstance(rule, Let) and rule.var == var:
-        return Let(var, term_substitute(rule.bound, var, repl), rule.body)
-    return rule_map(
-        rule, lambda t: term_substitute(t, var, repl), lambda r: rule_substitute(r, var, repl)
-    )
+    """Substitute a term for a variable in all terms of a rule; a ``Let`` of ``var`` shadows it."""
+
+    def sub(term: Term) -> Term:
+        return term_substitute(term, var, repl)
+
+    def sub_rule(r: Rule) -> Rule:
+        return rule_substitute(r, var, repl)
+
+    if isinstance(rule, Assign):
+        return Assign(rule.target, tuple(map(sub, rule.args)), sub(rule.rhs))
+    if isinstance(rule, If):
+        return If(sub(rule.cond), sub_rule(rule.then), sub_rule(rule.orelse))
+    if isinstance(rule, Par):
+        return Par(tuple(map(sub_rule, rule.branches)))
+    if isinstance(rule, Let):
+        return Let(rule.var, sub(rule.bound), rule.body if rule.var == var else sub_rule(rule.body))
+    if isinstance(rule, PartialAssign):
+        args, operands = tuple(map(sub, rule.args)), tuple(map(sub, rule.operands))
+        return PartialAssign(rule.target, args, rule.op, operands)
+    raise RuleError(f"unknown rule {rule!r}")
 
 
 # -- shared updates and multisets -------------------------------------------------
@@ -178,7 +162,7 @@ class UpdateMultiset:
 
 @dataclass(frozen=True)
 class ClashReport:
-    """Why a multiset failed to collapse; the engine keeps the state unchanged."""
+    """Why a multiset failed to collapse; the run ends on it, the state unchanged."""
 
     location: Location
     reason: str
@@ -250,7 +234,7 @@ def _collect_updates(
 # -- sublocation normalization --------------------------------------------------------
 
 
-def normalize_sublocations(m: UpdateMultiset, state: State) -> UpdateMultiset:
+def normalize_sublocations(m: UpdateMultiset) -> UpdateMultiset:
     """Rewrite node-addressed entries into splice operators on the ``self`` root.
 
     A plain update at the root node becomes a plain update of ``self``.  Pairs
@@ -305,10 +289,10 @@ def _splice_fold(state: State, loc, current: Value, shareds) -> Value:
     For nested paths the ancestor must be a plain splice whose written value
     already contains the descendant's effect, which makes the descendant a
     no-op once the ancestor has been applied; ancestor-first folding then
-    yields the same value as every other order.  Anything else falls back to
-    the exhaustive permutation check in the caller.
+    yields the same value as every other order.  Anything else clashes; of
+    several clashing pairs, the first in multiset order is named.
     """
-    for (s1), (s2) in itertools.combinations(set(shareds), 2):
+    for s1, s2 in itertools.combinations(dict.fromkeys(shareds), 2):
         p1, p2 = s1.op.path, s2.op.path
         if p1 == p2:
             raise _Clash(f"conflicting writes at {NodeRef(p1)!r} of {loc!r}")
@@ -323,8 +307,6 @@ def _splice_fold(state: State, loc, current: Value, shareds) -> Value:
             raise _Clash(f"malformed splice operand at {NodeRef(outer.op.path)!r}")
         written = outer.args[0].tree
         rel = inner.op.path[len(outer.op.path) :]
-        if written.find(rel) is None:
-            continue  # inner write lands outside the new value: absorbed
         after = apply_operator(state, SpliceOp(rel, inner.op.inner), TreeValue(written), inner.args)
         if after != TreeValue(written):
             raise _Clash(
@@ -395,7 +377,7 @@ def collapse(m: UpdateMultiset, state: State) -> UpdateSet | ClashReport:
     updates fold over the location's current value.  A group collapses only if
     its folded value does not depend on the fold order.
     """
-    normalized = normalize_sublocations(m, state)
+    normalized = normalize_sublocations(m)
     groups: dict[object, tuple[list[Value], list[SharedUpdate]]] = {}
     order: list[object] = []
     for entry in normalized:

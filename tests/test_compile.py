@@ -30,7 +30,6 @@ from rsasm.rules import (
     SharedUpdate,
     UpdateMultiset,
     compute_update_multiset,
-    rule_children,
 )
 from rsasm.structures import (
     FALSE,
@@ -266,13 +265,26 @@ def _subterms(term):
         yield from _subterms(child)
 
 
+def _rule_children(rule):
+    """The terms and the subrules of a rule, in source order."""
+    if isinstance(rule, Assign):
+        return rule.args + (rule.rhs,), ()
+    if isinstance(rule, PartialAssign):
+        return rule.args + rule.operands, ()
+    if isinstance(rule, If):
+        return (rule.cond,), (rule.then, rule.orelse)
+    if isinstance(rule, Let):
+        return (rule.bound,), (rule.body,)
+    return (), rule.branches  # Par
+
+
 def _terms_with_envs(rule, env=None):
     """Every subterm of every term of ``rule``, each branch included, with its Let scope.
 
     The scope maps each Let-bound variable to its bound term; all the terms of
     one scope share one scope object.
     """
-    terms, subrules = rule_children(rule)
+    terms, subrules = _rule_children(rule)
     for term in terms:
         for sub in _subterms(term):
             yield sub, env

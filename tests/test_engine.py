@@ -37,6 +37,7 @@ from rsasm.structures import (
     Location,
     NatVal,
     NodeRef,
+    Signature,
     TreeValue,
     UNDEF,
     Update,
@@ -169,6 +170,19 @@ OPTIONS
     assert len(trace.steps) == 1
     assert trace.steps[0].clashed
     assert trace.final_state.value_at(Location("card")) == NatVal(0)
+
+
+def test_a_clash_ends_the_run_even_where_the_stored_signature_lags_self():
+    # The self tree declares ``extra``, the stored signature does not, so the
+    # step's state differs from the stored one; the clash still ends the run.
+    clashing = Par(tuple(Assign("card", (), Constant(NatVal(n))) for n in (1, 2)))
+    declared = make_state({"card": 0, "extra": 0}, {Location("card"): NatVal(0)}, rule=clashing)
+    state = declared.with_signature(Signature(declared.signature.symbols[:-1]))
+    assert state.signature.arity_of("extra") is None
+    trace = run(Machine(state, max_steps=5))
+    assert (trace.status, trace.detail) == ("error", "clash_stall")
+    assert len(trace.steps) == 1 and trace.steps[0].clashed
+    assert trace.final_state.interp == state.interp
 
 
 def test_run_respects_max_steps():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -283,6 +284,10 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     nested.write_text(json.dumps(trace_obj).replace('"THETA"', deep))
     unwritable = str(tmp_path / "no" / "such" / "dir" / "t.json")
     fresh = tmp_path / "fresh.json"
+    stale = tmp_path / "stale.json"
+    stale.write_text('{"old": 1}')
+    unfinished = tmp_path / "unfinished.rsasm"
+    unfinished.write_text("SIGNATURE\n  x/0\nRULE\n  x := ")
     at_line_4 = f"{not_utf8}: not UTF-8 at byte 0xff (line 4, column 8)"
     cases = (  # each command, its exit code and what its error line names
         (["run", str(not_utf8)], 2, at_line_4),
@@ -290,6 +295,8 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
         (["run", str(not_utf8), "--trace", str(fresh)], 2, at_line_4),
         (["run", _program_path("parity"), "--trace", unwritable], 2, unwritable),
         (["run", str(not_utf8), "--trace", unwritable], 2, unwritable),  # before the parse
+        (["run", str(unfinished), "--trace", str(stale)], 2, "unexpected end of input"),
+        (["run", str(unfinished), "--trace", str(unfinished)], 2, "is the program file"),
         (["diff-self", str(nested), "0", "1"], 2, "nested too deeply"),
     )
     capsys.readouterr()
@@ -301,6 +308,8 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
         assert named in err and "Traceback" not in err, argv
         assert captured.out == "", argv
     assert not fresh.exists()  # the trace path was checked, but nothing ran
+    assert not stale.exists()  # an earlier run's trace does not pass for this one's
+    assert unfinished.exists()  # the program is never taken for a stale trace
 
 
 def _corrupt_theta(trace_obj):
@@ -498,14 +507,14 @@ def test_cli_probe(capsys):
     assert "isomorphism_closure: 20 trials, ok" in out
 
 
-def test_cli_strict_flags_clash(tmp_path, capsys):
+def test_cli_run_exits_1_on_a_clash(tmp_path, capsys):
     clashing = tmp_path / "clash.rsasm"
     clashing.write_text(
         "SIGNATURE\n  card/0\nINIT\n  card = 0\n"
         "RULE\n  PAR\n    card := 1\n    card := 2\n  ENDPAR\n"
         "OPTIONS\n  max_steps = 5\n"
     )
-    code = cli_main(["run", str(clashing), "--strict"])
+    code = cli_main(["run", str(clashing)])
     capsys.readouterr()
     assert code == 1
 
@@ -777,6 +786,41 @@ def test_a_node_clash_names_the_node_in_the_trace(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: clash_stall\nclash at self: conflicting writes at node@0 of self\n"
     )
+
+
+# Two writes of different trees at node@0 and two at node@1.0 of self.
+WRITES_AT_0 = (
+    "    LET o = child_n(root_node(), 1) IN\n      o := signature<>\n"
+    "    LET o = child_n(root_node(), 1) IN\n      o := sig<>\n"
+)
+WRITES_AT_1_0 = (
+    "    LET o = child_n(child_n(root_node(), 2), 1) IN\n      o := par<>\n"
+    "    LET o = child_n(child_n(root_node(), 2), 1) IN\n      o := pa<>\n"
+)
+
+
+@pytest.mark.parametrize(
+    "writes, named",
+    [((WRITES_AT_0, WRITES_AT_1_0), "node@0"), ((WRITES_AT_1_0, WRITES_AT_0), "node@1.0")],
+    ids=["node_0_first", "node_1_0_first"],
+)
+def test_a_clash_reason_does_not_depend_on_the_hash_seed(writes, named, tmp_path):
+    program = tmp_path / "clashes.rsasm"
+    program.write_text("SIGNATURE\n  n/0\nRULE\n  PAR\n" + "".join(writes) + "  ENDPAR\n")
+    traces = []
+    for seed in ("1", "3"):
+        trace_path = tmp_path / f"trace_{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rsasm.cli", "run", str(program), "--trace", str(trace_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 1
+        traces.append(trace_path.read_bytes())
+    assert traces[0] == traces[1]  # the same bytes under either hash seed
+    clash = json.loads(traces[0])["steps"][-1]["clash"]
+    assert clash["reason"] == f"conflicting writes at {named} of self"  # the first pair
 
 
 @pytest.mark.parametrize(

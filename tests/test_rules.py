@@ -158,10 +158,9 @@ def _node_state():
 
 
 def test_normalize_rewrites_node_updates_to_splices():
-    state = _node_state()
     payload = TreeValue(Tree("rule", (Tree("par"),)))
     m = UpdateMultiset((Update(NodeRef((1, 0, 0)), payload),))
-    normalized = normalize_sublocations(m, state)
+    normalized = normalize_sublocations(m)
     entries = list(normalized)
     assert len(entries) == 1
     entry = entries[0]
@@ -174,7 +173,7 @@ def test_normalize_root_node_update_becomes_plain_self_update():
     state = _node_state()
     tree = state.self_tree
     m = UpdateMultiset((Update(NodeRef(()), TreeValue(tree)),))
-    normalized = normalize_sublocations(m, state)
+    normalized = normalize_sublocations(m)
     assert list(normalized) == [Update(SELF_LOCATION, TreeValue(tree))]
 
 
