@@ -141,16 +141,21 @@ def _raise_eval(state, vals, reads):
 # -- node functions over the current self tree ---------------------------------
 
 
-def _node(v: Value, what: str) -> tuple[int, ...]:
+def _node(v: Value, what: str) -> NodeRef:
     if not isinstance(v, NodeRef):
         raise EvalError(f"{what} expects a tree node, got {v!r}")
-    return v.path
+    return v
 
 
 def _self_tree(state: State, reads) -> Tree:
     if reads is not None:
         reads.add(SELF_LOCATION)
     return state.self_tree
+
+
+def _find(tree: Tree, ref: NodeRef) -> Tree | None:
+    """The node ``ref`` names in ``tree``, or None; the node it carries serves only the tree it was found in."""
+    return ref.node if ref.tree is tree else tree.find(ref.path)
 
 
 @_register("root_node", 0)
@@ -161,19 +166,19 @@ def _root_node(state, vals, reads):
 @_register("label", 1)
 def _label(state, vals, reads):
     tree = _self_tree(state, reads)
-    node = tree.find(_node(vals[0], "label"))
+    node = _find(tree, _node(vals[0], "label"))
     return UNDEF if node is None else Atom(node.label)
 
 
 @_register("child", 2)
 def _child(state, vals, reads):
-    p1, p2 = _node(vals[0], "child"), _node(vals[1], "child")
+    p1, p2 = _node(vals[0], "child").path, _node(vals[1], "child").path
     return TRUE if len(p2) == len(p1) + 1 and p2[: len(p1)] == p1 else FALSE
 
 
 @_register("next_sib", 2)
 def _next_sib(state, vals, reads):
-    p1, p2 = _node(vals[0], "next_sib"), _node(vals[1], "next_sib")
+    p1, p2 = _node(vals[0], "next_sib").path, _node(vals[1], "next_sib").path
     ok = (
         len(p1) == len(p2) >= 1
         and p1[:-1] == p2[:-1]
@@ -185,33 +190,34 @@ def _next_sib(state, vals, reads):
 @_register("child_n", 2)
 def _child_n(state, vals, reads):
     tree = _self_tree(state, reads)
-    path = _node(vals[0], "child_n")
+    ref = _node(vals[0], "child_n")
     i = _nat(vals[1], "child_n")
-    if i < 1:
+    node = _find(tree, ref) if i >= 1 else None
+    if node is None or i > len(node.children):
         return UNDEF
-    target = path + (i - 1,)
-    return UNDEF if tree.find(target) is None else NodeRef(target)
+    return NodeRef(ref.path + (i - 1,), tree, node.children[i - 1])
 
 
 @_register("n_children", 1)
 def _n_children(state, vals, reads):
     tree = _self_tree(state, reads)
-    node = tree.find(_node(vals[0], "n_children"))
+    node = _find(tree, _node(vals[0], "n_children"))
     return UNDEF if node is None else NatVal(len(node.children))
 
 
 @_register("subtree", 1)
 def _subtree(state, vals, reads):
     tree = _self_tree(state, reads)
-    node = tree.find(_node(vals[0], "subtree"))
+    node = _find(tree, _node(vals[0], "subtree"))
     return UNDEF if node is None else TreeValue(node)
 
 
 @_register("context_of", 2)
 def _context_of(state, vals, reads):
     tree = _self_tree(state, reads)
-    p1, p2 = _node(vals[0], "context_of"), _node(vals[1], "context_of")
-    if len(p1) >= len(p2) or p2[: len(p1)] != p1 or tree.find(p2) is None:
+    r1, r2 = _node(vals[0], "context_of"), _node(vals[1], "context_of")
+    p1, p2 = r1.path, r2.path
+    if len(p1) >= len(p2) or p2[: len(p1)] != p1 or _find(tree, r2) is None:
         return UNDEF
     return TreeValue(treealg.context_of(tree, p1, p2).tree)
 

@@ -9,7 +9,8 @@ its trace, on a parse error or such a value, removes the file at the
 ``--trace`` path; ``check`` gives 1 on a parse or read error; ``probe`` gives
 1 when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace
 (one nested too deeply included), one that is not format 3, or one whose
-replayed self trees do not match their digests.
+replayed self trees do not match their digests.  Every command gives 2 on a
+usage error, ``--trials`` below 1 or a negative ``--max-steps`` among them.
 """
 
 from __future__ import annotations
@@ -147,13 +148,25 @@ def _cmd_diff_self(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid count
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rsasm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a program to fixpoint")
     p_run.add_argument("file")
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=_at_least(0), default=None)
     p_run.add_argument("--trace", help="write the trace JSON to this path")
     p_run.add_argument("--dump-self", type=int, default=None, metavar="STEP")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
@@ -164,7 +177,7 @@ def main(argv=None) -> int:
     p_check.set_defaults(fn=_cmd_check)
 
     p_probe = sub.add_parser("probe", help="run the postulate probes")
-    p_probe.add_argument("--trials", type=int, default=100)
+    p_probe.add_argument("--trials", type=_at_least(1), default=100)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--format", choices=("text", "json"), default="text")
     p_probe.set_defaults(fn=_cmd_probe)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import treealg
@@ -103,9 +104,17 @@ class SetVal(Value):
 
 @dataclass(frozen=True, repr=False)
 class NodeRef(Value):
-    """A node of the current self tree, addressed by its child-index path."""
+    """A node of the current self tree, addressed by its child-index path.
+
+    A ref made while walking a tree also carries that ``tree`` and its
+    ``node`` at ``path``, so reading the node in the same tree object needs
+    no walk from the root; the ref is still its path alone, to equality,
+    hashing and printing alike.
+    """
 
     path: tuple[int, ...]
+    tree: Tree | None = field(default=None, compare=False)
+    node: Tree | None = field(default=None, compare=False)
 
 
 # -- terms ---------------------------------------------------------------------
@@ -262,6 +271,14 @@ class Location:
     symbol: str
     args: tuple[Value, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+
+    # Hash cached at construction, as ``self`` is hashed on every read; it is
+    # the dataclass hash of the fields, so set and dict orders do not change.
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
     def __repr__(self) -> str:
         if not self.args:
             return self.symbol
@@ -337,6 +354,8 @@ class State:
     base: frozenset[Atom]
     interp: dict[Location, Value]
     background: BackgroundConfig = EMPTY_BACKGROUND
+    # The tree bound at ``self``, read once at construction.
+    self_tree: Tree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cleaned = {}
@@ -353,15 +372,12 @@ class State:
         if not isinstance(selfval, TreeValue) or selfval.tree.label != treealg.L_SELF:
             raise StateError("state must bind 'self' to a self-representation tree")
         object.__setattr__(self, "interp", cleaned)
+        object.__setattr__(self, "self_tree", selfval.tree)
 
     __hash__ = None  # type: ignore[assignment]
 
     def value_at(self, loc: Location) -> Value:
         return self.interp.get(loc, UNDEF)
-
-    @property
-    def self_tree(self) -> Tree:
-        return self.value_at(SELF_LOCATION).tree
 
     def with_signature(self, signature: Signature) -> "State":
         if signature == self.signature:
@@ -404,54 +420,79 @@ def diff_states(s1: State, s2: State) -> UpdateSet:
 # -- isomorphism action -----------------------------------------------------------
 
 
-def _complete_bijection(state: State, sigma: dict[Atom, Atom]) -> dict[Atom, Atom]:
+def _moved_atoms(state: State, sigma: dict[Atom, Atom]) -> dict[Atom, Atom]:
+    """The atoms of the base set that ``sigma`` moves, mapped to their images."""
     for a in sigma:
         if a not in state.base:
             raise IsoError(f"{a!r} is not in the base set")
     full = {a: sigma.get(a, a) for a in state.base}
     if set(full.values()) != set(state.base):
         raise IsoError("mapping is not a bijection on the base set")
-    return full
+    return {a: b for a, b in full.items() if a != b}
+
+
+def _same(items, originals) -> bool:
+    return all(map(operator.is_, items, originals))
 
 
 def rename_value(value: Value, sigma: dict[Atom, Atom]) -> Value:
-    """Rename standard values structurally; all other kinds are fixed points."""
+    """Rename standard values structurally; all other kinds are fixed points.
+
+    A value in which nothing moves comes back as the same object.
+    """
     if isinstance(value, Atom):
         return sigma.get(value, value)
     if isinstance(value, TupleVal):
-        return TupleVal(tuple(rename_value(v, sigma) for v in value.items))
+        items = [rename_value(v, sigma) for v in value.items]
+        return value if _same(items, value.items) else TupleVal(tuple(items))
     if isinstance(value, SetVal):
-        return SetVal(frozenset(rename_value(v, sigma) for v in value.members))
+        members = [rename_value(v, sigma) for v in value.members]
+        return value if _same(members, value.members) else SetVal(frozenset(members))
     if isinstance(value, DroppedTerm):
-        return DroppedTerm(rename_term(value.term, sigma))
+        term = rename_term(value.term, sigma)
+        return value if term is value.term else DroppedTerm(term)
     if isinstance(value, TreeValue):
-        return TreeValue(_rename_tree(value.tree, sigma))
+        tree = _rename_tree(value.tree, sigma, {})
+        return value if tree is value.tree else TreeValue(tree)
     return value
 
 
-def _rename_tree(t: Tree, sigma: dict[Atom, Atom]) -> Tree:
-    if t.is_leaf:
-        v = None if t.value is None else rename_value(t.value, sigma)
-        return Tree(t.label, (), v)
-    return Tree(t.label, tuple(_rename_tree(c, sigma) for c in t.children))
+def _rename_tree(t: Tree, sigma: dict[Atom, Atom], renamed: dict[int, Tree]) -> Tree:
+    """``t`` renamed; ``renamed`` holds the image of each subtree object met so far in this tree."""
+    out = renamed.get(id(t))
+    if out is None:
+        if t.is_leaf:
+            v = None if t.value is None else rename_value(t.value, sigma)
+            out = t if v is t.value else Tree(t.label, (), v)
+        else:
+            kids = [_rename_tree(c, sigma, renamed) for c in t.children]
+            out = t if _same(kids, t.children) else Tree(t.label, tuple(kids))
+        renamed[id(t)] = out
+    return out
 
 
 def rename_term(term: Term, sigma: dict[Atom, Atom]) -> Term:
-    """Rename the constants inside a term."""
+    """Rename the constants inside a term; a term in which nothing moves comes back as is."""
     if isinstance(term, Constant):
-        return Constant(rename_value(term.value, sigma))
-    return term_map(term, lambda c: rename_term(c, sigma))
+        value = rename_value(term.value, sigma)
+        return term if value is term.value else Constant(value)
+    shape = _TERM_SHAPES.get(type(term))
+    if shape is None:
+        return term
+    children = shape[0](term)
+    renamed = tuple([rename_term(c, sigma) for c in children])
+    return term if _same(renamed, children) else shape[1](term, renamed)
 
 
 def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
     """Rename every standard-value occurrence of the state along a base bijection."""
-    full = _complete_bijection(state, sigma)
+    moved = _moved_atoms(state, sigma)
     interp = {
-        Location(loc.symbol, tuple(rename_value(a, full) for a in loc.args)): rename_value(v, full)
+        Location(loc.symbol, tuple(rename_value(a, moved) for a in loc.args)): rename_value(v, moved)
         for loc, v in state.interp.items()
     }
     domains = tuple(
-        (name, tuple(sorted((rename_value(m, full) for m in members), key=value_sort_key)))
+        (name, tuple(sorted((rename_value(m, moved) for m in members), key=value_sort_key)))
         for name, members in state.background.domains
     )
     background = replace(state.background, domains=domains)
@@ -751,7 +792,10 @@ def eval_term(
     ``IOTA``, a subterm that does not mention the bound variable is evaluated
     at its first use and reused for the rest of that ``IOTA``'s evaluation;
     the value, ``reads`` and any error are the ones evaluating it at every
-    member would give.
+    member would give.  The members of ``NODES`` are the nodes of the current
+    self tree in preorder, each a :class:`NodeRef` that carries the node it
+    names, so ``label(w)`` and the other node functions read it without a
+    walk from the root.
     """
     table = treealg.memoized(term, "_compiled", lambda _: {})
     run = table.get(state.signature)
@@ -877,6 +921,18 @@ def _connective(term, fns, signature) -> Compiled:
         return negation
     decisive = term.op == "or"  # the operand flag that decides the result
     decided, otherwise = (TRUE, FALSE) if decisive else (FALSE, TRUE)
+    if len(fns) == 2:
+        first, second = fns
+
+        def binary(state, env, reads):
+            a, b = first(state, env, reads), second(state, env, reads)
+            fa = a.flag if isinstance(a, BoolVal) else None
+            fb = b.flag if isinstance(b, BoolVal) else None
+            if fa == decisive or fb == decisive:
+                return decided
+            return UNDEF if fa is None or fb is None else otherwise
+
+        return binary
 
     def connective(state, env, reads):
         flags = [_flag(f(state, env, reads)) for f in fns]
@@ -897,7 +953,8 @@ def _iota(term: Iota, signature: Signature) -> Compiled:
         if domain == NODES_DOMAIN:
             if reads is not None:
                 reads.add(SELF_LOCATION)
-            return (NodeRef(path) for path, _ in state.self_tree.preorder())
+            tree = state.self_tree
+            return (NodeRef(path, tree, node) for path, node in tree.preorder())
         members = state.background.domain(domain)
         if members is None:
             raise EvalError(f"unknown search domain {domain!r}")
@@ -917,16 +974,19 @@ def _iota(term: Iota, signature: Signature) -> Compiled:
     return iota
 
 
-def _arguments(fns: list[Compiled]):
-    """A closure giving every argument's value in order, or None if one is undefined."""
+def _strict(fns: list[Compiled], apply) -> Compiled:
+    """A closure calling ``apply(state, values, reads)`` on every operand's value, in order.
+
+    It is undefined, without calling ``apply``, if an operand is undefined.
+    """
     if not fns:
-        return lambda state, env, reads: ()
+        return lambda state, env, reads: apply(state, (), reads)
     if len(fns) == 1:
         (only,) = fns
 
         def one(state, env, reads):
-            value = only(state, env, reads)
-            return None if value is UNDEF else (value,)
+            a = only(state, env, reads)
+            return UNDEF if a is UNDEF else apply(state, (a,), reads)
 
         return one
     if len(fns) == 2:
@@ -934,7 +994,7 @@ def _arguments(fns: list[Compiled]):
 
         def two(state, env, reads):
             a, b = first(state, env, reads), second(state, env, reads)
-            return None if a is UNDEF or b is UNDEF else (a, b)
+            return UNDEF if a is UNDEF or b is UNDEF else apply(state, (a, b), reads)
 
         return two
 
@@ -942,8 +1002,8 @@ def _arguments(fns: list[Compiled]):
         vals = tuple([f(state, env, reads) for f in fns])
         for v in vals:
             if v is UNDEF:
-                return None
-        return vals
+                return UNDEF
+        return apply(state, vals, reads)
 
     return many
 
@@ -954,12 +1014,8 @@ def _application(term: FunctionApp, fns, signature: Signature) -> Compiled:
     if arity is not None:
         if count != arity:
             return _failing(SignatureError, f"{sym!r} has arity {arity}, got {count} arguments")
-        args = _arguments(fns)
 
-        def location(state, env, reads):
-            vals = args(state, env, reads)
-            if vals is None:
-                return UNDEF
+        def location(state, vals, reads):
             base_name = state.background.projection_base(sym)
             if base_name is not None:
                 return _projection(state, base_name, vals, reads)
@@ -968,19 +1024,13 @@ def _application(term: FunctionApp, fns, signature: Signature) -> Compiled:
                 reads.add(loc)
             return state.value_at(loc)
 
-        return location
+        return _strict(fns, location)
 
     fn = _bg.TERM_FUNCTIONS.get(sym)
     if fn is not None:
         if fn.arity is not None and count != fn.arity:
             return _failing(SignatureError, f"background function {sym!r} takes {fn.arity} arguments")
-        apply, args = fn.fn, _arguments(fns)
-
-        def function(state, env, reads):
-            vals = args(state, env, reads)
-            return UNDEF if vals is None else apply(state, vals, reads)
-
-        return function
+        return _strict(fns, fn.fn)
 
     return _failing(SignatureError, f"unknown symbol {sym!r}")
 

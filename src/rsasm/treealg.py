@@ -79,10 +79,13 @@ class Tree:
     def preorder(self):
         """Yield (path, subtree) for every node in preorder; a node is its path."""
         stack: list[tuple[Path, Tree]] = [((), self)]
+        push = stack.append
         while stack:
             path, node = stack.pop()
             yield path, node
-            stack.extend(reversed([(path + (i,), c) for i, c in enumerate(node.children)]))
+            kids = node.children
+            for i in range(len(kids) - 1, -1, -1):
+                push((path + (i,), kids[i]))
 
     def find(self, path: Path) -> "Tree | None":
         """The node at ``path``, or None if the path leaves the tree."""

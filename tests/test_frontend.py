@@ -507,6 +507,35 @@ def test_cli_probe(capsys):
     assert "isomorphism_closure: 20 trials, ok" in out
 
 
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "trials, message",
+    [("-1", "expected at least 1, got -1"), ("0", "expected at least 1, got 0"), ("two", "invalid count value: 'two'")],
+)
+def test_cli_probe_rejects_fewer_than_one_trial(trials, message, capsys):
+    err = _usage_error(["probe", "--trials", trials], capsys)
+    assert f"argument --trials: {message}" in err
+
+
+@pytest.mark.parametrize("steps", ["-3", "-1"])
+def test_cli_run_rejects_a_negative_step_cap(steps, tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    argv = ["run", _program_path("parity"), "--max-steps", steps, "--trace", str(trace_path)]
+    err = _usage_error(argv, capsys)
+    assert f"argument --max-steps: expected at least 0, got {steps}" in err
+    assert not trace_path.exists()
+    assert cli_main(["run", _program_path("parity"), "--max-steps", "0"]) == 0
+    assert capsys.readouterr().out.startswith("status: max_steps after 0 step(s)")
+
+
 def test_cli_run_exits_1_on_a_clash(tmp_path, capsys):
     clashing = tmp_path / "clash.rsasm"
     clashing.write_text(

@@ -58,6 +58,7 @@ from rsasm.structures import (
     Update,
     UpdateSet,
     Variable,
+    apply_isomorphism,
     canonical_dumps,
     eval_term,
     self_digest,
@@ -521,3 +522,31 @@ def test_a_printed_machine_parses_back_to_a_machine_that_prints_and_runs_alike(m
     reparsed = parse(printed)
     assert machine_to_source(reparsed) == printed
     assert _run_outcome(reparsed) == _run_outcome(machine)
+
+
+# -- renaming keeps what does not move --------------------------------------------------
+
+
+def _node_ids(t: Tree) -> set[int]:
+    return {id(node) for _, node in t.preorder()}
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_renaming_by_the_identity_returns_the_states_own_tree(seed):
+    state = generate.random_machine(random.Random(seed)).initial_state
+    renamed = apply_isomorphism(state, {})
+    assert renamed.self_tree is state.self_tree
+    assert all(renamed.interp[loc] is value for loc, value in state.interp.items())
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_renaming_by_a_permutation_and_back_gives_an_equal_tree(seed):
+    rng = random.Random(seed)
+    state = generate.random_machine(rng).initial_state
+    sigma = generate.random_permutation(state, rng)
+    there = apply_isomorphism(state, sigma)
+    back = apply_isomorphism(there, {b: a for a, b in sigma.items()})
+    assert back.self_tree == state.self_tree
+    assert back == state
+    # one image per subtree object: shared subtrees stay shared
+    assert len(_node_ids(there.self_tree)) == len(_node_ids(state.self_tree))

@@ -1,11 +1,14 @@
 """Term evaluation, update application, state difference, isomorphism action."""
 
+import dataclasses
 import random
 
 import pytest
 
 from conftest import GEN_ATOMS, make_state, random_term, reference_preorder
 from rsasm import generate
+from rsasm.background import TERM_FUNCTIONS
+from rsasm.engine import run
 from rsasm.frontend import load_program, parse
 from rsasm.errors import EvalError, IsoError, SignatureError, StateError
 from rsasm.structures import (
@@ -15,6 +18,7 @@ from rsasm.structures import (
     Equality,
     FALSE,
     FunctionApp,
+    FunctionSymbol,
     Iota,
     Location,
     NODES_DOMAIN,
@@ -22,7 +26,9 @@ from rsasm.structures import (
     NodeRef,
     SELF_LOCATION,
     SetVal,
+    Signature,
     TRUE,
+    TreeValue,
     UNDEF,
     Update,
     UpdateSet,
@@ -34,7 +40,9 @@ from rsasm.structures import (
     is_consistent,
     rename_term,
     rename_value,
+    value_to_json,
 )
+from rsasm.treealg import Tree
 
 
 def upd(*pairs):
@@ -383,3 +391,145 @@ def test_sublocation_symbol_reads_self_subtree():
             assert raised == (UNDEF if found is None else TreeValue(found))
             assert raised_reads == subtree_reads == {SELF_LOCATION}
             assert drop(raise_(node)) == node
+
+
+# -- node refs carry their node; states keep their self tree -----------------------------
+
+
+def _node_calls(tree, ref):
+    """Every node function at each node of ``tree`` and its neighbours, the nodes named by ``ref(path, node)``."""
+    root = ref((), tree)
+    for path, node in tree.preorder():
+        here = ref(path, node)
+        yield "label", (here,)
+        yield "n_children", (here,)
+        yield "subtree", (here,)
+        yield "context_of", (root, here)
+        for i in range(len(node.children) + 2):
+            yield "child_n", (here, NatVal(i))
+        for i, child in enumerate(node.children):
+            kid = ref(path + (i,), child)
+            yield "child", (here, kid)
+            yield "context_of", (here, kid)
+            if i:
+                yield "next_sib", (ref(path + (i - 1,), node.children[i - 1]), kid)
+    yield "label", (ref((len(tree.children),), None),)  # a path off the tree
+
+
+def test_a_carried_node_ref_reads_as_its_path_alone():
+    rng = random.Random(17)
+    states = [parse(load_program("parity")).initial_state]
+    states += [generate.random_machine(rng).initial_state for _ in range(20)]
+    stranger = Tree("elsewhere")
+    for state in states:
+        tree = state.self_tree
+        carried = list(_node_calls(tree, lambda path, node: NodeRef(path, tree, node)))
+        bare = list(_node_calls(tree, lambda path, node: NodeRef(path)))
+        # a ref found in another tree object reads by its path in this one
+        foreign = list(_node_calls(tree, lambda path, node: NodeRef(path, stranger, stranger)))
+        for (name, with_node), (_, by_path), (_, elsewhere) in zip(carried, bare, foreign):
+            assert with_node == by_path == elsewhere
+            assert [hash(v) for v in with_node] == [hash(v) for v in by_path]
+            assert [repr(v) for v in with_node] == [repr(v) for v in by_path]
+            fn = TERM_FUNCTIONS[name].fn
+            results, reads = [], []
+            for vals in (with_node, by_path, elsewhere):
+                reads.append(set())
+                results.append(fn(state, vals, reads[-1]))
+            assert results[0] == results[1] == results[2]
+            assert reads[0] == reads[1] == reads[2]
+            if isinstance(results[0], NodeRef):  # child_n carries the child it found
+                for found in results:
+                    assert found.tree is tree and found.node is tree.find(found.path)
+
+
+def test_iota_over_nodes_returns_a_ref_carrying_its_node():
+    state = parse(load_program("join")).initial_state
+    condition = BoolConnective(
+        "and",
+        (
+            FunctionApp("child", (FunctionApp("root_node"), Variable("w"))),
+            Equality(FunctionApp("label", (Variable("w"),)), Constant(Atom("signature"))),
+        ),
+    )
+    found = eval_term(state, Iota("w", NODES_DOMAIN, condition))
+    assert found == NodeRef((0,))
+    assert found.tree is state.self_tree and found.node is state.self_tree.children[0]
+    assert value_to_json(found) == {"node": [0]} and repr(found) == "node@0"
+
+
+STALE_REF_PROGRAM = """
+SIGNATURE
+  mode/0
+  r/0
+  lab/0
+  kids/0
+  sub/0
+  first/0
+
+INIT
+  mode = find
+
+RULE
+  PAR
+    IF mode = find THEN
+      PAR
+        r := IOTA w IN NODES . label(w) = let
+        mode := rewrite
+      ENDPAR
+    ENDIF
+    IF mode = rewrite THEN
+      LET p = child_n(child_n(root_node(), 2), 1) IN
+      PAR
+        p <=[left_extend] subtree(child_n(p, 1))
+        mode := read
+      ENDPAR
+    ENDIF
+    IF mode = read THEN
+      PAR
+        lab := label(r)
+        kids := n_children(r)
+        sub := subtree(r)
+        first := subtree(child_n(r, 1))
+        mode := done
+      ENDPAR
+    ENDIF
+  ENDPAR
+"""
+
+
+def test_a_stored_node_ref_reads_the_rewritten_self_tree():
+    # Step 1 stores the LET node found by IOTA; step 2 puts a copy of the
+    # first branch in front of the others, so the stored path now names a
+    # node of that copy; step 3 reads the ref.
+    trace = run(parse(STALE_REF_PROGRAM))
+    assert trace.status == "fixpoint" and len(trace.steps) == 4
+    found = trace.steps[0].after.value_at(Location("r"))
+    before = trace.initial_state.self_tree
+    assert found.tree is before and found.node.label == "let"
+    after = trace.steps[1].after.self_tree
+    node = after.find(found.path)
+    assert node.label != "let"
+    final = trace.final_state
+    assert final.value_at(Location("lab")) == Atom(node.label)
+    assert final.value_at(Location("kids")) == NatVal(len(node.children))
+    assert len(node.children) != len(found.node.children)
+    assert final.value_at(Location("sub")) == TreeValue(node)
+    assert final.value_at(Location("first")) == TreeValue(node.children[0])
+    assert final.value_at(Location("first")) != TreeValue(found.node.children[0])
+
+
+def test_a_state_keeps_the_tree_bound_at_self():
+    state = make_state({"n0": 0}, {Location("n0"): NatVal(1)})
+    grown = generate.random_machine(random.Random(4)).initial_state.self_tree
+    wider = Signature(state.signature.symbols + (FunctionSymbol("n1", 0),))
+    successors = [
+        state.with_signature(wider),
+        apply_update_set(state, upd((SELF_LOCATION, TreeValue(grown)))),
+        apply_update_set(state, upd((Location("n0"), NatVal(2)))),
+        dataclasses.replace(state, interp={SELF_LOCATION: TreeValue(grown)}),
+    ]
+    for successor in [state] + successors:
+        assert successor.self_tree is successor.value_at(SELF_LOCATION).tree
+    assert successors[1].self_tree is grown and successors[3].self_tree is grown
+    assert successors[0] != state and successors[2] != state
