@@ -14,7 +14,6 @@ from .engine import (
     probe_bounded_exploration,
     probe_isomorphism_closure,
     replay,
-    replay_self,
     run,
     step,
 )

@@ -49,18 +49,20 @@ from .structures import (
     tree_from_table,
     tree_to_table,
 )
-from .treealg import Tree
 
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
+
+# The step cap of a machine whose program sets none.
+DEFAULT_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
 class Machine:
     initial_state: State
-    max_steps: int = 1000
+    max_steps: int = DEFAULT_MAX_STEPS
     name: str = "machine"
 
 
@@ -68,15 +70,16 @@ class Machine:
 class StepRecord:
     """One step: the states before and after it, its multiset and its collapse.
 
-    In the trace JSON (format 3) a step holds its ``index``; its ``updates``
+    In the trace JSON (format 4) a step holds its ``index``; its ``updates``
     sorted by canonical JSON, or a ``clash`` instead; the ``shared`` entries of
     its multiset; the ``signature_added`` names; and the ``self_digest`` of the
     self tree after it.  The update of ``self`` is written as the tree
     difference ``theta`` (``reflect.tree_diff`` of the self trees before and
     after, as ``term_to_json``) in place of a ``value``, so a step that does not
-    write ``self`` carries no tree at all; :func:`replay` evaluates it on the
-    tree before the step.  The difference is computed here, when the record is
-    written, and never while stepping.
+    write ``self`` carries no self tree at all; :func:`replay` evaluates it on
+    the tree before the step.  The difference is computed here, when the record
+    is written, and never while stepping.  Every tree in a record, whether a
+    value or a constant of ``theta``, is a node table.
     """
 
     index: int
@@ -124,11 +127,12 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 3) holds ``format``, ``status``, the optional
+    The trace JSON (format 4) holds ``format``, ``status``, the optional
     ``detail``, the ``initial`` self tree with its ``self_digest``, and the
-    step records (see :class:`StepRecord`).  The initial tree is written as a
-    node table (``structures.tree_to_table``): each distinct subtree once, as
-    ``[label, value?, [child ids]]``, children first and the root last.
+    step records (see :class:`StepRecord`).  Every tree in a trace, the initial
+    one included, is written as a node table (``structures.tree_to_table``):
+    each distinct subtree once, as ``[label, value?, [child ids]]``, children
+    first and the root last; a tree value is ``{"tree": <table>}``.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads
     the initial tree, then evaluates each step's ``theta`` on the tree so far.
     """
@@ -164,7 +168,7 @@ def replay(trace_obj: dict):
     Reads the initial node table once, then, for each step, evaluates the
     step's ``theta`` (if it writes ``self``) on the tree so far.  Each tree is
     checked against its ``self_digest`` before it is yielded.  A trace that
-    is not format 3, a digest that does not match and a malformed trace raise
+    is not format 4, a digest that does not match and a malformed trace raise
     ``EngineError``.
     """
     try:
@@ -187,18 +191,6 @@ def replay(trace_obj: dict):
             yield tree
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
-
-
-def replay_self(trace_obj: dict, index: int) -> Tree:
-    """The self tree after step ``index`` of a trace JSON object; 0 is the initial tree.
-
-    Replays the trace (see :func:`replay`) up to that point.
-    """
-    steps = 0
-    for steps, tree in enumerate(replay(trace_obj)):
-        if steps == index:
-            return tree
-    raise EngineError(f"trace has {steps} steps, no index {index}")
 
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:

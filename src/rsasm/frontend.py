@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from . import background as bg
-from .engine import Machine
+from .engine import DEFAULT_MAX_STEPS, Machine
 from .errors import ParseError
 from .printer import SourcePrinter
 from .reflect import MAX_NESTING, RULE_AT, build_self_tree, decode_rule, drop, rule_of_self
@@ -81,8 +81,6 @@ KEYWORDS = {
 }
 
 RESERVED_WORDS = {"true", "false", "undef"}
-
-DEFAULT_MAX_STEPS = 1000
 
 
 @dataclass

@@ -516,7 +516,7 @@ def value_to_json(value: Value) -> object:
     if isinstance(value, DroppedTerm):
         return {"dropped": term_to_json(value.term)}
     if isinstance(value, TreeValue):
-        return {"tree": tree_to_json(value.tree)}
+        return {"tree": tree_to_table(value.tree)}
     if isinstance(value, TupleVal):
         return {"tuple": [value_to_json(v) for v in value.items]}
     if isinstance(value, SetVal):
@@ -524,14 +524,6 @@ def value_to_json(value: Value) -> object:
     if isinstance(value, NodeRef):
         return {"node": list(value.path)}
     raise StateError(f"cannot serialize value {value!r}")
-
-
-def tree_to_json(t: Tree) -> dict:
-    obj: dict = {"label": t.label}
-    if t.value is not None:
-        obj["value"] = value_to_json(t.value)
-    obj["children"] = [tree_to_json(c) for c in t.children]
-    return obj
 
 
 def tree_to_table(t: Tree) -> list:
@@ -547,10 +539,9 @@ def tree_to_table(t: Tree) -> list:
     return table
 
 
-# The recursive walks of the table and of the digest are module functions: a
-# nested function that calls itself is a reference cycle, which would keep
-# every tree it reaches, and the memos kept on them, alive until a full
-# garbage collection.
+# The recursive walk of the table is a module function: a nested function that
+# calls itself is a reference cycle, which would keep every tree it reaches,
+# and the memos kept on them, alive until a full garbage collection.
 def _table_id(node: Tree, ids: dict[Tree, int], table: list) -> int:
     """The id of ``node`` in ``table``; a new subtree is appended after its children."""
     nid = ids.get(node)
@@ -597,7 +588,7 @@ def value_from_json(obj) -> Value:
     if "dropped" in obj:
         return DroppedTerm(term_from_json(obj["dropped"]))
     if "tree" in obj:
-        return TreeValue(tree_from_json(obj["tree"]))
+        return TreeValue(tree_from_table(obj["tree"]))
     if "tuple" in obj:
         return TupleVal(tuple(value_from_json(v) for v in obj["tuple"]))
     if "set" in obj:
@@ -605,15 +596,6 @@ def value_from_json(obj) -> Value:
     if "node" in obj:
         return NodeRef(tuple(obj["node"]))
     raise StateError(f"malformed value object {obj!r}")
-
-
-def tree_from_json(obj) -> Tree:
-    value = value_from_json(obj["value"]) if "value" in obj else None
-    return Tree(
-        obj["label"],
-        tuple(tree_from_json(c) for c in obj.get("children", ())),
-        value,
-    )
 
 
 def tree_from_table(table) -> Tree:
@@ -700,65 +682,29 @@ def state_to_json(state: State) -> dict:
 
 
 def self_digest(t: Tree) -> str:
-    """sha256 of ``canonical_dumps(tree_to_json(t))``, computed once per tree object.
+    """sha256 of the canonical JSON of ``[label, table(c1), table(c2), …]``, computed once per tree object.
 
-    The canonical text of each child of the root (a self tree's signature and
-    rule regions) is kept on that child, UTF-8 encoded, so a region that
-    several self trees share is written once: a step that extends only the
-    signature keeps the rule region as the same object.
+    ``table(c)`` is the node table (``tree_to_table``) of a child of the root;
+    a root that holds a value has it after the label, as a table entry does.
+    The UTF-8 text of each child's table is kept on that child, so a region
+    that several self trees share is written once: a step that extends only
+    the signature keeps the rule region as the same object.
     """
     return treealg.memoized(t, "_self_digest", _self_digest)
 
 
 def _self_digest(t: Tree) -> str:
-    digest = hashlib.sha256(b'{"children":[')
-    for i, region in enumerate(t.children):
-        if i:
-            digest.update(b",")
-        digest.update(treealg.memoized(region, "_canonical_text", _canonical_text))
-    digest.update(_text_tail(t, {}).encode("utf-8"))
+    head = [t.label] if t.value is None else [t.label, value_to_json(t.value)]
+    digest = hashlib.sha256(canonical_dumps(head)[:-1].encode("utf-8"))
+    for region in t.children:
+        digest.update(b",")
+        digest.update(treealg.memoized(region, "_table_text", _table_text))
+    digest.update(b"]")
     return digest.hexdigest()
 
 
-def _text_tail(node: Tree, labels: dict[str, str]) -> str:
-    """The text of ``node`` after its children: ``],"label":…,"value":…}``."""
-    label = labels.get(node.label)
-    if label is None:
-        label = labels[node.label] = '],"label":' + canonical_dumps(node.label)
-    if node.value is None:
-        return label + "}"
-    return label + ',"value":' + canonical_dumps(value_to_json(node.value)) + "}"
-
-
-def _canonical_text(t: Tree) -> bytes:
-    """``canonical_dumps(tree_to_json(t))`` in UTF-8, composed from the text of each distinct subtree object.
-
-    The text of a node is ``{"children":[…],"label":…,"value":…}``, keys in
-    ``canonical_dumps`` order.  It is written once per object, as a run of
-    pieces; a later occurrence of the same object copies that run.  A tree
-    built through one intern table, and a tree a step rebuilds from it, keep
-    every repeated subtree as one object.
-    """
-    pieces: list[str] = []
-    _write_text(t, pieces, {}, {})
-    return "".join(pieces).encode("utf-8")
-
-
-def _write_text(
-    node: Tree, pieces: list[str], runs: dict[int, tuple[int, int]], labels: dict[str, str]
-) -> None:
-    run = runs.get(id(node))
-    if run is not None:
-        pieces.extend(pieces[run[0] : run[1]])
-        return
-    start = len(pieces)
-    pieces.append('{"children":[')
-    for i, child in enumerate(node.children):
-        if i:
-            pieces.append(",")
-        _write_text(child, pieces, runs, labels)
-    pieces.append(_text_tail(node, labels))
-    runs[id(node)] = (start, len(pieces))
+def _table_text(t: Tree) -> bytes:
+    return canonical_dumps(tree_to_table(t)).encode("utf-8")
 
 
 # -- term evaluation ----------------------------------------------------------------
@@ -919,28 +865,36 @@ def _connective(term, fns, signature) -> Compiled:
             return UNDEF if flag is None else FALSE if flag else TRUE
 
         return negation
+    # Kleene AND and OR are associative, so any number of operands is a
+    # balanced tree of two-operand closures: it still evaluates every operand
+    # left to right, and a flat chain of n operands nests only ceil(log2 n)
+    # calls deep; the unit (true for AND, false for OR) pads fewer than two
     decisive = term.op == "or"  # the operand flag that decides the result
+    unit = FALSE if decisive else TRUE
+    if len(fns) < 2:
+        fns = [lambda state, env, reads: unit, *fns]
+    return _balanced(fns, decisive)
+
+
+def _balanced(fns: list[Compiled], decisive: bool) -> Compiled:
+    if len(fns) == 1:
+        return fns[0]
+    half = len(fns) // 2
+    return _binary(_balanced(fns[:half], decisive), _balanced(fns[half:], decisive), decisive)
+
+
+def _binary(first: Compiled, second: Compiled, decisive: bool) -> Compiled:
     decided, otherwise = (TRUE, FALSE) if decisive else (FALSE, TRUE)
-    if len(fns) == 2:
-        first, second = fns
 
-        def binary(state, env, reads):
-            a, b = first(state, env, reads), second(state, env, reads)
-            fa = a.flag if isinstance(a, BoolVal) else None
-            fb = b.flag if isinstance(b, BoolVal) else None
-            if fa == decisive or fb == decisive:
-                return decided
-            return UNDEF if fa is None or fb is None else otherwise
-
-        return binary
-
-    def connective(state, env, reads):
-        flags = [_flag(f(state, env, reads)) for f in fns]
-        if decisive in flags:
+    def binary(state, env, reads):
+        a, b = first(state, env, reads), second(state, env, reads)
+        fa = a.flag if isinstance(a, BoolVal) else None
+        fb = b.flag if isinstance(b, BoolVal) else None
+        if fa == decisive or fb == decisive:
             return decided
-        return UNDEF if None in flags else otherwise
+        return UNDEF if fa is None or fb is None else otherwise
 
-    return connective
+    return binary
 
 
 def _iota(term: Iota, signature: Signature) -> Compiled:

@@ -454,3 +454,53 @@ def test_a_compiled_term_is_kept_per_signature_and_reads_the_background_when_run
     assert len(compiles) == 2
     for state in (without, with_f, projected):
         assert_term_agrees(state, term)
+
+
+_T, _F, _U, _N = (FunctionApp(s) for s in ("b0", "c0", "d0", "n0"))  # true, false, undef, 1
+_READS = {_T: "b0", _F: "c0", _U: "d0", _N: "n0", FAULTY: "a0"}
+_RAISED = ("error", EvalError, "+ expects a natural number, got p")
+
+
+@pytest.mark.parametrize(
+    "op, operands, expected",
+    [
+        ("and", (_T, _T, _T), ("value", TRUE)),
+        ("and", (_T, _U, _T), ("value", UNDEF)),
+        ("and", (_T, _N, _F), ("value", FALSE)),
+        ("and", (_U, _N, _T, _T), ("value", UNDEF)),
+        ("and", (_T, _T, _T, _F), ("value", FALSE)),
+        ("and", (_F, _U, _N, FAULTY), _RAISED),
+        ("and", (_T, FAULTY, _F), _RAISED),
+        ("or", (_F, _F, _F), ("value", FALSE)),
+        ("or", (_F, _U, _F), ("value", UNDEF)),
+        ("or", (_U, _N, _T), ("value", TRUE)),
+        ("or", (_F, _N, _U, _F), ("value", UNDEF)),
+        ("or", (_F, _F, _F, _T), ("value", TRUE)),
+        ("or", (FAULTY, _T, _T), _RAISED),
+        ("or", (_T, _U, FAULTY, _N), _RAISED),
+        # fewer than two operands, built through the API
+        ("and", (), ("value", TRUE)),
+        ("or", (), ("value", FALSE)),
+        ("and", (_N,), ("value", UNDEF)),
+        ("or", (_T,), ("value", TRUE)),
+        ("and", (_F,), ("value", FALSE)),
+    ],
+)
+def test_a_connective_of_any_operand_count_evaluates_every_operand_left_to_right(
+    op, operands, expected
+):
+    state = make_state(
+        {"n0": 0, "a0": 0, "b0": 0, "c0": 0, "d0": 0},
+        {
+            Location("n0"): NatVal(1),
+            Location("a0"): Atom("p"),
+            Location("b0"): TRUE,
+            Location("c0"): FALSE,
+        },
+    )
+    term = BoolConnective(op, operands)
+    reads = set()
+    assert _outcome(lambda: eval_term(state, term, None, reads)) == expected
+    evaluated = operands[: operands.index(FAULTY) + 1] if FAULTY in operands else operands
+    assert reads == {Location(_READS[o]) for o in evaluated}
+    assert assert_term_agrees(state, term) == expected

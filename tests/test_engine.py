@@ -15,7 +15,6 @@ from rsasm.engine import (
     probe_bounded_exploration,
     probe_isomorphism_closure,
     replay,
-    replay_self,
     run,
     step,
 )
@@ -46,7 +45,8 @@ from rsasm.structures import (
     canonical_dumps,
     diff_states,
     self_digest,
-    tree_to_json,
+    tree_from_table,
+    tree_to_table,
 )
 from rsasm.treealg import L_RULE, Tree
 from test_acceptance import JoinCase, join_source
@@ -170,6 +170,27 @@ OPTIONS
     assert len(trace.steps) == 1
     assert trace.steps[0].clashed
     assert trace.final_state.value_at(Location("card")) == NatVal(0)
+
+
+def test_a_clash_at_several_tree_argument_locations_names_the_first_by_table_json():
+    # Tree arguments order by their node-table JSON: ``b<a<>>`` (table
+    # ``[["a",[]],["b",[0]]]``) sorts before ``c<>`` (``[["c",[]]]``).
+    src = """
+SIGNATURE
+  f/1
+RULE
+  PAR
+    f(label_hedge(c)) := 1
+    f(label_hedge(c)) := 2
+    f(label_hedge(b, label_hedge(a))) := 1
+    f(label_hedge(b, label_hedge(a))) := 2
+  ENDPAR
+"""
+    trace = run(parse(src, "tree_clash"))
+    assert (trace.status, trace.detail) == ("error", "clash_stall")
+    clash = trace.steps[0].to_json()["clash"]
+    (arg,) = clash["location"]["args"]
+    assert tree_from_table(arg["tree"]) == Tree("b", (Tree("a"),))
 
 
 def test_a_clash_ends_the_run_even_where_the_stored_signature_lags_self():
@@ -335,20 +356,69 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _nested(table: list) -> dict:
+    """The tree a node table holds, as format 1 wrote a tree: ``{"children", "label", "value"?}``."""
+    nodes: list = []
+    for entry in table:
+        node = {"label": entry[0], "children": [nodes[k] for k in entry[-1]]}
+        if len(entry) == 3:
+            node["value"] = _old_json(entry[1])
+        nodes.append(node)
+    return nodes[-1]
+
+
+_OLD_RANKS = {"atom": 0, "nat": 1, "bool": 2, "undef": 3, "symbol": 4, "node": 5}
+
+
+def _old_sort_key(member) -> tuple:
+    """The ``value_sort_key`` format 1 ordered a set by, read off a member's format-1 JSON."""
+    ((kind, inner),) = member.items()
+    rank = _OLD_RANKS.get(kind)
+    if rank is None:
+        return (6, canonical_dumps(member))
+    return (3,) if kind == "undef" else (rank, tuple(inner) if kind == "node" else inner)
+
+
+def _old_json(obj):
+    """A trace JSON fragment with every ``{"tree": <table>}`` written as format 1's nested tree."""
+    if isinstance(obj, list):
+        return [_old_json(item) for item in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if obj.keys() == {"tree"}:
+        return {"tree": _nested(obj["tree"])}
+    if obj.keys() == {"set"}:
+        return {"set": sorted(_old_json(obj["set"]), key=_old_sort_key)}
+    return {key: _old_json(value) for key, value in obj.items()}
+
+
+def _old_digest(tree: dict) -> str:
+    """``self_digest`` as formats 1 to 3 defined it: the sha256 of the canonical nested JSON."""
+    return _sha256(canonical_dumps(tree))
+
+
 def _old_form(trace_obj: dict) -> dict:
-    """The trace as format 1 wrote it: every self tree in full, the self update as a value."""
-    old = {key: value for key, value in trace_obj.items() if key != "format"}
-    initial, *after = (tree_to_json(tree) for tree in replay(trace_obj))
-    old["initial"] = {**trace_obj["initial"], "self": initial}
+    """The trace as format 1 wrote it: every self tree in full, the self update as a value.
+
+    Every tree is nested JSON, updates, shared entries and set members are in
+    the order that JSON sorts them, and each ``self_digest`` is the old one.
+    """
+    old = {key: value for key, value in trace_obj.items() if key not in ("format", "steps")}
+    initial, *after = (_nested(tree_to_table(tree)) for tree in replay(trace_obj))
+    old["initial"] = {"self_digest": _old_digest(initial), "self": initial}
     old["steps"] = []
     for record, tree in zip(trace_obj["steps"], after):
         updates = [
-            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else u
+            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else _old_json(u)
             for u in record["updates"]
         ]
-        old["steps"].append(
-            {**record, "updates": sorted(updates, key=canonical_dumps), "self": tree}
-        )
+        old["steps"].append({
+            **_old_json(record),
+            "updates": sorted(updates, key=canonical_dumps),
+            "shared": sorted(_old_json(record["shared"]), key=canonical_dumps),
+            "self_digest": _old_digest(tree),
+            "self": tree,
+        })
     return old
 
 
@@ -358,11 +428,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "eabcbb46ca3341ca8563548d1ca862cb9a7baf763118137f7d5014dd1fb594c2",
+        "d71109bfefa641af55d8a173c6eddec0840d10f56aaab201c6dea71f574daad0",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "2a0125b0d7a774cc47cce7cd1daddb83a8f371699290553397a776466851f1f6",
+        "84dd56c06f781fc09c78a82026a89f9c7f5973c5023e140b3dc173d1622c85b8",
     ),
 }
 
@@ -387,7 +457,7 @@ def _replay_traces():
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 3
+        assert trace_obj["format"] == 4
         expected = [trace.initial_state] + [s.after for s in trace.steps]
         replayed = list(replay(trace_obj))
         assert len(replayed) == len(expected), name
@@ -395,7 +465,6 @@ def test_replay_rebuilds_every_self_tree_from_the_trace_json():
             assert tree == state.self_tree, (name, k)
         for record, tree in zip(trace_obj["steps"], replayed[1:]):
             assert self_digest(tree) == record["self_digest"], name
-        assert replay_self(trace_obj, len(trace.steps)) == replayed[-1], name
 
 
 def test_only_a_step_that_writes_self_carries_a_difference_term():
@@ -412,23 +481,25 @@ def test_only_a_step_that_writes_self_carries_a_difference_term():
 def test_replay_refuses_other_formats_and_mismatched_digests():
     trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
     without = {key: value for key, value in trace_obj.items() if key != "format"}
-    for other in (dict(trace_obj, format=1), without):
-        with pytest.raises(EngineError, match="not a format 3 trace"):
-            replay_self(other, 0)
+    for other, fmt in (
+        (dict(trace_obj, format=3), 3),
+        (dict(trace_obj, format=1), 1),
+        (without, "missing"),
+    ):
+        with pytest.raises(EngineError, match=rf"^not a format 4 trace \(format: {fmt}\)$"):
+            list(replay(other))
     tampered = json.loads(json.dumps(trace_obj))
     tampered["steps"][0]["self_digest"] = "0" * 64
-    assert replay_self(tampered, 0) == replay_self(trace_obj, 0)
+    assert next(replay(tampered)) == next(replay(trace_obj))
     with pytest.raises(EngineError, match="step 1 does not match its digest"):
-        replay_self(tampered, 1)
-    with pytest.raises(EngineError, match="no index 5"):
-        replay_self(trace_obj, 5)
+        list(replay(tampered))
     for child in (-1, len(trace_obj["initial"]["self"]) - 1):
         looped = json.loads(json.dumps(trace_obj))
         looped["initial"]["self"][-1][-1][0] = child
         with pytest.raises(StateError, match="names a child that does not precede it"):
-            replay_self(looped, 0)
+            list(replay(looped))
     with pytest.raises(EngineError, match="malformed trace"):
-        replay_self({"format": 3, "steps": []}, 0)
+        list(replay({"format": 4, "steps": []}))
 
 
 def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():

@@ -22,7 +22,16 @@ from rsasm.frontend import (
 )
 from rsasm.reflect import decode_rule, decode_signature, rule_of_self, signature_of_self
 from rsasm.rules import If, Par
-from rsasm.structures import SELF_LOCATION, Atom, Location, NatVal, SymbolName, TreeValue, UNDEF
+from rsasm.structures import (
+    SELF_LOCATION,
+    Atom,
+    Location,
+    NatVal,
+    SymbolName,
+    TreeValue,
+    UNDEF,
+    tree_from_table,
+)
 from rsasm.treealg import Tree
 
 
@@ -270,6 +279,18 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
     for i, j in (("0", "9"), ("-1", "1")):
         assert cli_main(["diff-self", str(trace_path), i, j]) == 2
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
+
+
+def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
+    trace_obj = json.loads(trace_path.read_text())
+    trace_path.write_text(json.dumps(dict(trace_obj, format=3)))
+    capsys.readouterr()
+    assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: not a format 4 trace (format: 3)\n"
+    assert captured.out == ""
 
 
 def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, capsys):
@@ -601,6 +622,14 @@ def test_cli_run_json_format(capsys):
     assert {"card", "parity", "self"} <= symbols
 
 
+def test_cli_run_json_writes_the_final_self_tree_as_a_node_table(capsys):
+    assert cli_main(["run", _program_path("join"), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (value,) = [v for loc, v in payload["final"]["locations"] if loc["symbol"] == "self"]
+    final = run(parse(load_program("join"))).final_state.self_tree
+    assert tree_from_table(value["tree"]) == final
+
+
 # -- nesting cap ------------------------------------------------------------------
 
 
@@ -657,6 +686,36 @@ def test_cli_check_rejects_deep_nesting_without_a_traceback(kind, tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert f"nesting deeper than {MAX_NESTING} levels" in proc.stderr
+
+
+def _connective_chain(op: str, flags: list[str]) -> str:
+    """``x := f1 op f2 op ...`` under one IF: a flat chain, so one nesting level."""
+    chain = f" {op} ".join(flags)
+    return f"SIGNATURE\n  x/0\nINIT\n  x = 0\nRULE\n  IF x = 0 THEN x := {chain} ENDIF\n"
+
+
+LONG_CONNECTIVES = {
+    "and": (_connective_chain("AND", ["true"] * 1000), "true"),
+    "or": (_connective_chain("OR", ["false"] * 999 + ["true"]), "true"),
+    "and_undef": (_connective_chain("AND", ["true"] * 999 + ["undef"]), "undef"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_CONNECTIVES))
+def test_a_long_connective_chain_runs_to_fixpoint(kind, tmp_path):
+    source, final = LONG_CONNECTIVES[kind]
+    trace = run(parse(source))
+    assert trace.status == "fixpoint"
+    assert repr(trace.final_state.value_at(Location("x"))) == final
+    assert json.loads(trace.to_json())["status"] == "fixpoint"
+    program = tmp_path / "chain.rsasm"
+    program.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsasm.cli", "run", str(program)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_programs_at_the_nesting_cap_parse_run_and_serialize_their_trace():

@@ -65,8 +65,9 @@ from rsasm.structures import (
     term_substitute,
     term_to_json,
     tree_from_table,
-    tree_to_json,
     tree_to_table,
+    value_from_json,
+    value_to_json,
 )
 from rsasm.treealg import XI, Tree, interner
 
@@ -478,12 +479,53 @@ def test_a_built_self_tree_is_one_object_per_distinct_subtree(t):
     assert len(objects) == len(subtrees)
 
 
+def _interned(t: Tree, node) -> Tree:
+    """``t`` built again through the intern table ``node``."""
+    return node(t.label, tuple(_interned(c, node) for c in t.children), t.value)
+
+
 @given(st.one_of(trees, machine_self_trees))
 @example(Tree("r", (Tree(XI), Tree("leaf", (), SetVal(frozenset({NatVal(2), Atom("p")}))))))
 @example(Tree("r", (Tree("leaf", (), TreeValue(Tree('q"t', (Tree("ü"),)))),)))
-def test_the_composed_digest_is_the_sha256_of_the_canonical_tree_json(t):
-    expected = hashlib.sha256(canonical_dumps(tree_to_json(t)).encode("utf-8")).hexdigest()
-    assert self_digest(t) == expected
+@example(Tree("r", (), NatVal(3)))
+def test_the_composed_digest_is_the_sha256_of_the_label_and_child_tables(t):
+    head = [t.label] if t.value is None else [t.label, value_to_json(t.value)]
+    text = canonical_dumps(head + [tree_to_table(c) for c in t.children])
+    assert self_digest(t) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@given(st.one_of(trees, machine_self_trees))
+def test_equal_trees_built_with_and_without_the_interner_have_one_digest(t):
+    assert self_digest(_interned(t, interner())) == self_digest(_rebuilt(t)) == self_digest(t)
+
+
+@given(st.one_of(trees, machine_self_trees))
+def test_a_tree_read_back_from_its_own_table_keeps_its_digest(t):
+    back = tree_from_table(json.loads(canonical_dumps(tree_to_table(t))))
+    assert self_digest(back) == self_digest(t)
+
+
+@given(st.lists(st.one_of(machine_self_trees, trees), min_size=2, max_size=5))
+def test_distinct_self_trees_have_distinct_digests(forest):
+    for a, b in itertools.combinations(forest, 2):
+        assert (self_digest(a) == self_digest(b)) == (a == b)
+
+
+def _tree_holders(tree: Tree):
+    """A tree value inside a leaf value, a set, a tuple and a dropped term's constant."""
+    value = TreeValue(tree)
+    return st.sampled_from((
+        TreeValue(Tree("leaf", (), value)),
+        SetVal(frozenset({value, NatVal(0)})),
+        TupleVal((Atom("p"), value)),
+        DroppedTerm(FunctionApp("u0", (Constant(value),))),
+    ))
+
+
+@given(st.one_of(trees.flatmap(_tree_holders), values))
+def test_a_value_holding_trees_reads_back_from_its_json(v):
+    assert value_from_json(value_to_json(v)) == v
+    assert value_from_json(json.loads(canonical_dumps(value_to_json(v)))) == v
 
 
 @given(st.lists(trees, min_size=2, max_size=4))
@@ -491,11 +533,7 @@ def test_the_composed_digest_is_the_sha256_of_the_canonical_tree_json(t):
 @example([Tree("x", (), NatVal(0)), Tree("x", (), FALSE), Tree("x", (), Atom("0"))])
 def test_interning_shares_equal_trees_and_never_merges_unequal_ones(forest):
     node = interner()
-
-    def interned(t: Tree) -> Tree:
-        return node(t.label, tuple(interned(c) for c in t.children), t.value)
-
-    built = [interned(t) for t in forest]
+    built = [_interned(t, node) for t in forest]
     assert built == forest
     for (a, x), (b, y) in itertools.combinations(zip(forest, built), 2):
         assert (x is y) == (a == b)
