@@ -153,11 +153,25 @@ def _term_wrapper(terms: tuple[Term, ...], node) -> Tree:
 
 def encode_rule(r: Rule) -> Tree:
     """Encode a rule as a tree over the reserved label vocabulary; equal subtrees are one object."""
-    return _encode_rule(r, interner())
+    return _encode_rule(r, interner(), {})
 
 
-def _encode_rule(r: Rule, node) -> Tree:
-    """``encode_rule`` with every node built by the hash-consing constructor ``node``."""
+def _encode_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
+    """``encode_rule`` with every node built by the hash-consing constructor ``node``.
+
+    ``encoded`` maps each rule object met so far to its tree, so a subrule
+    that several rules share (the copies of a ``PARFOR`` body share every
+    subrule without the loop variable) is encoded once.  Every key is a
+    subrule of the rule being encoded, which outlives the map; the map lives
+    exactly as long as the table of ``node``.
+    """
+    tree = encoded.get(id(r))
+    if tree is None:
+        tree = encoded[id(r)] = _encode_new_rule(r, node, encoded)
+    return tree
+
+
+def _encode_new_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
     if isinstance(r, Assign):
         return node(
             L_UPDATE,
@@ -172,19 +186,20 @@ def _encode_rule(r: Rule, node) -> Tree:
             L_IF,
             (
                 node(L_BOOL, (), drop(r.cond)),
-                node(L_RULE, (_encode_rule(r.then, node),)),
-                node(L_RULE, (_encode_rule(r.orelse, node),)),
+                node(L_RULE, (_encode_rule(r.then, node, encoded),)),
+                node(L_RULE, (_encode_rule(r.orelse, node, encoded),)),
             ),
         )
     if isinstance(r, Par):
-        return node(L_PAR, tuple(node(L_RULE, (_encode_rule(b, node),)) for b in r.branches))
+        wrapped = (node(L_RULE, (_encode_rule(b, node, encoded),)) for b in r.branches)
+        return node(L_PAR, tuple(wrapped))
     if isinstance(r, Let):
         return node(
             L_LET,
             (
                 _term_leaf(Variable(r.var), node),
                 _term_leaf(r.bound, node),
-                node(L_RULE, (_encode_rule(r.body, node),)),
+                node(L_RULE, (_encode_rule(r.body, node, encoded),)),
             ),
         )
     if isinstance(r, PartialAssign):
@@ -359,7 +374,8 @@ def _decode_signature(t: Tree) -> Signature:
 def build_self_tree(sig: Signature, rule: Rule) -> Tree:
     """The self tree of a signature and a rule, built through one hash-consing table."""
     node = interner()
-    return node(L_SELF, (_encode_signature(sig, node), node(L_RULE, (_encode_rule(rule, node),))))
+    wrapper = node(L_RULE, (_encode_rule(rule, node, {}),))
+    return node(L_SELF, (_encode_signature(sig, node), wrapper))
 
 
 # -- selectors on the self tree --------------------------------------------------------

@@ -36,9 +36,11 @@ from .structures import (
     eval_term,
     location_sort_key,
     location_to_json,
+    term_free_vars,
     term_substitute,
     value_to_json,
 )
+from .treealg import memoized
 
 
 # -- rule AST -------------------------------------------------------------------
@@ -82,8 +84,36 @@ class PartialAssign(Rule):
     operands: tuple[Term, ...]
 
 
+def rule_free_vars(rule: Rule) -> frozenset[str]:
+    """The variables free in the terms of ``rule``; a ``Let`` binds its own.  Kept on the rule."""
+    return memoized(rule, "_free_vars", _rule_free_vars)
+
+
+def _rule_free_vars(rule: Rule) -> frozenset[str]:
+    if isinstance(rule, Assign):
+        terms, subrules = rule.args + (rule.rhs,), ()
+    elif isinstance(rule, If):
+        terms, subrules = (rule.cond,), (rule.then, rule.orelse)
+    elif isinstance(rule, Par):
+        terms, subrules = (), rule.branches
+    elif isinstance(rule, Let):
+        return term_free_vars(rule.bound) | (rule_free_vars(rule.body) - {rule.var})
+    elif isinstance(rule, PartialAssign):
+        terms, subrules = rule.args + rule.operands, ()
+    else:
+        raise RuleError(f"unknown rule {rule!r}")
+    return frozenset().union(*map(term_free_vars, terms), *map(rule_free_vars, subrules))
+
+
 def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
-    """Substitute a term for a variable in all terms of a rule; a ``Let`` of ``var`` shadows it."""
+    """Substitute a term for a variable in all terms of a rule; a ``Let`` of ``var`` shadows it.
+
+    A subrule in which ``var`` is not free comes back as the very object, so
+    the copies of a ``PARFOR`` body share every subrule without the loop
+    variable, and encoding meets each of them once.
+    """
+    if var not in rule_free_vars(rule):
+        return rule
 
     def sub(term: Term) -> Term:
         return term_substitute(term, var, repl)

@@ -203,21 +203,29 @@ def term_map(term: Term, f) -> Term:
     return shape[1](term, tuple([f(c) for c in shape[0](term)])) if shape else term
 
 
+def term_free_vars(term: Term) -> frozenset[str]:
+    """The variables free in ``term``; an ``Iota`` binds its own.  Kept on the term."""
+    return treealg.memoized(term, "_free_vars", _free_vars)
+
+
+def _free_vars(term: Term) -> frozenset[str]:
+    if isinstance(term, Variable):
+        return frozenset((term.name,))
+    free = frozenset().union(*map(term_free_vars, term_children(term)))
+    return free - {term.var} if isinstance(term, Iota) else free
+
+
 def term_substitute(term: Term, var: str, repl: Term) -> Term:
-    """Substitute ``repl`` for free occurrences of ``var``."""
-    if isinstance(term, Variable):
-        return repl if term.name == var else term
-    if isinstance(term, Iota) and term.var == var:
+    """Substitute ``repl`` for free occurrences of ``var``.
+
+    A subterm in which ``var`` is not free comes back as the very object, so
+    the copies a substitution makes share every such subterm.
+    """
+    if var not in term_free_vars(term):
         return term
-    return term_map(term, lambda c: term_substitute(c, var, repl))
-
-
-def term_is_ground(term: Term, bound: frozenset[str] = frozenset()) -> bool:
     if isinstance(term, Variable):
-        return term.name in bound
-    if isinstance(term, Iota):
-        bound = bound | {term.var}
-    return all(term_is_ground(c, bound) for c in term_children(term))
+        return repl
+    return term_map(term, lambda c: term_substitute(c, var, repl))
 
 
 # -- signatures and locations ----------------------------------------------------
@@ -763,48 +771,41 @@ def compile_term(term: Term, signature: Signature) -> Compiled:
     the closure runs, with the same message, so a term that is never
     evaluated never fails.
     """
-    return _compile(term, signature, None)[0]
+    return _compile(term, signature, None)
 
 
-def _compile(term: Term, signature: Signature, var: str | None) -> tuple[Compiled, bool]:
-    """The closure of ``term`` and whether it mentions ``var``, the innermost IOTA's variable.
+def _compile(term: Term, signature: Signature, var: str | None) -> Compiled:
+    """The closure of ``term``, inside an IOTA whose variable is ``var`` unless it is None.
 
-    A compound subterm that does not mention ``var`` under one that does is
-    evaluated once per evaluation of that IOTA (see :func:`_once`).
+    A compound subterm in which ``var`` is not free, under one in which it is,
+    is evaluated once per evaluation of that IOTA (see :func:`_once`).
     """
     kind = type(term)
     if kind is Constant:
         value = term.value
-        return (lambda state, env, reads: value), False
+        return lambda state, env, reads: value
     if kind is Variable:
-        return _variable(term.name), term.name == var
+        return _variable(term.name)
     if kind is Iota:
-        return _iota(term, signature), var is not None and _mentions(term, var)
+        return _iota(term, signature)
     build = _BUILDERS.get(kind)
     if build is None:
-        return _failing(EvalError, f"unknown term {term!r}"), False
+        return _failing(EvalError, f"unknown term {term!r}")
     children = term_children(term)
-    if var is None:  # outside every IOTA: nothing to hoist
-        return build(term, [_compile(c, signature, None)[0] for c in children], signature), False
-    parts = [_compile(c, signature, var) for c in children]
-    mentions = any(m for _, m in parts)
-    fns = [
-        _once(fn) if mentions and not m and type(c) not in _LEAVES else fn
-        for c, (fn, m) in zip(children, parts)
-    ]
-    return build(term, fns, signature), mentions
+    fns = [_compile(c, signature, var) for c in children]
+    if var is not None and var in term_free_vars(term):
+        fns = [_hoisted(fn, c, var) for c, fn in zip(children, fns)]
+    return build(term, fns, signature)
 
 
 _LEAVES = (Constant, Variable)
 
 
-def _mentions(term: Term, var: str) -> bool:
-    """True iff ``var`` occurs free in ``term``."""
-    if isinstance(term, Variable):
-        return term.name == var
-    if isinstance(term, Iota) and term.var == var:
-        return False
-    return any(_mentions(c, var) for c in term_children(term))
+def _hoisted(fn: Compiled, term: Term, var: str) -> Compiled:
+    """``fn``, the closure of ``term``, evaluated once per IOTA if ``var`` is not free in it."""
+    if var in term_free_vars(term) or type(term) in _LEAVES:
+        return fn
+    return _once(fn)
 
 
 def _failing(error: type, message: str) -> Compiled:
@@ -899,9 +900,7 @@ def _binary(first: Compiled, second: Compiled, decisive: bool) -> Compiled:
 
 def _iota(term: Iota, signature: Signature) -> Compiled:
     var, domain = term.var, term.domain
-    condition, mentions = _compile(term.condition, signature, var)
-    if not mentions and type(term.condition) not in _LEAVES:
-        condition = _once(condition)
+    condition = _hoisted(_compile(term.condition, signature, var), term.condition, var)
 
     def members_of(state, reads):
         if domain == NODES_DOMAIN:

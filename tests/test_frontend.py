@@ -20,8 +20,16 @@ from rsasm.frontend import (
     parse,
     parse_program,
 )
-from rsasm.reflect import decode_rule, decode_signature, rule_of_self, signature_of_self
-from rsasm.rules import If, Par
+from rsasm import reflect
+from rsasm.reflect import (
+    RULE_AT,
+    build_self_tree,
+    decode_rule,
+    decode_signature,
+    rule_of_self,
+    signature_of_self,
+)
+from rsasm.rules import If, Let, Par
 from rsasm.structures import (
     SELF_LOCATION,
     Atom,
@@ -32,7 +40,7 @@ from rsasm.structures import (
     UNDEF,
     tree_from_table,
 )
-from rsasm.treealg import Tree
+from rsasm.treealg import L_LET, Tree
 
 
 MINIMAL = """
@@ -56,6 +64,32 @@ def test_parity_program_decodes_to_mode_cascade():
     assert isinstance(rule.orelse, If)  # mode = count
     assert isinstance(rule.orelse.orelse, If)  # mode = eval
     assert rule.orelse.orelse.orelse == Par(())
+
+
+def test_the_copies_of_a_parfor_body_share_and_encode_once_what_omits_the_loop_variable(
+    monkeypatch,
+):
+    program = parse_program(load_program("parity"), "parity")
+    copies = program.rule.then.branches[1].branches  # PARFOR x IN D, one copy per member
+    assert len(copies) == 6
+    let = copies[0].then  # LET o = child_n(...) IN o <=[right_extend] ...
+    assert isinstance(let, Let)
+    assert all(c.then is let for c in copies)
+    assert len({id(c.cond) for c in copies}) == 6  # set(x) = true differs per copy
+    assert all(c.cond.right is copies[0].cond.right for c in copies)  # its `true` does not
+
+    encoded = []
+    original = reflect._encode_new_rule
+    monkeypatch.setattr(
+        reflect, "_encode_new_rule", lambda r, *rest: encoded.append(r) or original(r, *rest)
+    )
+    tree = build_self_tree(program.signature, program.rule)
+    assert sum(r is let for r in encoded) == 1
+    # rule<if<bool, rule<par<…, rule<par<copies>>, …>>, …>>; copy i's LET at i.0.1.0
+    parfor = tree.find(RULE_AT + (1, 0, 1, 0))
+    let_trees = [parfor.find((i, 0, 1, 0)) for i in range(6)]
+    assert all(t is let_trees[0] for t in let_trees)
+    assert let_trees[0].label == L_LET and decode_rule(let_trees[0]) == let
 
 
 def test_join_program_parses_and_declares_projections():

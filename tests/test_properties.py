@@ -23,7 +23,7 @@ from rsasm.frontend import (
     parse,
     tokenize,
 )
-from rsasm.reflect import encode_rule
+from rsasm.reflect import decode_rule, encode_rule, rule_of_self
 from rsasm.rules import (
     Assign,
     ClashReport,
@@ -31,10 +31,12 @@ from rsasm.rules import (
     Let,
     Par,
     PartialAssign,
+    Rule,
     SharedUpdate,
     UpdateMultiset,
     collapse,
     compute_update_multiset,
+    rule_free_vars,
     rule_substitute,
 )
 from rsasm.structures import (
@@ -52,6 +54,7 @@ from rsasm.structures import (
     SetVal,
     SymbolName,
     TRUE,
+    Term,
     TreeValue,
     TupleVal,
     UNDEF,
@@ -62,6 +65,8 @@ from rsasm.structures import (
     canonical_dumps,
     eval_term,
     self_digest,
+    term_children,
+    term_free_vars,
     term_substitute,
     term_to_json,
     tree_from_table,
@@ -190,6 +195,102 @@ def test_substitution_stops_at_a_let_binding_the_variable(body, var, value):
     assert rule_substitute(rule, var, Constant(value)) == Let(
         var, term_substitute(bound, var, Constant(value)), body
     )
+
+
+# -- cached free variables ------------------------------------------------------------------
+
+generated_rules = st.integers(0, 2**32 - 1).map(
+    lambda seed: decode_rule(
+        rule_of_self(generate.random_machine(random.Random(seed)).initial_state.self_tree)
+    )
+)
+# every variable the strategies above and ``generate`` bind or leave free
+SUBSTITUTED = VARS + ("x1", "x2", "x3")
+
+
+def _parts(rule):
+    """The terms and the subrules directly inside ``rule``."""
+    if isinstance(rule, Assign):
+        return rule.args + (rule.rhs,), ()
+    if isinstance(rule, If):
+        return (rule.cond,), (rule.then, rule.orelse)
+    if isinstance(rule, Par):
+        return (), rule.branches
+    if isinstance(rule, Let):
+        return (rule.bound,), (rule.body,)
+    return rule.args + rule.operands, ()
+
+
+def _walk_free_vars(x, bound=frozenset()) -> set:
+    """The free variables of a term or rule by a walk that keeps nothing."""
+    if isinstance(x, Variable):
+        return {x.name} - bound
+    if isinstance(x, Iota):
+        return _walk_free_vars(x.condition, bound | {x.var})
+    if not isinstance(x, Rule):
+        return set().union(*(_walk_free_vars(c, bound) for c in term_children(x)))
+    terms, subrules = _parts(x)
+    inner = bound | {x.var} if isinstance(x, Let) else bound
+    return set().union(
+        *(_walk_free_vars(t, bound) for t in terms), *(_walk_free_vars(r, inner) for r in subrules)
+    )
+
+
+def _direct(x):
+    """The terms and rules directly inside a term or rule."""
+    return term_children(x) if isinstance(x, Term) else tuple(itertools.chain(*_parts(x)))
+
+
+def _everything_in(rule):
+    """Every subrule of ``rule`` and every subterm of those, ``rule`` first."""
+    stack = [rule]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(_direct(x))
+
+
+def _free_vars(x):
+    return rule_free_vars(x) if isinstance(x, Rule) else term_free_vars(x)
+
+
+def _substitute(x, var, repl):
+    return rule_substitute(x, var, repl) if isinstance(x, Rule) else term_substitute(x, var, repl)
+
+
+_SHADOWING = (
+    Let("x", FunctionApp("+", (Variable("x"), Variable("y"))), Assign("n0", (), Variable("x"))),
+    Assign("n0", (), Iota("x", "D", Equality(Variable("x"), Variable("y")))),
+    Let("x", Constant(NatVal(1)), Assign("u0", (Variable("y"),), Iota("y", "D", Variable("x")))),
+)
+
+
+@given(st.one_of(rules, generated_rules))
+@example(_SHADOWING[0])
+@example(_SHADOWING[1])
+@example(_SHADOWING[2])
+def test_cached_free_variables_are_those_of_an_uncached_walk(rule):
+    assert rule_free_vars(rule) == _walk_free_vars(rule)  # fills the caches inside too
+    for x in _everything_in(rule):
+        assert _free_vars(x) == _walk_free_vars(x)
+
+
+@given(st.one_of(rules, generated_rules), plain_values)
+@example(_SHADOWING[0], NatVal(0))
+@example(_SHADOWING[1], NatVal(0))
+@example(_SHADOWING[2], NatVal(0))
+def test_substituting_a_variable_that_is_not_free_returns_the_very_object(rule, value):
+    repl = Constant(value)
+    for x in _everything_in(rule):
+        for var in SUBSTITUTED:
+            substituted = _substitute(x, var, repl)
+            if var not in _walk_free_vars(x):
+                assert substituted is x
+                continue
+            # a copy shares every direct part in which ``var`` is not free
+            for old, new in zip(_direct(x), _direct(substituted)):
+                if var not in _walk_free_vars(old):
+                    assert new is old
 
 
 # -- atom collection ------------------------------------------------------------------------
