@@ -10,9 +10,10 @@ stepping an unchanged state can only repeat the clash, ends the run at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ReflectError, RsasmError
+from .errors import EngineError, ReflectError, RsasmError, StateError
 from .reflect import (
     RULE_AT,
     beta,
@@ -33,6 +34,7 @@ from .rules import (
     compute_update_multiset,
     entry_to_json,
     execute,
+    shared_sort_key,
 )
 from .structures import (
     SELF_LOCATION,
@@ -42,18 +44,20 @@ from .structures import (
     apply_update_set,
     canonical_dumps,
     eval_term,
+    location_sort_key,
     location_to_json,
     self_digest,
     term_from_json,
     term_to_json,
-    tree_from_table,
-    tree_to_table,
+    trees_from_table,
+    value_from_json,
+    value_to_json,
 )
 
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 # The step cap of a machine whose program sets none.
 DEFAULT_MAX_STEPS = 1000
@@ -70,16 +74,20 @@ class Machine:
 class StepRecord:
     """One step: the states before and after it, its multiset and its collapse.
 
-    In the trace JSON (format 4) a step holds its ``index``; its ``updates``
-    sorted by canonical JSON, or a ``clash`` instead; the ``shared`` entries of
-    its multiset; the ``signature_added`` names; and the ``self_digest`` of the
-    self tree after it.  The update of ``self`` is written as the tree
-    difference ``theta`` (``reflect.tree_diff`` of the self trees before and
-    after, as ``term_to_json``) in place of a ``value``, so a step that does not
-    write ``self`` carries no self tree at all; :func:`replay` evaluates it on
-    the tree before the step.  The difference is computed here, when the record
+    In the trace JSON (format 5) a step holds its ``index``; its ``updates``
+    in ``location_sort_key`` order, or a ``clash`` instead; the ``shared``
+    entries of its multiset; the ``signature_added`` names; and the
+    ``self_digest`` of the self tree after it.  Each distinct shared entry is
+    written once, with its multiplicity as ``count``, in ``shared_sort_key``
+    order.  The update of ``self`` is written as the tree difference ``theta``
+    (``reflect.tree_diff`` of the self trees before and after, as
+    ``term_to_json``) in place of a ``value``, so a step that does not write
+    ``self`` carries no self tree at all; :func:`replay` evaluates it on the
+    tree before the step.  The difference is computed here, when the record
     is written, and never while stepping.  Every tree in a record, whether a
-    value or a constant of ``theta``, is a node table.
+    value, a location argument or a constant of ``theta``, is ``{"tree": id}``,
+    an id into the trace's node table, whose ``ids``/``table`` pair
+    :meth:`to_json` extends.
     """
 
     index: int
@@ -93,33 +101,35 @@ class StepRecord:
     def clashed(self) -> bool:
         return isinstance(self.result, ClashReport)
 
-    def _update_to_json(self, update) -> object:
+    def _update_to_json(self, update, ids: dict, table: list) -> object:
         if update.location != SELF_LOCATION:
-            return entry_to_json(update)
+            return entry_to_json(update, ids, table)
         theta = tree_diff(self.before.self_tree, update.value.tree)
-        return {"location": location_to_json(SELF_LOCATION), "theta": term_to_json(theta)}
+        location = location_to_json(SELF_LOCATION, ids, table)
+        return {"location": location, "theta": term_to_json(theta, ids, table)}
 
-    def to_json(self) -> dict:
+    def to_json(self, ids: dict, table: list) -> dict:
         obj: dict = {
             "index": self.index,
             "updates": [],
             "signature_added": list(self.signature_added),
             "self_digest": self_digest(self.after.self_tree),
         }
+        # Trees get their ids in the order they are written, so the order is
+        # fixed by sort keys of the entries, never by the hash seed.
         if isinstance(self.result, UpdateSet):
-            obj["updates"] = sorted(
-                (self._update_to_json(u) for u in self.result),
-                key=canonical_dumps,
-            )
+            updates = sorted(self.result, key=lambda u: location_sort_key(u.location))
+            obj["updates"] = [self._update_to_json(u, ids, table) for u in updates]
         else:
             obj["clash"] = {
-                "location": location_to_json(self.result.location),
+                "location": location_to_json(self.result.location, ids, table),
                 "reason": self.result.reason,
             }
-        obj["shared"] = sorted(
-            (entry_to_json(e) for e in self.multiset if isinstance(e, SharedUpdate)),
-            key=canonical_dumps,
-        )
+        counts = Counter(e for e in self.multiset if isinstance(e, SharedUpdate))
+        obj["shared"] = [
+            dict(entry_to_json(e, ids, table), count=counts[e])
+            for e in sorted(counts, key=shared_sort_key)
+        ]
         return obj
 
 
@@ -127,12 +137,15 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 4) holds ``format``, ``status``, the optional
-    ``detail``, the ``initial`` self tree with its ``self_digest``, and the
-    step records (see :class:`StepRecord`).  Every tree in a trace, the initial
-    one included, is written as a node table (``structures.tree_to_table``):
-    each distinct subtree once, as ``[label, value?, [child ids]]``, children
-    first and the root last; a tree value is ``{"tree": <table>}``.
+    The trace JSON (format 5) holds ``format``, ``status``, the optional
+    ``detail``, the ``initial`` self tree with its ``self_digest``, the step
+    records (see :class:`StepRecord`) and ``nodes``, the one node table of
+    the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
+    Olivier, "Efficient annotated terms", 2000).  It holds each distinct tree
+    of the trace once, as ``[label, value?, [child ids]]``, an entry after
+    every entry it names; a tree anywhere in the trace, the initial self tree
+    included, is ``{"tree": id}`` with the id of its entry.  Ids follow the
+    order of writing: the initial tree, then each step in turn.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads
     the initial tree, then evaluates each step's ``theta`` on the tree so far.
     """
@@ -147,12 +160,18 @@ class Trace:
         return self.steps[-1].after if self.steps else self.initial_state
 
     def to_json_obj(self) -> dict:
+        ids: dict = {}
+        table: list = []
         tree = self.initial_state.self_tree
         obj = {
             "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {"self_digest": self_digest(tree), "self": tree_to_table(tree)},
-            "steps": [s.to_json() for s in self.steps],
+            "initial": {
+                "self_digest": self_digest(tree),
+                "self": value_to_json(TreeValue(tree), ids, table),
+            },
+            "steps": [s.to_json(ids, table) for s in self.steps],
+            "nodes": table,
         }
         if self.detail:
             obj["detail"] = self.detail
@@ -165,31 +184,38 @@ class Trace:
 def replay(trace_obj: dict):
     """Yield the self tree at every point of a trace JSON object, the initial tree first.
 
-    Reads the initial node table once, then, for each step, evaluates the
+    Reads the trace's node table once, then, for each step, evaluates the
     step's ``theta`` (if it writes ``self``) on the tree so far.  Each tree is
     checked against its ``self_digest`` before it is yielded.  A trace that
-    is not format 4, a digest that does not match and a malformed trace raise
-    ``EngineError``.
+    is not format 5, a digest that does not match and a malformed trace raise
+    ``EngineError``: a tree id that names no entry before the one that holds
+    it, a shared entry whose ``count`` is not a positive integer, and any
+    missing or mistyped part are malformed.
     """
     try:
         fmt = trace_obj.get("format", "missing")
         if fmt != TRACE_FORMAT:
             raise EngineError(f"not a format {TRACE_FORMAT} trace (format: {fmt})")
         steps = trace_obj["steps"]
-        tree = tree_from_table(trace_obj["initial"]["self"])
+        trees = trees_from_table(trace_obj["nodes"])
+        tree = value_from_json(trace_obj["initial"]["self"], trees).tree
         if self_digest(tree) != trace_obj["initial"]["self_digest"]:
             raise EngineError("the initial self tree does not match its digest")
         yield tree
         for record in steps:
+            for entry in record["shared"]:
+                count = entry["count"]
+                if type(count) is not int or count < 1:
+                    raise EngineError(f"malformed trace: shared entry count {count!r}")
             for entry in record["updates"]:
                 if "theta" in entry:
-                    tree = eval_algebra(term_from_json(entry["theta"]), tree)
+                    tree = eval_algebra(term_from_json(entry["theta"], trees), tree)
             if self_digest(tree) != record["self_digest"]:
                 raise EngineError(
                     f"the replayed self tree of step {record['index']} does not match its digest"
                 )
             yield tree
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, StateError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
 
 

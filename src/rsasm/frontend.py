@@ -713,11 +713,34 @@ class Parser:
 # -- machine construction ------------------------------------------------------------
 
 
-def _collect_atoms_term(term: Term, out: set[Atom]) -> None:
-    if isinstance(term, Constant):
-        _collect_atoms_value(term.value, out)
-    for child in term_children(term):
-        _collect_atoms_term(child, out)
+def _collect_atoms(x: Rule | Term, out: set[Atom]) -> None:
+    """Add the atoms of a rule's or term's constants to ``out``, meeting each object once.
+
+    The copies of a ``PARFOR`` body share every part without the loop
+    variable, so a parsed rule holds far fewer objects than its encoding in
+    ``self`` has nodes; encoding keeps every atom of a term (``drop``).
+    """
+    seen: set[int] = set()
+    stack: list = [x]
+    while stack:
+        part = stack.pop()
+        if id(part) in seen:
+            continue
+        seen.add(id(part))
+        if isinstance(part, Constant):
+            _collect_atoms_value(part.value, out)
+        elif isinstance(part, Term):
+            stack.extend(term_children(part))
+        elif isinstance(part, Assign):
+            stack += (*part.args, part.rhs)
+        elif isinstance(part, PartialAssign):
+            stack += (*part.args, *part.operands)
+        elif isinstance(part, If):
+            stack += (part.cond, part.then, part.orelse)
+        elif isinstance(part, Par):
+            stack.extend(part.branches)
+        elif isinstance(part, Let):
+            stack += (part.bound, part.body)
 
 
 def _collect_atoms_value(value: Value, out: set[Atom]) -> None:
@@ -730,7 +753,7 @@ def _collect_atoms_value(value: Value, out: set[Atom]) -> None:
         for v in value.members:
             _collect_atoms_value(v, out)
     elif isinstance(value, DroppedTerm):
-        _collect_atoms_term(value.term, out)
+        _collect_atoms(value.term, out)
     elif isinstance(value, TreeValue):
         # each distinct subtree once: a self tree repeats many of them
         seen, stack = set(), [value.tree]
@@ -752,7 +775,7 @@ def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machi
     for loc, value in program.init.items():
         for v in loc.args + (value,):
             _collect_atoms_value(v, atoms)
-    _collect_atoms_value(TreeValue(self_tree), atoms)  # the rule's atoms
+    _collect_atoms(program.rule, atoms)
 
     background = BackgroundConfig(
         domains=tuple(sorted(program.domains.items())),

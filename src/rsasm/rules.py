@@ -32,12 +32,12 @@ from .structures import (
     Update,
     UpdateSet,
     Value,
-    canonical_dumps,
     eval_term,
     location_sort_key,
     location_to_json,
     term_free_vars,
     term_substitute,
+    value_sort_key,
     value_to_json,
 )
 from .treealg import memoized
@@ -148,21 +148,25 @@ class SharedUpdate:
 Entry = object  # Update | SharedUpdate
 
 
-def _entry_key(entry) -> str:
-    return canonical_dumps(entry_to_json(entry))
-
-
-def entry_to_json(entry) -> object:
-    if isinstance(entry, Update):
-        return {"location": location_to_json(entry.location), "value": value_to_json(entry.value)}
-    op = entry.op
+def _op_text(op: str | SpliceOp) -> str:
     if isinstance(op, SpliceOp):
-        op = f"splice@({'.'.join(map(str, op.path))})" + (f":{op.inner}" if op.inner else "")
-    return {
-        "location": location_to_json(entry.location),
-        "op": op,
-        "args": [value_to_json(a) for a in entry.args],
-    }
+        return f"splice@({'.'.join(map(str, op.path))})" + (f":{op.inner}" if op.inner else "")
+    return op
+
+
+def shared_sort_key(entry: SharedUpdate) -> tuple:
+    """A total order on shared updates that never depends on the hash seed."""
+    args = tuple(value_sort_key(a) for a in entry.args)
+    return (location_sort_key(entry.location), _op_text(entry.op), args)
+
+
+def entry_to_json(entry, ids: dict, table: list) -> object:
+    """An update or shared update as JSON; its trees are ids into ``table`` (``value_to_json``)."""
+    location = location_to_json(entry.location, ids, table)
+    if isinstance(entry, Update):
+        return {"location": location, "value": value_to_json(entry.value, ids, table)}
+    args = [value_to_json(a, ids, table) for a in entry.args]
+    return {"location": location, "op": _op_text(entry.op), "args": args}
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ class UpdateMultiset:
         return Counter(self.entries) == Counter(other.entries)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(map(_entry_key, self.entries))))
+        return hash(frozenset(Counter(self.entries).items()))
 
     def __iter__(self):
         return iter(self.entries)
@@ -352,7 +356,7 @@ def _permutation_fold(state: State, loc, current: Value, shareds) -> Value:
     value = None
     for perm in itertools.permutations(shareds):
         value = _fold_in_order(state, current, perm)
-        results.add(_entry_key(Update(loc, value)))
+        results.add(value)
         if len(results) > 1:
             raise _Clash("shared updates are order-dependent")
     return value
@@ -389,7 +393,7 @@ def _collapse_group(state: State, loc, plains: list[Value], shareds: list[Shared
     elif all(
         not isinstance(s.op, SpliceOp) and s.op in COMMUTATIVE_OPERATORS for s in shareds
     ) and len({s.op for s in shareds}) == 1:
-        folded = _fold_in_order(state, current, sorted(shareds, key=_entry_key))
+        folded = _fold_in_order(state, current, sorted(shareds, key=shared_sort_key))
     elif len(shareds) <= 6:
         folded = _permutation_fold(state, loc, current, shareds)
     else:

@@ -510,7 +510,13 @@ def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
 # -- canonical serialization -------------------------------------------------------
 
 
-def value_to_json(value: Value) -> object:
+def value_to_json(value: Value, ids: dict[Tree, int], table: list) -> object:
+    """A value as JSON; each tree it holds is ``{"tree": id}``, an id into ``table``.
+
+    ``table`` is the node table of the whole JSON document the value is part
+    of, and ``ids`` maps each tree written into it so far to its id, so a
+    tree that the document holds several times is written once.
+    """
     if value is UNDEF:
         return {"undef": True}
     if isinstance(value, Atom):
@@ -522,65 +528,76 @@ def value_to_json(value: Value) -> object:
     if isinstance(value, SymbolName):
         return {"symbol": value.name}
     if isinstance(value, DroppedTerm):
-        return {"dropped": term_to_json(value.term)}
+        return {"dropped": term_to_json(value.term, ids, table)}
     if isinstance(value, TreeValue):
-        return {"tree": tree_to_table(value.tree)}
+        return {"tree": _table_id(value.tree, ids, table)}
     if isinstance(value, TupleVal):
-        return {"tuple": [value_to_json(v) for v in value.items]}
+        return {"tuple": [value_to_json(v, ids, table) for v in value.items]}
     if isinstance(value, SetVal):
-        return {"set": [value_to_json(v) for v in sorted(value.members, key=value_sort_key)]}
+        members = sorted(value.members, key=value_sort_key)
+        return {"set": [value_to_json(v, ids, table) for v in members]}
     if isinstance(value, NodeRef):
         return {"node": list(value.path)}
     raise StateError(f"cannot serialize value {value!r}")
 
 
 def tree_to_table(t: Tree) -> list:
-    """A tree as a node table: each distinct subtree once, as ``[label, value?, [child ids]]``.
-
-    A node's id is its index in the table; children come before their parents,
-    in the order a left-to-right walk first meets them, and the root is last.
-    Subtrees are told apart by tree equality, not by object identity, so the
-    table depends only on the tree's value.
-    """
+    """A tree as a node table of its own, its root last (see ``_table_id``)."""
     table: list = []
     _table_id(t, {}, table)
     return table
+
+
+def _alone(value: Value) -> list:
+    """``[table, json]``: a value written against a node table of its own."""
+    table: list = []
+    obj = value_to_json(value, {}, table)
+    return [table, obj]
 
 
 # The recursive walk of the table is a module function: a nested function that
 # calls itself is a reference cycle, which would keep every tree it reaches,
 # and the memos kept on them, alive until a full garbage collection.
 def _table_id(node: Tree, ids: dict[Tree, int], table: list) -> int:
-    """The id of ``node`` in ``table``; a new subtree is appended after its children."""
+    """The id of ``node`` in ``table``, whose entries are ``[label, value?, [child ids]]``.
+
+    A new subtree is appended after its children and the trees its leaf value
+    holds, so an entry names only entries before it.  Subtrees are told apart
+    by tree equality, not by object identity, so the table depends only on
+    what is written into it, and in what order.
+    """
     nid = ids.get(node)
     if nid is None:
         kids = [_table_id(c, ids, table) for c in node.children]
         entry: list = [node.label]
         if node.value is not None:
-            entry.append(value_to_json(node.value))
+            entry.append(value_to_json(node.value, ids, table))
         entry.append(kids)
         nid = ids[node] = len(table)
         table.append(entry)
     return nid
 
 
-def term_to_json(term: Term) -> object:
+def term_to_json(term: Term, ids: dict[Tree, int], table: list) -> object:
+    """A term as JSON; its tree constants are ids into ``table``, as in ``value_to_json``."""
     if isinstance(term, Constant):
-        return {"const": value_to_json(term.value)}
+        return {"const": value_to_json(term.value, ids, table)}
     if isinstance(term, FunctionApp):
-        return {"app": term.symbol, "args": [term_to_json(a) for a in term.args]}
+        return {"app": term.symbol, "args": [term_to_json(a, ids, table) for a in term.args]}
     if isinstance(term, Equality):
-        return {"eq": [term_to_json(term.left), term_to_json(term.right)]}
+        return {"eq": [term_to_json(term.left, ids, table), term_to_json(term.right, ids, table)]}
     if isinstance(term, BoolConnective):
-        return {"conn": term.op, "args": [term_to_json(a) for a in term.operands]}
+        return {"conn": term.op, "args": [term_to_json(a, ids, table) for a in term.operands]}
     if isinstance(term, Iota):
-        return {"iota": term.var, "domain": term.domain, "cond": term_to_json(term.condition)}
+        cond = term_to_json(term.condition, ids, table)
+        return {"iota": term.var, "domain": term.domain, "cond": cond}
     if isinstance(term, Variable):
         return {"var": term.name}
     raise EvalError(f"cannot serialize term {term!r}")
 
 
-def value_from_json(obj) -> Value:
+def value_from_json(obj, trees: list[Tree]) -> Value:
+    """The value ``value_to_json`` wrote; ``trees`` holds the trees of the document's node table."""
     if not isinstance(obj, dict) or len(obj) < 1:
         raise StateError(f"malformed value object {obj!r}")
     if "undef" in obj:
@@ -594,24 +611,31 @@ def value_from_json(obj) -> Value:
     if "symbol" in obj:
         return SymbolName(obj["symbol"])
     if "dropped" in obj:
-        return DroppedTerm(term_from_json(obj["dropped"]))
+        return DroppedTerm(term_from_json(obj["dropped"], trees))
     if "tree" in obj:
-        return TreeValue(tree_from_table(obj["tree"]))
+        nid = obj["tree"]
+        if type(nid) is not int or not 0 <= nid < len(trees):
+            raise StateError(f"tree id {nid!r} names no node table entry")
+        return TreeValue(trees[nid])
     if "tuple" in obj:
-        return TupleVal(tuple(value_from_json(v) for v in obj["tuple"]))
+        return TupleVal(tuple(value_from_json(v, trees) for v in obj["tuple"]))
     if "set" in obj:
-        return SetVal(frozenset(value_from_json(v) for v in obj["set"]))
+        return SetVal(frozenset(value_from_json(v, trees) for v in obj["set"]))
     if "node" in obj:
         return NodeRef(tuple(obj["node"]))
     raise StateError(f"malformed value object {obj!r}")
 
 
-def tree_from_table(table) -> Tree:
-    """The tree a node table holds (inverse of ``tree_to_table``); equal entries are one object."""
-    if not isinstance(table, list) or not table:
-        raise StateError("a node table must be a non-empty list")
+def trees_from_table(table) -> list[Tree]:
+    """The tree of every entry of a node table, by id (inverse of ``_table_id``).
+
+    Equal entries are one object.  An entry may name, as a child or as a tree
+    in its value, only an entry before it.
+    """
+    if not isinstance(table, list):
+        raise StateError("a node table must be a list")
     node = treealg.interner()
-    nodes: list[Tree] = []
+    trees: list[Tree] = []
     for nid, entry in enumerate(table):
         if not isinstance(entry, list) or len(entry) not in (2, 3):
             raise StateError(f"malformed node table entry {nid}: {entry!r}")
@@ -620,23 +644,23 @@ def tree_from_table(table) -> Tree:
             type(k) is int and 0 <= k < nid for k in kids
         ):
             raise StateError(f"node table entry {nid} names a child that does not precede it")
-        value = value_from_json(entry[1]) if len(entry) == 3 else None
-        nodes.append(node(entry[0], tuple(nodes[k] for k in kids), value))
-    return nodes[-1]
+        value = value_from_json(entry[1], trees) if len(entry) == 3 else None
+        trees.append(node(entry[0], tuple(trees[k] for k in kids), value))
+    return trees
 
 
-def term_from_json(obj) -> Term:
+def term_from_json(obj, trees: list[Tree]) -> Term:
     if "const" in obj:
-        return Constant(value_from_json(obj["const"]))
+        return Constant(value_from_json(obj["const"], trees))
     if "app" in obj:
-        return FunctionApp(obj["app"], tuple(term_from_json(a) for a in obj["args"]))
+        return FunctionApp(obj["app"], tuple(term_from_json(a, trees) for a in obj["args"]))
     if "eq" in obj:
         left, right = obj["eq"]
-        return Equality(term_from_json(left), term_from_json(right))
+        return Equality(term_from_json(left, trees), term_from_json(right, trees))
     if "conn" in obj:
-        return BoolConnective(obj["conn"], tuple(term_from_json(a) for a in obj["args"]))
+        return BoolConnective(obj["conn"], tuple(term_from_json(a, trees) for a in obj["args"]))
     if "iota" in obj:
-        return Iota(obj["iota"], obj["domain"], term_from_json(obj["cond"]))
+        return Iota(obj["iota"], obj["domain"], term_from_json(obj["cond"], trees))
     if "var" in obj:
         return Variable(obj["var"])
     raise EvalError(f"malformed term object {obj!r}")
@@ -647,6 +671,7 @@ def canonical_dumps(obj: object) -> str:
 
 
 def value_sort_key(value: Value) -> tuple:
+    """A total order on values that depends only on the value, never on the hash seed."""
     if isinstance(value, Atom):
         return (0, value.name)
     if isinstance(value, NatVal):
@@ -659,7 +684,7 @@ def value_sort_key(value: Value) -> tuple:
         return (4, value.name)
     if isinstance(value, NodeRef):
         return (5, value.path)
-    return (6, canonical_dumps(value_to_json(value)))
+    return (6, canonical_dumps(_alone(value)))
 
 
 def location_sort_key(loc: Location | NodeRef) -> tuple:
@@ -668,41 +693,46 @@ def location_sort_key(loc: Location | NodeRef) -> tuple:
     return (0, loc.symbol, tuple(value_sort_key(a) for a in loc.args))
 
 
-def location_to_json(loc: Location | NodeRef) -> object:
+def location_to_json(loc: Location | NodeRef, ids: dict[Tree, int], table: list) -> object:
     if isinstance(loc, NodeRef):
-        return value_to_json(loc)
-    return {"symbol": loc.symbol, "args": [value_to_json(a) for a in loc.args]}
+        return value_to_json(loc, ids, table)
+    return {"symbol": loc.symbol, "args": [value_to_json(a, ids, table) for a in loc.args]}
 
 
 def state_to_json(state: State) -> dict:
-    return {
+    """A state as JSON; every tree in it is an id into its one node table, ``nodes``."""
+    ids: dict[Tree, int] = {}
+    table: list = []
+    obj = {
         "signature": [[s.name, s.arity] for s in state.signature.symbols],
         "base": sorted(a.name for a in state.base),
         "domains": [
-            {"name": name, "members": [value_to_json(m) for m in members]}
+            {"name": name, "members": [value_to_json(m, ids, table) for m in members]}
             for name, members in state.background.domains
         ],
         "locations": [
-            [location_to_json(loc), value_to_json(state.interp[loc])]
+            [location_to_json(loc, ids, table), value_to_json(state.interp[loc], ids, table)]
             for loc in state.defined_locations()
         ],
     }
+    obj["nodes"] = table
+    return obj
 
 
 def self_digest(t: Tree) -> str:
     """sha256 of the canonical JSON of ``[label, table(c1), table(c2), …]``, computed once per tree object.
 
-    ``table(c)`` is the node table (``tree_to_table``) of a child of the root;
-    a root that holds a value has it after the label, as a table entry does.
-    The UTF-8 text of each child's table is kept on that child, so a region
-    that several self trees share is written once: a step that extends only
-    the signature keeps the rule region as the same object.
+    ``table(c)`` is the node table of a child of the root alone
+    (``tree_to_table``); a root that holds a value (a leaf) has ``_alone`` of
+    it after the label.  The UTF-8 text of each child's table is kept on that
+    child, so a region that several self trees share is written once: a step
+    that extends only the signature keeps the rule region as the same object.
     """
     return treealg.memoized(t, "_self_digest", _self_digest)
 
 
 def _self_digest(t: Tree) -> str:
-    head = [t.label] if t.value is None else [t.label, value_to_json(t.value)]
+    head = [t.label] if t.value is None else [t.label, *_alone(t.value)]
     digest = hashlib.sha256(canonical_dumps(head)[:-1].encode("utf-8"))
     for region in t.children:
         digest.update(b",")

@@ -70,6 +70,7 @@ from rsasm.structures import (
     term_from_json,
     term_substitute,
     term_to_json,
+    trees_from_table,
 )
 from rsasm.treealg import (
     XI,
@@ -377,7 +378,10 @@ def test_criterion_4_difference_terms_replay_after_json():
     rng = random.Random(4)
     for _ in range(200):
         t, t2 = _self_pair(rng)
-        theta = term_from_json(json.loads(canonical_dumps(term_to_json(tree_diff(t, t2)))))
+        table: list = []
+        written = term_to_json(tree_diff(t, t2), {}, table)
+        obj, table = json.loads(canonical_dumps([written, table]))
+        theta = term_from_json(obj, trees_from_table(table))
         assert eval_algebra(theta, t) == t2
 
 

@@ -1,8 +1,10 @@
 """Stepping, runs, traces, coincidence, and the postulate probes."""
 
+import functools
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +20,7 @@ from rsasm.engine import (
     run,
     step,
 )
-from rsasm.errors import EngineError, StateError
+from rsasm.errors import EngineError
 from rsasm.frontend import parse, load_program
 from rsasm.reflect import (
     decode_rule,
@@ -27,7 +29,16 @@ from rsasm.reflect import (
     rule_of_self,
     signature_of_self,
 )
-from rsasm.rules import Assign, If, Let, Par, PartialAssign, compute_update_multiset
+from rsasm.rules import (
+    Assign,
+    If,
+    Let,
+    Par,
+    PartialAssign,
+    SharedUpdate,
+    compute_update_multiset,
+    entry_to_json,
+)
 from rsasm.structures import (
     Atom,
     Constant,
@@ -45,8 +56,8 @@ from rsasm.structures import (
     canonical_dumps,
     diff_states,
     self_digest,
-    tree_from_table,
     tree_to_table,
+    trees_from_table,
 )
 from rsasm.treealg import L_RULE, Tree
 from test_acceptance import JoinCase, join_source
@@ -188,9 +199,9 @@ RULE
 """
     trace = run(parse(src, "tree_clash"))
     assert (trace.status, trace.detail) == ("error", "clash_stall")
-    clash = trace.steps[0].to_json()["clash"]
-    (arg,) = clash["location"]["args"]
-    assert tree_from_table(arg["tree"]) == Tree("b", (Tree("a"),))
+    trace_obj = json.loads(trace.to_json())
+    (arg,) = trace_obj["steps"][0]["clash"]["location"]["args"]
+    assert trees_from_table(trace_obj["nodes"])[arg["tree"]] == Tree("b", (Tree("a"),))
 
 
 def test_a_clash_ends_the_run_even_where_the_stored_signature_lags_self():
@@ -356,15 +367,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _nested(table: list) -> dict:
-    """The tree a node table holds, as format 1 wrote a tree: ``{"children", "label", "value"?}``."""
+def _nested(table: list) -> list:
+    """Each tree a node table holds, by id, as format 1 wrote a tree: ``{"children", "label", "value"?}``."""
     nodes: list = []
     for entry in table:
         node = {"label": entry[0], "children": [nodes[k] for k in entry[-1]]}
         if len(entry) == 3:
-            node["value"] = _old_json(entry[1])
+            node["value"] = _old_json(entry[1], nodes)
         nodes.append(node)
-    return nodes[-1]
+    return nodes
 
 
 _OLD_RANKS = {"atom": 0, "nat": 1, "bool": 2, "undef": 3, "symbol": 4, "node": 5}
@@ -379,17 +390,29 @@ def _old_sort_key(member) -> tuple:
     return (3,) if kind == "undef" else (rank, tuple(inner) if kind == "node" else inner)
 
 
-def _old_json(obj):
-    """A trace JSON fragment with every ``{"tree": <table>}`` written as format 1's nested tree."""
+def _old_json(obj, nodes: list):
+    """A trace JSON fragment with every ``{"tree": id}`` written as format 1's nested tree.
+
+    ``nodes`` holds the nested tree of each id (``_nested``).
+    """
     if isinstance(obj, list):
-        return [_old_json(item) for item in obj]
+        return [_old_json(item, nodes) for item in obj]
     if not isinstance(obj, dict):
         return obj
     if obj.keys() == {"tree"}:
-        return {"tree": _nested(obj["tree"])}
+        return {"tree": nodes[obj["tree"]]}
     if obj.keys() == {"set"}:
-        return {"set": sorted(_old_json(obj["set"]), key=_old_sort_key)}
-    return {key: _old_json(value) for key, value in obj.items()}
+        return {"set": sorted(_old_json(obj["set"], nodes), key=_old_sort_key)}
+    return {key: _old_json(value, nodes) for key, value in obj.items()}
+
+
+def _old_shared(shared: list, nodes: list) -> list:
+    """A record's shared entries as format 1 wrote them: each one ``count`` times, in JSON order."""
+    expanded = []
+    for entry in shared:
+        count = entry["count"]
+        expanded += [_old_json({k: v for k, v in entry.items() if k != "count"}, nodes)] * count
+    return sorted(expanded, key=canonical_dumps)
 
 
 def _old_digest(tree: dict) -> str:
@@ -400,22 +423,24 @@ def _old_digest(tree: dict) -> str:
 def _old_form(trace_obj: dict) -> dict:
     """The trace as format 1 wrote it: every self tree in full, the self update as a value.
 
-    Every tree is nested JSON, updates, shared entries and set members are in
-    the order that JSON sorts them, and each ``self_digest`` is the old one.
+    Every tree is nested JSON, each shared entry is written as often as it
+    occurs, updates, shared entries and set members are in the order that
+    JSON sorts them, and each ``self_digest`` is the old one.
     """
-    old = {key: value for key, value in trace_obj.items() if key not in ("format", "steps")}
-    initial, *after = (_nested(tree_to_table(tree)) for tree in replay(trace_obj))
+    nodes = _nested(trace_obj["nodes"])
+    old = {key: value for key, value in trace_obj.items() if key not in ("format", "steps", "nodes")}
+    initial, *after = (_nested(tree_to_table(tree))[-1] for tree in replay(trace_obj))
     old["initial"] = {"self_digest": _old_digest(initial), "self": initial}
     old["steps"] = []
     for record, tree in zip(trace_obj["steps"], after):
         updates = [
-            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else _old_json(u)
+            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else _old_json(u, nodes)
             for u in record["updates"]
         ]
         old["steps"].append({
-            **_old_json(record),
+            **_old_json(record, nodes),
             "updates": sorted(updates, key=canonical_dumps),
-            "shared": sorted(_old_json(record["shared"]), key=canonical_dumps),
+            "shared": _old_shared(record["shared"], nodes),
             "self_digest": _old_digest(tree),
             "self": tree,
         })
@@ -428,11 +453,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "d71109bfefa641af55d8a173c6eddec0840d10f56aaab201c6dea71f574daad0",
+        "988696c49c5a30569c6afac90b59438344ac07d2f5ecebc536d8ffb90eaec209",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "84dd56c06f781fc09c78a82026a89f9c7f5973c5023e140b3dc173d1622c85b8",
+        "61d5d23ec8af369a077793e3f4886f1d5035933a903e1abdff052dc15dd008cc",
     ),
 }
 
@@ -444,20 +469,21 @@ def test_bundled_program_traces_match_golden_digests():
         assert _sha256(canonical_dumps(_old_form(json.loads(text)))) == old_digest, name
 
 
-def _replay_traces():
-    for name in ("parity", "join"):
-        yield name, run(parse(load_program(name)))
+@functools.cache
+def _replay_traces() -> tuple:
+    traces = [(name, run(parse(load_program(name)))) for name in ("parity", "join")]
     for seed in range(50):
-        yield f"machine {seed}", run(generate.random_machine(random.Random(seed)))
+        traces.append((f"machine {seed}", run(generate.random_machine(random.Random(seed)))))
     rng = random.Random(2024)
     for index in range(20):
-        yield f"join {index}", run(parse(join_source(JoinCase(rng)), f"join-{index}"))
+        traces.append((f"join {index}", run(parse(join_source(JoinCase(rng)), f"join-{index}"))))
+    return tuple(traces)
 
 
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 4
+        assert trace_obj["format"] == 5
         expected = [trace.initial_state] + [s.after for s in trace.steps]
         replayed = list(replay(trace_obj))
         assert len(replayed) == len(expected), name
@@ -465,6 +491,46 @@ def test_replay_rebuilds_every_self_tree_from_the_trace_json():
             assert tree == state.self_tree, (name, k)
         for record, tree in zip(trace_obj["steps"], replayed[1:]):
             assert self_digest(tree) == record["self_digest"], name
+
+
+def _shared_counter(shared: list, nodes: list) -> Counter:
+    """Shared entries as canonical format-1 JSON, each counted as often as it occurs."""
+    counter: Counter = Counter()
+    for entry in shared:
+        written = {key: value for key, value in entry.items() if key != "count"}
+        counter[canonical_dumps(_old_json(written, nodes))] += entry.get("count", 1)
+    return counter
+
+
+def test_shared_entries_read_back_with_their_counts_give_the_multiset():
+    for name, trace in _replay_traces():
+        trace_obj = json.loads(trace.to_json())
+        nodes = _nested(trace_obj["nodes"])
+        for record, step_record in zip(trace_obj["steps"], trace.steps):
+            assert all(type(e["count"]) is int and e["count"] >= 1 for e in record["shared"])
+            ids: dict = {}
+            table: list = []
+            shared = [
+                entry_to_json(e, ids, table)
+                for e in step_record.multiset
+                if isinstance(e, SharedUpdate)
+            ]
+            expected = _shared_counter(shared, _nested(table))
+            assert _shared_counter(record["shared"], nodes) == expected, (name, record["index"])
+
+
+def test_each_distinct_shared_entry_and_tree_is_written_once():
+    trace = run(parse(load_program("parity")))
+    trace_obj = json.loads(trace.to_json())
+    shared = trace_obj["steps"][0]["shared"]
+    assert any(e["count"] > 1 for e in shared)
+    texts = [canonical_dumps(e) for e in shared]
+    assert len(set(texts)) == len(texts)
+    assert sum(e["count"] for e in shared) == sum(
+        isinstance(e, SharedUpdate) for e in trace.steps[0].multiset
+    )
+    entries = [canonical_dumps(entry) for entry in trace_obj["nodes"]]
+    assert len(set(entries)) == len(entries)
 
 
 def test_only_a_step_that_writes_self_carries_a_difference_term():
@@ -482,24 +548,85 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
     trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
     without = {key: value for key, value in trace_obj.items() if key != "format"}
     for other, fmt in (
+        (dict(trace_obj, format=4), 4),
         (dict(trace_obj, format=3), 3),
         (dict(trace_obj, format=1), 1),
         (without, "missing"),
     ):
-        with pytest.raises(EngineError, match=rf"^not a format 4 trace \(format: {fmt}\)$"):
+        with pytest.raises(EngineError, match=rf"^not a format 5 trace \(format: {fmt}\)$"):
             list(replay(other))
     tampered = json.loads(json.dumps(trace_obj))
     tampered["steps"][0]["self_digest"] = "0" * 64
     assert next(replay(tampered)) == next(replay(trace_obj))
     with pytest.raises(EngineError, match="step 1 does not match its digest"):
         list(replay(tampered))
-    for child in (-1, len(trace_obj["initial"]["self"]) - 1):
+    root = trace_obj["initial"]["self"]["tree"]
+    for child in (-1, root):
         looped = json.loads(json.dumps(trace_obj))
-        looped["initial"]["self"][-1][-1][0] = child
-        with pytest.raises(StateError, match="names a child that does not precede it"):
+        looped["nodes"][root][-1][0] = child
+        with pytest.raises(EngineError, match="names a child that does not precede it"):
             list(replay(looped))
     with pytest.raises(EngineError, match="malformed trace"):
-        list(replay({"format": 4, "steps": []}))
+        list(replay({"format": 5, "steps": []}))
+
+
+def _parity_trace_obj() -> dict:
+    return json.loads(run(parse(load_program("parity"))).to_json())
+
+
+def _set_initial_tree_id(nid):
+    def damage(trace_obj):
+        trace_obj["initial"]["self"]["tree"] = nid
+    return damage
+
+
+def _set_theta_tree_id(nid):
+    def damage(trace_obj):
+        # the first tree constant of the first difference term
+        stack = [next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"]]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, dict) and obj.keys() == {"tree"}:
+                obj["tree"] = nid
+                return
+            stack.extend(obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ())
+        raise AssertionError("no tree constant in the difference term")
+    return damage
+
+
+def _set_shared_count(count):
+    def damage(trace_obj):
+        next(r for r in trace_obj["steps"] if r["shared"])["shared"][0]["count"] = count
+    return damage
+
+
+MALFORMED_TRACES = {
+    # a negative id must not wrap around to the last entry
+    "negative_tree_id": _set_initial_tree_id(-1),
+    "out_of_range_tree_id": lambda obj: _set_initial_tree_id(len(obj["nodes"]))(obj),
+    "bool_tree_id": _set_initial_tree_id(True),
+    "string_tree_id": _set_initial_tree_id("0"),
+    "float_tree_id": _set_initial_tree_id(0.0),
+    "negative_theta_tree_id": _set_theta_tree_id(-1),
+    "later_value_tree_id": lambda obj: obj["nodes"].__setitem__(
+        0, [obj["nodes"][0][0], {"tree": 0}, []]
+    ),
+    "zero_count": _set_shared_count(0),
+    "negative_count": _set_shared_count(-2),
+    "bool_count": _set_shared_count(True),
+    "string_count": _set_shared_count("3"),
+    "float_count": _set_shared_count(3.0),
+    "missing_count": lambda obj: next(r for r in obj["steps"] if r["shared"])["shared"][0].pop("count"),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
+def test_replay_reports_a_malformed_tree_id_or_count_as_an_engine_error(damage):
+    trace_obj = _parity_trace_obj()
+    list(replay(trace_obj))  # the undamaged trace replays
+    damage(trace_obj)
+    with pytest.raises(EngineError, match="^malformed trace"):
+        list(replay(trace_obj))
 
 
 def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():

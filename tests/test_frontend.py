@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,11 +11,17 @@ import sys
 import pytest
 
 from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM
+from test_acceptance import JoinCase, join_source
+from test_engine import parity_source
 from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
+from rsasm import generate
 from rsasm.frontend import (
     MAX_NESTING,
+    ProgramSource,
+    _collect_atoms_value,
+    build_machine,
     load_program,
     machine_to_source,
     parse,
@@ -38,7 +45,7 @@ from rsasm.structures import (
     SymbolName,
     TreeValue,
     UNDEF,
-    tree_from_table,
+    trees_from_table,
 )
 from rsasm.treealg import L_LET, Tree
 
@@ -315,15 +322,16 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
 
 
-def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", [3, 4])
+def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
     trace_obj = json.loads(trace_path.read_text())
-    trace_path.write_text(json.dumps(dict(trace_obj, format=3)))
+    trace_path.write_text(json.dumps(dict(trace_obj, format=fmt)))
     capsys.readouterr()
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: not a format 4 trace (format: 3)\n"
+    assert captured.err == f"error: not a format 5 trace (format: {fmt})\n"
     assert captured.out == ""
 
 
@@ -367,6 +375,11 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     assert unfinished.exists()  # the program is never taken for a stale trace
 
 
+def _initial_root(trace_obj) -> list:
+    """The node table entry of the initial self tree's root."""
+    return trace_obj["nodes"][trace_obj["initial"]["self"]["tree"]]
+
+
 def _corrupt_theta(trace_obj):
     entry = next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)
     entry["theta"]["args"][0] = {"const": {"atom": "other"}}  # relabels the root
@@ -384,10 +397,16 @@ def _garble_theta(trace_obj):
         lambda trace_obj: trace_obj.update(format=1),
         lambda trace_obj: trace_obj.pop("format"),
         lambda trace_obj: trace_obj["steps"][0].pop("updates"),
-        lambda trace_obj: trace_obj["initial"]["self"][0].__setitem__(0, "other"),
-        lambda trace_obj: trace_obj["initial"]["self"][-1][-1].append(len(trace_obj["initial"]["self"])),
-        lambda trace_obj: trace_obj["initial"]["self"][-1][-1].__setitem__(0, -1),
-        lambda trace_obj: trace_obj["initial"].update(self=[]),
+        lambda trace_obj: trace_obj["nodes"][0].__setitem__(0, "other"),
+        lambda trace_obj: _initial_root(trace_obj)[-1].append(len(trace_obj["nodes"])),
+        lambda trace_obj: _initial_root(trace_obj)[-1].__setitem__(0, -1),
+        lambda trace_obj: trace_obj.update(nodes=[]),
+        lambda trace_obj: trace_obj["initial"]["self"].update(tree=-1),
+        lambda trace_obj: trace_obj["initial"]["self"].update(tree=len(trace_obj["nodes"])),
+        lambda trace_obj: trace_obj["initial"]["self"].update(tree=True),
+        lambda trace_obj: trace_obj["initial"]["self"].update(tree="0"),
+        lambda trace_obj: trace_obj["steps"][0]["shared"][0].update(count=0),
+        lambda trace_obj: trace_obj["steps"][0]["shared"][0].update(count=True),
     ],
     ids=[
         "corrupted_theta",
@@ -399,6 +418,12 @@ def _garble_theta(trace_obj):
         "later_child_id",
         "negative_child_id",
         "empty_node_table",
+        "negative_tree_id",
+        "out_of_range_tree_id",
+        "bool_tree_id",
+        "string_tree_id",
+        "zero_count",
+        "bool_count",
     ],
 )
 def test_cli_diff_self_rejects_a_damaged_trace_without_a_traceback(tmp_path, capsys, damage):
@@ -661,7 +686,64 @@ def test_cli_run_json_writes_the_final_self_tree_as_a_node_table(capsys):
     payload = json.loads(capsys.readouterr().out)
     (value,) = [v for loc, v in payload["final"]["locations"] if loc["symbol"] == "self"]
     final = run(parse(load_program("join"))).final_state.self_tree
-    assert tree_from_table(value["tree"]) == final
+    assert trees_from_table(payload["final"]["nodes"])[value["tree"]] == final
+
+
+def _base_from_self(program: ProgramSource) -> frozenset:
+    """The atoms of a program's domains, initial values and encoded self tree."""
+    atoms: set = set()
+    for members in program.domains.values():
+        for m in members:
+            _collect_atoms_value(m, atoms)
+    for loc, value in program.init.items():
+        for v in loc.args + (value,):
+            _collect_atoms_value(v, atoms)
+    _collect_atoms_value(TreeValue(build_self_tree(program.signature, program.rule)), atoms)
+    return frozenset(atoms)
+
+
+def _base_programs():
+    for name in ("parity", "join"):
+        yield parse_program(load_program(name), name)
+    rng = random.Random(7)
+    for index in range(5):
+        yield parse_program(join_source(JoinCase(rng)), f"join-{index}")
+    names = [f"e{i}" for i in range(128)]
+    yield parse_program(parity_source(names, frozenset(names[::3])), "parity-128")
+    for seed in range(200):
+        state = generate.random_machine(random.Random(seed)).initial_state
+        rule = decode_rule(rule_of_self(state.self_tree))
+        yield ProgramSource({}, state.signature, {}, {}, rule, {}, f"machine-{seed}")
+
+
+def test_a_machine_base_holds_the_atoms_of_its_encoded_self_tree():
+    # atoms are collected from the parsed rule, which the encoding holds in full
+    for program in _base_programs():
+        base = build_machine(program).initial_state.base
+        assert base == _base_from_self(program), program.name
+
+
+@pytest.mark.parametrize("program", ["parity", "join", "parity-128"])
+def test_a_trace_does_not_depend_on_the_hash_seed(program, tmp_path):
+    path = tmp_path / f"{program}.rsasm"
+    if program == "parity-128":
+        names = [f"e{i}" for i in range(128)]
+        path.write_text(parity_source(names, frozenset(names[::3])))
+    else:
+        path.write_text(load_program(program))
+    traces = []
+    for seed in ("1", "3"):
+        trace_path = tmp_path / f"trace_{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rsasm.cli", "run", str(path), "--trace", str(trace_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces.append(trace_path.read_bytes())
+    assert traces[0] == traces[1]  # node ids follow write order, which no hash decides
+    assert json.loads(traces[0])["status"] == "fixpoint"
 
 
 # -- nesting cap ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from rsasm.engine import run
 from rsasm.errors import ParseError, RsasmError
 from rsasm.frontend import (
     KEYWORDS,
-    _collect_atoms_term,
+    _collect_atoms,
     _collect_atoms_value,
     load_program,
     machine_to_source,
@@ -69,8 +69,8 @@ from rsasm.structures import (
     term_free_vars,
     term_substitute,
     term_to_json,
-    tree_from_table,
     tree_to_table,
+    trees_from_table,
     value_from_json,
     value_to_json,
 )
@@ -296,6 +296,13 @@ def test_substituting_a_variable_that_is_not_free_returns_the_very_object(rule, 
 # -- atom collection ------------------------------------------------------------------------
 
 
+def _with_table(to_json, x) -> list:
+    """``x`` written by ``to_json`` against a node table of its own, as ``[table, json]``."""
+    table: list = []
+    written = to_json(x, {}, table)
+    return [table, written]
+
+
 def _json_atoms(obj) -> set:
     if isinstance(obj, dict):
         found = {Atom(obj["atom"])} if set(obj) == {"atom"} else set()
@@ -308,17 +315,26 @@ def _json_atoms(obj) -> set:
 @given(terms_with_any_constant)
 def test_collected_atoms_cover_every_atom_of_a_term(term):
     collected: set = set()
-    _collect_atoms_term(term, collected)
-    assert _json_atoms(term_to_json(term)) <= collected
+    _collect_atoms(term, collected)
+    assert _json_atoms(_with_table(term_to_json, term)) <= collected
 
 
 @given(rules)
 def test_collected_atoms_of_a_rule_cover_its_terms(rule):
-    # a machine collects its rule's atoms from the rule's encoding in self
     collected: set = set()
     _collect_atoms_value(TreeValue(encode_rule(rule)), collected)
     for t in _rule_terms(rule):
-        assert _json_atoms(term_to_json(t)) <= collected
+        assert _json_atoms(_with_table(term_to_json, t)) <= collected
+
+
+@given(rules)
+def test_the_atoms_of_a_rule_are_the_atoms_of_its_encoding(rule):
+    # a machine collects its rule's atoms from the parsed rule, not from self
+    from_rule: set = set()
+    _collect_atoms(rule, from_rule)
+    from_encoding: set = set()
+    _collect_atoms_value(TreeValue(encode_rule(rule)), from_encoding)
+    assert from_rule == from_encoding
 
 
 def _rule_terms(rule):
@@ -566,12 +582,12 @@ def _distinct(t: Tree) -> tuple[set, set]:
 @given(st.one_of(trees, machine_self_trees))
 def test_the_node_table_round_trips_and_writes_each_distinct_subtree_once(t):
     table = tree_to_table(t)
-    subtrees, _ = _distinct(t)
-    assert len(table) == len(subtrees)
     assert tree_to_table(_rebuilt(t)) == table  # by value, not by object identity
-    back = tree_from_table(json.loads(canonical_dumps(table)))
-    assert back == t
-    assert len(_distinct(back)[1]) == len(table)  # the reader shares equal subtrees
+    read = trees_from_table(json.loads(canonical_dumps(table)))
+    assert read[-1] == t
+    # each distinct tree once, the trees that leaf values hold included
+    assert len(set(read)) == len(read) and _distinct(t)[0] <= set(read)
+    assert _distinct(read[-1])[1] <= set(map(id, read))  # the reader shares equal subtrees
 
 
 @given(machine_self_trees)
@@ -590,7 +606,7 @@ def _interned(t: Tree, node) -> Tree:
 @example(Tree("r", (Tree("leaf", (), TreeValue(Tree('q"t', (Tree("ü"),)))),)))
 @example(Tree("r", (), NatVal(3)))
 def test_the_composed_digest_is_the_sha256_of_the_label_and_child_tables(t):
-    head = [t.label] if t.value is None else [t.label, value_to_json(t.value)]
+    head = [t.label] if t.value is None else [t.label, *_with_table(value_to_json, t.value)]
     text = canonical_dumps(head + [tree_to_table(c) for c in t.children])
     assert self_digest(t) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -602,7 +618,7 @@ def test_equal_trees_built_with_and_without_the_interner_have_one_digest(t):
 
 @given(st.one_of(trees, machine_self_trees))
 def test_a_tree_read_back_from_its_own_table_keeps_its_digest(t):
-    back = tree_from_table(json.loads(canonical_dumps(tree_to_table(t))))
+    back = trees_from_table(json.loads(canonical_dumps(tree_to_table(t))))[-1]
     assert self_digest(back) == self_digest(t)
 
 
@@ -625,8 +641,10 @@ def _tree_holders(tree: Tree):
 
 @given(st.one_of(trees.flatmap(_tree_holders), values))
 def test_a_value_holding_trees_reads_back_from_its_json(v):
-    assert value_from_json(value_to_json(v)) == v
-    assert value_from_json(json.loads(canonical_dumps(value_to_json(v)))) == v
+    table, written = _with_table(value_to_json, v)
+    assert value_from_json(written, trees_from_table(table)) == v
+    table, written = json.loads(canonical_dumps([table, written]))
+    assert value_from_json(written, trees_from_table(table)) == v
 
 
 @given(st.lists(trees, min_size=2, max_size=4))

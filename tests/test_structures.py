@@ -455,7 +455,7 @@ def test_iota_over_nodes_returns_a_ref_carrying_its_node():
     found = eval_term(state, Iota("w", NODES_DOMAIN, condition))
     assert found == NodeRef((0,))
     assert found.tree is state.self_tree and found.node is state.self_tree.children[0]
-    assert value_to_json(found) == {"node": [0]} and repr(found) == "node@0"
+    assert value_to_json(found, {}, []) == {"node": [0]} and repr(found) == "node@0"
 
 
 STALE_REF_PROGRAM = """
