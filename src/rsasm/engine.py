@@ -13,18 +13,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ReflectError, RsasmError, StateError
+from .errors import EngineError, ReflectError, RsasmError, StateError, TreeError
 from .reflect import (
     RULE_AT,
     beta,
     decode_rule,
     decode_signature,
-    eval_algebra,
     is_rule_encoding,
     is_self_shaped,
     rule_of_self,
     signature_of_self,
-    tree_diff,
 )
 from .rules import (
     ClashReport,
@@ -47,8 +45,6 @@ from .structures import (
     location_sort_key,
     location_to_json,
     self_digest,
-    term_from_json,
-    term_to_json,
     trees_from_table,
     value_from_json,
     value_to_json,
@@ -57,7 +53,7 @@ from .structures import (
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 5
+TRACE_FORMAT = 6
 
 # The step cap of a machine whose program sets none.
 DEFAULT_MAX_STEPS = 1000
@@ -72,26 +68,22 @@ class Machine:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One step: the states before and after it, its multiset and its collapse.
+    """One step: the state after it, its multiset and its collapse.
 
-    In the trace JSON (format 5) a step holds its ``index``; its ``updates``
+    In the trace JSON (format 6) a step holds its ``index``; its ``updates``
     in ``location_sort_key`` order, or a ``clash`` instead; the ``shared``
     entries of its multiset; the ``signature_added`` names; and the
     ``self_digest`` of the self tree after it.  Each distinct shared entry is
     written once, with its multiplicity as ``count``, in ``shared_sort_key``
-    order.  The update of ``self`` is written as the tree difference ``theta``
-    (``reflect.tree_diff`` of the self trees before and after, as
-    ``term_to_json``) in place of a ``value``, so a step that does not write
-    ``self`` carries no self tree at all; :func:`replay` evaluates it on the
-    tree before the step.  The difference is computed here, when the record
-    is written, and never while stepping.  Every tree in a record, whether a
-    value, a location argument or a constant of ``theta``, is ``{"tree": id}``,
-    an id into the trace's node table, whose ``ids``/``table`` pair
-    :meth:`to_json` extends.
+    order.  Every update, that of ``self`` included, is ``entry_to_json``
+    output, so a step that does not write ``self`` carries no self tree.
+    Every tree in a record, a value or a location argument, is
+    ``{"tree": id}``, an id into the trace's node table, whose ``ids``/``table``
+    pair :meth:`to_json` extends; a new self tree adds entries only for the
+    subtrees the trace has not written yet.
     """
 
     index: int
-    before: State
     after: State
     multiset: UpdateMultiset
     result: UpdateSet | ClashReport
@@ -100,13 +92,6 @@ class StepRecord:
     @property
     def clashed(self) -> bool:
         return isinstance(self.result, ClashReport)
-
-    def _update_to_json(self, update, ids: dict, table: list) -> object:
-        if update.location != SELF_LOCATION:
-            return entry_to_json(update, ids, table)
-        theta = tree_diff(self.before.self_tree, update.value.tree)
-        location = location_to_json(SELF_LOCATION, ids, table)
-        return {"location": location, "theta": term_to_json(theta, ids, table)}
 
     def to_json(self, ids: dict, table: list) -> dict:
         obj: dict = {
@@ -119,7 +104,7 @@ class StepRecord:
         # fixed by sort keys of the entries, never by the hash seed.
         if isinstance(self.result, UpdateSet):
             updates = sorted(self.result, key=lambda u: location_sort_key(u.location))
-            obj["updates"] = [self._update_to_json(u, ids, table) for u in updates]
+            obj["updates"] = [entry_to_json(u, ids, table) for u in updates]
         else:
             obj["clash"] = {
                 "location": location_to_json(self.result.location, ids, table),
@@ -137,7 +122,7 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 5) holds ``format``, ``status``, the optional
+    The trace JSON (format 6) holds ``format``, ``status``, the optional
     ``detail``, the ``initial`` self tree with its ``self_digest``, the step
     records (see :class:`StepRecord`) and ``nodes``, the one node table of
     the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
@@ -147,7 +132,7 @@ class Trace:
     included, is ``{"tree": id}`` with the id of its entry.  Ids follow the
     order of writing: the initial tree, then each step in turn.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads
-    the initial tree, then evaluates each step's ``theta`` on the tree so far.
+    the initial tree, then the value of each step's update of ``self``.
     """
 
     initial_state: State
@@ -184,12 +169,13 @@ class Trace:
 def replay(trace_obj: dict):
     """Yield the self tree at every point of a trace JSON object, the initial tree first.
 
-    Reads the trace's node table once, then, for each step, evaluates the
-    step's ``theta`` (if it writes ``self``) on the tree so far.  Each tree is
-    checked against its ``self_digest`` before it is yielded.  A trace that
-    is not format 5, a digest that does not match and a malformed trace raise
+    Reads the trace's node table once; the tree after a step is the value of
+    its update of ``self``, or the tree so far if it writes none.  Each tree
+    is checked against its ``self_digest`` before it is yielded.  A trace that
+    is not format 6, a digest that does not match and a malformed trace raise
     ``EngineError``: a tree id that names no entry before the one that holds
-    it, a shared entry whose ``count`` is not a positive integer, and any
+    it, a node table entry that is not a tree, a ``self`` value that is not a
+    tree, a shared entry whose ``count`` is not a positive integer, and any
     missing or mistyped part are malformed.
     """
     try:
@@ -198,7 +184,8 @@ def replay(trace_obj: dict):
             raise EngineError(f"not a format {TRACE_FORMAT} trace (format: {fmt})")
         steps = trace_obj["steps"]
         trees = trees_from_table(trace_obj["nodes"])
-        tree = value_from_json(trace_obj["initial"]["self"], trees).tree
+        self_location = location_to_json(SELF_LOCATION, {}, [])
+        tree = _self_tree(trace_obj["initial"]["self"], trees)
         if self_digest(tree) != trace_obj["initial"]["self_digest"]:
             raise EngineError("the initial self tree does not match its digest")
         yield tree
@@ -208,15 +195,23 @@ def replay(trace_obj: dict):
                 if type(count) is not int or count < 1:
                     raise EngineError(f"malformed trace: shared entry count {count!r}")
             for entry in record["updates"]:
-                if "theta" in entry:
-                    tree = eval_algebra(term_from_json(entry["theta"], trees), tree)
+                if entry["location"] == self_location:
+                    tree = _self_tree(entry["value"], trees)
             if self_digest(tree) != record["self_digest"]:
                 raise EngineError(
                     f"the replayed self tree of step {record['index']} does not match its digest"
                 )
             yield tree
-    except (AttributeError, KeyError, TypeError, ValueError, StateError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, StateError, TreeError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+
+
+def _self_tree(obj, trees: list):
+    """The tree a trace's value of ``self`` names; any other value is malformed."""
+    value = value_from_json(obj, trees)
+    if not isinstance(value, TreeValue):
+        raise EngineError(f"malformed trace: a value of self is {type(value).__name__}, not a tree")
+    return value.tree
 
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
@@ -244,7 +239,6 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
         )
     record = StepRecord(
         index=index,
-        before=exec_state,
         after=successor,
         multiset=multiset,
         result=result,

@@ -135,8 +135,7 @@ def test_trace_steps_recheck_from_records():
     trace = run(machine)
     previous = trace.initial_state
     for record in trace.steps:
-        assert record.before == previous.with_signature(record.before.signature)
-        assert apply_update_set(record.before, record.result) == record.after
+        assert apply_update_set(previous, record.result) == record.after
         previous = record.after
 
 
@@ -433,13 +432,9 @@ def _old_form(trace_obj: dict) -> dict:
     old["initial"] = {"self_digest": _old_digest(initial), "self": initial}
     old["steps"] = []
     for record, tree in zip(trace_obj["steps"], after):
-        updates = [
-            {"location": u["location"], "value": {"tree": tree}} if "theta" in u else _old_json(u, nodes)
-            for u in record["updates"]
-        ]
         old["steps"].append({
             **_old_json(record, nodes),
-            "updates": sorted(updates, key=canonical_dumps),
+            "updates": sorted(_old_json(record["updates"], nodes), key=canonical_dumps),
             "shared": _old_shared(record["shared"], nodes),
             "self_digest": _old_digest(tree),
             "self": tree,
@@ -453,11 +448,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "988696c49c5a30569c6afac90b59438344ac07d2f5ecebc536d8ffb90eaec209",
+        "22e46be2e97a3b76d08f0372161eb84e2244673a67d7d9d660a046b68c0d1fd3",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "61d5d23ec8af369a077793e3f4886f1d5035933a903e1abdff052dc15dd008cc",
+        "a56911803cb9657820b3472222a38e4a55e0316d07881739b80d5ce1aad3e2de",
     ),
 }
 
@@ -483,7 +478,7 @@ def _replay_traces() -> tuple:
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 5
+        assert trace_obj["format"] == 6
         expected = [trace.initial_state] + [s.after for s in trace.steps]
         replayed = list(replay(trace_obj))
         assert len(replayed) == len(expected), name
@@ -533,33 +528,70 @@ def test_each_distinct_shared_entry_and_tree_is_written_once():
     assert len(set(entries)) == len(entries)
 
 
-def test_only_a_step_that_writes_self_carries_a_difference_term():
-    trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
-    thetas = [
-        [u for u in record["updates"] if "theta" in u] for record in trace_obj["steps"]
+def test_every_update_is_written_as_entry_to_json_writes_it():
+    for name, trace in _replay_traces():
+        trace_obj = json.loads(trace.to_json())
+        nodes = _nested(trace_obj["nodes"])
+        for record, step_record in zip(trace_obj["steps"], trace.steps):
+            assert all(u.keys() == {"location", "value"} for u in record["updates"]), name
+            if step_record.clashed:
+                continue
+            ids: dict = {}
+            table: list = []
+            written = [entry_to_json(u, ids, table) for u in step_record.result]
+            expected = sorted(canonical_dumps(_old_json(u, _nested(table))) for u in written)
+            read = sorted(canonical_dumps(_old_json(u, nodes)) for u in record["updates"])
+            assert read == expected, (name, record["index"])
+
+
+def _self_update(trace_obj) -> dict:
+    """The first step's update of ``self``."""
+    return next(u for u in trace_obj["steps"][0]["updates"] if u["location"]["symbol"] == "self")
+
+
+def test_only_a_step_that_writes_self_carries_a_self_tree():
+    trace = run(parse(load_program("parity")))
+    trace_obj = json.loads(trace.to_json())
+    writes = [
+        [u for u in record["updates"] if u["location"] == {"symbol": "self", "args": []}]
+        for record in trace_obj["steps"]
     ]
-    assert [len(t) for t in thetas] == [1, 0, 0, 0]
-    assert thetas[0][0]["location"] == {"symbol": "self", "args": []}
-    assert "value" not in thetas[0][0]
+    assert [len(w) for w in writes] == [1, 0, 0, 0]
+    trees = trees_from_table(trace_obj["nodes"])
+    assert trees[_self_update(trace_obj)["value"]["tree"]] == trace.steps[0].after.self_tree
     assert all("self" not in record for record in trace_obj["steps"])
+
+
+def test_a_step_that_extends_only_the_signature_keeps_the_replayed_rule_region():
+    trace_obj = json.loads(run(parse(load_program("join"))).to_json())
+    assert trace_obj["steps"][0]["signature_added"] == ["J12", "hatJ12"]
+    initial, first, *_ = replay(trace_obj)
+    assert signature_of_self(first) != signature_of_self(initial)
+    assert first.children[1] is initial.children[1]
 
 
 def test_replay_refuses_other_formats_and_mismatched_digests():
     trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
     without = {key: value for key, value in trace_obj.items() if key != "format"}
     for other, fmt in (
+        (dict(trace_obj, format=5), 5),
         (dict(trace_obj, format=4), 4),
         (dict(trace_obj, format=3), 3),
         (dict(trace_obj, format=1), 1),
         (without, "missing"),
     ):
-        with pytest.raises(EngineError, match=rf"^not a format 5 trace \(format: {fmt}\)$"):
+        with pytest.raises(EngineError, match=rf"^not a format 6 trace \(format: {fmt}\)$"):
             list(replay(other))
     tampered = json.loads(json.dumps(trace_obj))
     tampered["steps"][0]["self_digest"] = "0" * 64
     assert next(replay(tampered)) == next(replay(trace_obj))
     with pytest.raises(EngineError, match="step 1 does not match its digest"):
         list(replay(tampered))
+    elsewhere = json.loads(json.dumps(trace_obj))
+    _self_update(elsewhere)["value"] = elsewhere["initial"]["self"]  # names another tree
+    assert next(replay(elsewhere)) == next(replay(trace_obj))
+    with pytest.raises(EngineError, match="step 1 does not match its digest"):
+        list(replay(elsewhere))
     root = trace_obj["initial"]["self"]["tree"]
     for child in (-1, root):
         looped = json.loads(json.dumps(trace_obj))
@@ -567,7 +599,7 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
         with pytest.raises(EngineError, match="names a child that does not precede it"):
             list(replay(looped))
     with pytest.raises(EngineError, match="malformed trace"):
-        list(replay({"format": 5, "steps": []}))
+        list(replay({"format": 6, "steps": []}))
 
 
 def _parity_trace_obj() -> dict:
@@ -580,18 +612,15 @@ def _set_initial_tree_id(nid):
     return damage
 
 
-def _set_theta_tree_id(nid):
+def _set_self_value(value):
     def damage(trace_obj):
-        # the first tree constant of the first difference term
-        stack = [next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"]]
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, dict) and obj.keys() == {"tree"}:
-                obj["tree"] = nid
-                return
-            stack.extend(obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ())
-        raise AssertionError("no tree constant in the difference term")
+        _self_update(trace_obj)["value"] = value
     return damage
+
+
+def _initial_root(trace_obj) -> list:
+    """The node table entry of the initial self tree's root."""
+    return trace_obj["nodes"][trace_obj["initial"]["self"]["tree"]]
 
 
 def _set_shared_count(count):
@@ -607,7 +636,12 @@ MALFORMED_TRACES = {
     "bool_tree_id": _set_initial_tree_id(True),
     "string_tree_id": _set_initial_tree_id("0"),
     "float_tree_id": _set_initial_tree_id(0.0),
-    "negative_theta_tree_id": _set_theta_tree_id(-1),
+    "negative_self_value_tree_id": _set_self_value({"tree": -1}),
+    "self_value_not_a_tree": _set_self_value({"atom": "other"}),
+    # node table entries that are not trees
+    "non_string_label": lambda obj: _initial_root(obj).__setitem__(0, 5),
+    "empty_label": lambda obj: _initial_root(obj).__setitem__(0, ""),
+    "interior_entry_with_a_value": lambda obj: _initial_root(obj).insert(1, {"atom": "x"}),
     "later_value_tree_id": lambda obj: obj["nodes"].__setitem__(
         0, [obj["nodes"][0][0], {"tree": 0}, []]
     ),
@@ -621,7 +655,7 @@ MALFORMED_TRACES = {
 
 
 @pytest.mark.parametrize("damage", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
-def test_replay_reports_a_malformed_tree_id_or_count_as_an_engine_error(damage):
+def test_replay_reports_a_malformed_tree_id_entry_value_or_count_as_an_engine_error(damage):
     trace_obj = _parity_trace_obj()
     list(replay(trace_obj))  # the undamaged trace replays
     damage(trace_obj)

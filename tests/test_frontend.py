@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM
 from test_acceptance import JoinCase, join_source
-from test_engine import parity_source
+from test_engine import _initial_root, _self_update, parity_source
 from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
@@ -35,6 +35,7 @@ from rsasm.reflect import (
     decode_signature,
     rule_of_self,
     signature_of_self,
+    tree_diff,
 )
 from rsasm.rules import If, Let, Par
 from rsasm.structures import (
@@ -313,6 +314,18 @@ def test_cli_diff_self_prints_right_extend(tmp_path, capsys):
     assert "FunctionApp(" not in theta_text and "Equality(" not in theta_text
 
 
+@pytest.mark.parametrize("name", ["parity", "join"])
+def test_cli_diff_self_prints_the_tree_difference_of_the_run(tmp_path, capsys, name):
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path(name), "--trace", str(trace_path)]) == 0
+    trace = run(parse(load_program(name)))
+    points = [trace.initial_state.self_tree] + [s.after.self_tree for s in trace.steps]
+    capsys.readouterr()
+    for k, tree in enumerate(points):
+        assert cli_main(["diff-self", str(trace_path), "0", str(k)]) == 0
+        assert capsys.readouterr().out == repr(tree_diff(points[0], tree)) + "\n", (name, k)
+
+
 def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
@@ -322,7 +335,7 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
 
 
-@pytest.mark.parametrize("fmt", [3, 4])
+@pytest.mark.parametrize("fmt", [3, 4, 5])
 def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
@@ -331,7 +344,7 @@ def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: not a format 5 trace (format: {fmt})\n"
+    assert captured.err == f"error: not a format 6 trace (format: {fmt})\n"
     assert captured.out == ""
 
 
@@ -341,10 +354,10 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
     trace_obj = json.loads(trace_path.read_text())
-    next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"] = "THETA"
-    deep = '{"app": "x", "args": [' * 3000 + "]}" * 3000  # too deep for json.dumps too
+    _self_update(trace_obj)["value"] = "VALUE"
+    deep = '{"tuple": [' * 3000 + "]}" * 3000  # too deep for json.dumps too
     nested = tmp_path / "nested.json"
-    nested.write_text(json.dumps(trace_obj).replace('"THETA"', deep))
+    nested.write_text(json.dumps(trace_obj).replace('"VALUE"', deep))
     unwritable = str(tmp_path / "no" / "such" / "dir" / "t.json")
     fresh = tmp_path / "fresh.json"
     stale = tmp_path / "stale.json"
@@ -375,25 +388,11 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     assert unfinished.exists()  # the program is never taken for a stale trace
 
 
-def _initial_root(trace_obj) -> list:
-    """The node table entry of the initial self tree's root."""
-    return trace_obj["nodes"][trace_obj["initial"]["self"]["tree"]]
-
-
-def _corrupt_theta(trace_obj):
-    entry = next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)
-    entry["theta"]["args"][0] = {"const": {"atom": "other"}}  # relabels the root
-
-
-def _garble_theta(trace_obj):
-    next(u for u in trace_obj["steps"][0]["updates"] if "theta" in u)["theta"] = {"bogus": 1}
-
-
 @pytest.mark.parametrize(
     "damage",
     [
-        _corrupt_theta,
-        _garble_theta,
+        lambda trace_obj: _self_update(trace_obj).update(value=trace_obj["initial"]["self"]),
+        lambda trace_obj: _self_update(trace_obj).update(value={"atom": "other"}),
         lambda trace_obj: trace_obj.update(format=1),
         lambda trace_obj: trace_obj.pop("format"),
         lambda trace_obj: trace_obj["steps"][0].pop("updates"),
@@ -409,8 +408,8 @@ def _garble_theta(trace_obj):
         lambda trace_obj: trace_obj["steps"][0]["shared"][0].update(count=True),
     ],
     ids=[
-        "corrupted_theta",
-        "garbled_theta",
+        "self_value_names_another_tree",
+        "self_value_not_a_tree",
         "format_1",
         "no_format",
         "no_updates",
