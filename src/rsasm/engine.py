@@ -10,6 +10,7 @@ stepping an unchanged state can only repeat the clash, ends the run at once.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ from .structures import (
     eval_term,
     location_sort_key,
     location_to_json,
-    self_digest,
     trees_from_table,
     value_from_json,
     value_to_json,
@@ -53,7 +53,7 @@ from .structures import (
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 6
+TRACE_FORMAT = 7
 
 # The step cap of a machine whose program sets none.
 DEFAULT_MAX_STEPS = 1000
@@ -70,13 +70,13 @@ class Machine:
 class StepRecord:
     """One step: the state after it, its multiset and its collapse.
 
-    In the trace JSON (format 6) a step holds its ``index``; its ``updates``
+    In the trace JSON (format 7) a step holds its ``index``; its ``updates``
     in ``location_sort_key`` order, or a ``clash`` instead; the ``shared``
-    entries of its multiset; the ``signature_added`` names; and the
-    ``self_digest`` of the self tree after it.  Each distinct shared entry is
-    written once, with its multiplicity as ``count``, in ``shared_sort_key``
-    order.  Every update, that of ``self`` included, is ``entry_to_json``
-    output, so a step that does not write ``self`` carries no self tree.
+    entries of its multiset; and the ``signature_added`` names.  Each
+    distinct shared entry is written once, with its multiplicity as
+    ``count``, in ``shared_sort_key`` order.  Every update, that of ``self``
+    included, is ``entry_to_json`` output, so a step that does not write
+    ``self`` carries no self tree.
     Every tree in a record, a value or a location argument, is
     ``{"tree": id}``, an id into the trace's node table, whose ``ids``/``table``
     pair :meth:`to_json` extends; a new self tree adds entries only for the
@@ -98,7 +98,6 @@ class StepRecord:
             "index": self.index,
             "updates": [],
             "signature_added": list(self.signature_added),
-            "self_digest": self_digest(self.after.self_tree),
         }
         # Trees get their ids in the order they are written, so the order is
         # fixed by sort keys of the entries, never by the hash seed.
@@ -122,15 +121,16 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 6) holds ``format``, ``status``, the optional
-    ``detail``, the ``initial`` self tree with its ``self_digest``, the step
-    records (see :class:`StepRecord`) and ``nodes``, the one node table of
+    The trace JSON (format 7) holds ``format``, ``status``, the optional
+    ``detail``, the ``initial`` self tree, the step records (see
+    :class:`StepRecord`), ``nodes``, the one node table of
     the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
     Olivier, "Efficient annotated terms", 2000).  It holds each distinct tree
     of the trace once, as ``[label, value?, [child ids]]``, an entry after
     every entry it names; a tree anywhere in the trace, the initial self tree
     included, is ``{"tree": id}`` with the id of its entry.  Ids follow the
-    order of writing: the initial tree, then each step in turn.
+    order of writing: the initial tree, then each step in turn.  The one
+    ``digest`` (:func:`trace_digest`) covers every other key of the trace.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads
     the initial tree, then the value of each step's update of ``self``.
     """
@@ -147,47 +147,50 @@ class Trace:
     def to_json_obj(self) -> dict:
         ids: dict = {}
         table: list = []
-        tree = self.initial_state.self_tree
         obj = {
             "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {
-                "self_digest": self_digest(tree),
-                "self": value_to_json(TreeValue(tree), ids, table),
-            },
+            "initial": {"self": value_to_json(TreeValue(self.initial_state.self_tree), ids, table)},
             "steps": [s.to_json(ids, table) for s in self.steps],
             "nodes": table,
         }
         if self.detail:
             obj["detail"] = self.detail
+        obj["digest"] = trace_digest(obj)
         return obj
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_json_obj())
 
 
+def trace_digest(trace_obj: dict) -> str:
+    """The sha256 hex of the canonical text of a trace JSON object, its ``digest`` left out."""
+    body = {key: value for key, value in trace_obj.items() if key != "digest"}
+    return hashlib.sha256(canonical_dumps(body).encode("utf-8")).hexdigest()
+
+
 def replay(trace_obj: dict):
     """Yield the self tree at every point of a trace JSON object, the initial tree first.
 
-    Reads the trace's node table once; the tree after a step is the value of
-    its update of ``self``, or the tree so far if it writes none.  Each tree
-    is checked against its ``self_digest`` before it is yielded.  A trace that
-    is not format 6, a digest that does not match and a malformed trace raise
-    ``EngineError``: a tree id that names no entry before the one that holds
-    it, a node table entry that is not a tree, a ``self`` value that is not a
-    tree, a shared entry whose ``count`` is not a positive integer, and any
-    missing or mistyped part are malformed.
+    Checks the format, then the trace's ``digest``, before it yields any tree;
+    then reads the node table once.  The tree after a step is the value of its
+    update of ``self``, or the tree so far if it writes none.  A trace that is
+    not format 7, one that does not match its digest and a malformed trace
+    raise ``EngineError``: a tree id that names no entry before the one that
+    holds it, a node table entry that is not a tree, a ``self`` value that is
+    not a tree, a shared entry whose ``count`` is not a positive integer, and
+    any missing or mistyped part, the digest included, are malformed.
     """
     try:
         fmt = trace_obj.get("format", "missing")
         if fmt != TRACE_FORMAT:
             raise EngineError(f"not a format {TRACE_FORMAT} trace (format: {fmt})")
+        if trace_obj["digest"] != trace_digest(trace_obj):
+            raise EngineError("the trace does not match its digest")
         steps = trace_obj["steps"]
         trees = trees_from_table(trace_obj["nodes"])
         self_location = location_to_json(SELF_LOCATION, {}, [])
         tree = _self_tree(trace_obj["initial"]["self"], trees)
-        if self_digest(tree) != trace_obj["initial"]["self_digest"]:
-            raise EngineError("the initial self tree does not match its digest")
         yield tree
         for record in steps:
             for entry in record["shared"]:
@@ -197,10 +200,6 @@ def replay(trace_obj: dict):
             for entry in record["updates"]:
                 if entry["location"] == self_location:
                     tree = _self_tree(entry["value"], trees)
-            if self_digest(tree) != record["self_digest"]:
-                raise EngineError(
-                    f"the replayed self tree of step {record['index']} does not match its digest"
-                )
             yield tree
     except (AttributeError, KeyError, TypeError, ValueError, StateError, TreeError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc

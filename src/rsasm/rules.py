@@ -169,12 +169,12 @@ def entry_to_json(entry, ids: dict, table: list) -> object:
     return {"location": location, "op": _op_text(entry.op), "args": args}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateMultiset:
     """A finite multiset of plain and shared updates.
 
     Entry order records the traversal that produced the multiset, but equality
-    and hashing are order-independent.
+    is order-independent.
     """
 
     entries: tuple[Entry, ...] = ()
@@ -184,8 +184,9 @@ class UpdateMultiset:
             return NotImplemented
         return Counter(self.entries) == Counter(other.entries)
 
-    def __hash__(self) -> int:
-        return hash(frozenset(Counter(self.entries).items()))
+    # Unhashable, as a ``State`` is; ``eq=False`` keeps the dataclass from
+    # adding a hash of ``entries``, which would depend on entry order.
+    __hash__ = None  # type: ignore[assignment]
 
     def __iter__(self):
         return iter(self.entries)

@@ -8,7 +8,6 @@ always holds the tree-valued self-representation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 from dataclasses import dataclass, field, replace
@@ -541,20 +540,6 @@ def value_to_json(value: Value, ids: dict[Tree, int], table: list) -> object:
     raise StateError(f"cannot serialize value {value!r}")
 
 
-def tree_to_table(t: Tree) -> list:
-    """A tree as a node table of its own, its root last (see ``_table_id``)."""
-    table: list = []
-    _table_id(t, {}, table)
-    return table
-
-
-def _alone(value: Value) -> list:
-    """``[table, json]``: a value written against a node table of its own."""
-    table: list = []
-    obj = value_to_json(value, {}, table)
-    return [table, obj]
-
-
 # The recursive walk of the table is a module function: a nested function that
 # calls itself is a reference cycle, which would keep every tree it reaches,
 # and the memos kept on them, alive until a full garbage collection.
@@ -684,7 +669,14 @@ def value_sort_key(value: Value) -> tuple:
         return (4, value.name)
     if isinstance(value, NodeRef):
         return (5, value.path)
-    return (6, canonical_dumps(_alone(value)))
+    return treealg.memoized(value, "_sort_key", _composite_sort_key)
+
+
+def _composite_sort_key(value: Value) -> tuple:
+    """``(6, text)``: the canonical text of ``[table, json]``, the value alone in a table."""
+    table: list = []
+    obj = value_to_json(value, {}, table)
+    return (6, canonical_dumps([table, obj]))
 
 
 def location_sort_key(loc: Location | NodeRef) -> tuple:
@@ -717,32 +709,6 @@ def state_to_json(state: State) -> dict:
     }
     obj["nodes"] = table
     return obj
-
-
-def self_digest(t: Tree) -> str:
-    """sha256 of the canonical JSON of ``[label, table(c1), table(c2), …]``, computed once per tree object.
-
-    ``table(c)`` is the node table of a child of the root alone
-    (``tree_to_table``); a root that holds a value (a leaf) has ``_alone`` of
-    it after the label.  The UTF-8 text of each child's table is kept on that
-    child, so a region that several self trees share is written once: a step
-    that extends only the signature keeps the rule region as the same object.
-    """
-    return treealg.memoized(t, "_self_digest", _self_digest)
-
-
-def _self_digest(t: Tree) -> str:
-    head = [t.label] if t.value is None else [t.label, *_alone(t.value)]
-    digest = hashlib.sha256(canonical_dumps(head)[:-1].encode("utf-8"))
-    for region in t.children:
-        digest.update(b",")
-        digest.update(treealg.memoized(region, "_table_text", _table_text))
-    digest.update(b"]")
-    return digest.hexdigest()
-
-
-def _table_text(t: Tree) -> bytes:
-    return canonical_dumps(tree_to_table(t)).encode("utf-8")
 
 
 # -- term evaluation ----------------------------------------------------------------

@@ -126,11 +126,12 @@ def interner():
 def memoized(t, key: str, compute):
     """``compute(t)``, computed once per object and kept on it; it is never None.
 
-    ``t`` is an immutable tree, term or rule, so the result lives exactly as
-    long as the object: a tree keeps its decoded rule and digest, a term its
-    compiled closures and free variables, a rule its free variables.  A
-    computation that raises raises again on every call.  The memo is an
-    attribute, since reading ``t.__dict__`` would slow every later read.
+    ``t`` is an immutable tree, term, rule or value, so the result lives
+    exactly as long as the object: a tree keeps its decoded rule, a term its
+    compiled closures and free variables, a rule its free variables, a
+    composite value its sort key.  A computation that raises raises again on
+    every call.  The memo is an attribute, since reading ``t.__dict__`` would
+    slow every later read.
     """
     value = getattr(t, key, None)
     if value is None:

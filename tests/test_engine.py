@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM, make_state
-from rsasm import generate
+from rsasm import frontend, generate, printer, rules, structures
 from rsasm.engine import (
     Machine,
     SELF_TERM,
@@ -19,6 +19,7 @@ from rsasm.engine import (
     replay,
     run,
     step,
+    trace_digest,
 )
 from rsasm.errors import EngineError
 from rsasm.frontend import parse, load_program
@@ -55,9 +56,10 @@ from rsasm.structures import (
     apply_update_set,
     canonical_dumps,
     diff_states,
-    self_digest,
-    tree_to_table,
+    eval_term,
+    state_to_json,
     trees_from_table,
+    value_to_json,
 )
 from rsasm.treealg import L_RULE, Tree
 from test_acceptance import JoinCase, join_source
@@ -260,6 +262,22 @@ def test_strong_coincidence_detects_read_location_change():
     assert not check_strong_coincidence(s1, s2, [SELF_TERM])
 
 
+def test_strong_coincidence_extracts_the_terms_of_a_bare_rule_encoding():
+    # subtree(node@1.0) is the rule region alone, a rule encoding but not a self tree
+    rule = Assign("x", (), FunctionApp("y"))
+    symbols = {"x": 0, "y": 0, "z": 0}
+    s1 = make_state(symbols, {Location("y"): NatVal(1)}, rule=rule)
+    agreeing = apply_update_set(s1, UpdateSet(frozenset({Update(Location("z"), NatVal(2))})))
+    differing = apply_update_set(s1, UpdateSet(frozenset({Update(Location("y"), NatVal(2))})))
+    rule_region = FunctionApp("subtree", (Constant(NodeRef((1, 0))),))
+    assert eval_term(s1, rule_region) == TreeValue(rule_of_self(s1.self_tree))
+    assert check_strong_coincidence(s1, agreeing, [rule_region])
+    assert not check_strong_coincidence(s1, differing, [rule_region])
+    # the signature region is no rule encoding, so nothing is extracted from it
+    signature_region = FunctionApp("subtree", (Constant(NodeRef((0,))),))
+    assert check_strong_coincidence(s1, differing, [signature_region])
+
+
 def test_strong_coincidence_detects_self_change():
     s1 = make_state({"card": 0}, rule=Par(()))
     s2 = make_state(
@@ -366,6 +384,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _table_of(tree: Tree) -> list:
+    """The node table of ``tree`` alone, its root last."""
+    table: list = []
+    value_to_json(TreeValue(tree), {}, table)
+    return table
+
+
 def _nested(table: list) -> list:
     """Each tree a node table holds, by id, as format 1 wrote a tree: ``{"children", "label", "value"?}``."""
     nodes: list = []
@@ -424,11 +449,13 @@ def _old_form(trace_obj: dict) -> dict:
 
     Every tree is nested JSON, each shared entry is written as often as it
     occurs, updates, shared entries and set members are in the order that
-    JSON sorts them, and each ``self_digest`` is the old one.
+    JSON sorts them, and each self tree has the ``self_digest`` that format 1
+    gave it.
     """
     nodes = _nested(trace_obj["nodes"])
-    old = {key: value for key, value in trace_obj.items() if key not in ("format", "steps", "nodes")}
-    initial, *after = (_nested(tree_to_table(tree))[-1] for tree in replay(trace_obj))
+    dropped = ("format", "steps", "nodes", "digest")
+    old = {key: value for key, value in trace_obj.items() if key not in dropped}
+    initial, *after = (_nested(_table_of(tree))[-1] for tree in replay(trace_obj))
     old["initial"] = {"self_digest": _old_digest(initial), "self": initial}
     old["steps"] = []
     for record, tree in zip(trace_obj["steps"], after):
@@ -448,11 +475,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "22e46be2e97a3b76d08f0372161eb84e2244673a67d7d9d660a046b68c0d1fd3",
+        "f12cc271aaf96728bf1c295df1b69c263859d063250bdeea2dfa6d7ec67702ed",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "a56911803cb9657820b3472222a38e4a55e0316d07881739b80d5ce1aad3e2de",
+        "6db1e2aaec70997b89b4d1d03319a5e0a90eb40fe636b1b4c2789171b2b65d19",
     ),
 }
 
@@ -478,14 +505,13 @@ def _replay_traces() -> tuple:
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 6
+        assert trace_obj["format"] == 7
+        assert trace_obj["digest"] == trace_digest(trace_obj), name
         expected = [trace.initial_state] + [s.after for s in trace.steps]
         replayed = list(replay(trace_obj))
         assert len(replayed) == len(expected), name
         for k, (tree, state) in enumerate(zip(replayed, expected)):
             assert tree == state.self_tree, (name, k)
-        for record, tree in zip(trace_obj["steps"], replayed[1:]):
-            assert self_digest(tree) == record["self_digest"], name
 
 
 def _shared_counter(shared: list, nodes: list) -> Counter:
@@ -571,35 +597,32 @@ def test_a_step_that_extends_only_the_signature_keeps_the_replayed_rule_region()
 
 
 def test_replay_refuses_other_formats_and_mismatched_digests():
-    trace_obj = json.loads(run(parse(load_program("parity"))).to_json())
+    trace_obj = _parity_trace_obj()
     without = {key: value for key, value in trace_obj.items() if key != "format"}
     for other, fmt in (
+        (dict(trace_obj, format=6), 6),
         (dict(trace_obj, format=5), 5),
         (dict(trace_obj, format=4), 4),
         (dict(trace_obj, format=3), 3),
         (dict(trace_obj, format=1), 1),
         (without, "missing"),
     ):
-        with pytest.raises(EngineError, match=rf"^not a format 6 trace \(format: {fmt}\)$"):
+        with pytest.raises(EngineError, match=rf"^not a format 7 trace \(format: {fmt}\)$"):
             list(replay(other))
-    tampered = json.loads(json.dumps(trace_obj))
-    tampered["steps"][0]["self_digest"] = "0" * 64
-    assert next(replay(tampered)) == next(replay(trace_obj))
-    with pytest.raises(EngineError, match="step 1 does not match its digest"):
-        list(replay(tampered))
-    elsewhere = json.loads(json.dumps(trace_obj))
-    _self_update(elsewhere)["value"] = elsewhere["initial"]["self"]  # names another tree
-    assert next(replay(elsewhere)) == next(replay(trace_obj))
-    with pytest.raises(EngineError, match="step 1 does not match its digest"):
-        list(replay(elsewhere))
+    zeroed = dict(trace_obj, digest="0" * 64)
+    with pytest.raises(EngineError, match="^the trace does not match its digest$"):
+        next(replay(zeroed))
+    # a changed status is not malformed: resealed, the trace replays
+    restatused = _resealed(dict(trace_obj, status="max_steps"))
+    assert list(replay(restatused)) == list(replay(trace_obj))
     root = trace_obj["initial"]["self"]["tree"]
     for child in (-1, root):
         looped = json.loads(json.dumps(trace_obj))
         looped["nodes"][root][-1][0] = child
         with pytest.raises(EngineError, match="names a child that does not precede it"):
-            list(replay(looped))
+            list(replay(_resealed(looped)))
     with pytest.raises(EngineError, match="malformed trace"):
-        list(replay({"format": 6, "steps": []}))
+        list(replay({"format": 7, "steps": []}))
 
 
 def _parity_trace_obj() -> dict:
@@ -629,38 +652,91 @@ def _set_shared_count(count):
     return damage
 
 
-MALFORMED_TRACES = {
-    # a negative id must not wrap around to the last entry
-    "negative_tree_id": _set_initial_tree_id(-1),
-    "out_of_range_tree_id": lambda obj: _set_initial_tree_id(len(obj["nodes"]))(obj),
-    "bool_tree_id": _set_initial_tree_id(True),
-    "string_tree_id": _set_initial_tree_id("0"),
-    "float_tree_id": _set_initial_tree_id(0.0),
-    "negative_self_value_tree_id": _set_self_value({"tree": -1}),
-    "self_value_not_a_tree": _set_self_value({"atom": "other"}),
-    # node table entries that are not trees
-    "non_string_label": lambda obj: _initial_root(obj).__setitem__(0, 5),
-    "empty_label": lambda obj: _initial_root(obj).__setitem__(0, ""),
-    "interior_entry_with_a_value": lambda obj: _initial_root(obj).insert(1, {"atom": "x"}),
-    "later_value_tree_id": lambda obj: obj["nodes"].__setitem__(
-        0, [obj["nodes"][0][0], {"tree": 0}, []]
-    ),
-    "zero_count": _set_shared_count(0),
-    "negative_count": _set_shared_count(-2),
-    "bool_count": _set_shared_count(True),
-    "string_count": _set_shared_count("3"),
-    "float_count": _set_shared_count(3.0),
-    "missing_count": lambda obj: next(r for r in obj["steps"] if r["shared"])["shared"][0].pop("count"),
+def _resealed(trace_obj: dict) -> dict:
+    """``trace_obj`` with its digest recomputed, so that replay reads past the digest check."""
+    trace_obj["digest"] = trace_digest(trace_obj)
+    return trace_obj
+
+
+def _first_update(trace_obj) -> dict:
+    """The first update, in step order, of a location other than ``self``."""
+    return next(
+        u for r in trace_obj["steps"] for u in r["updates"] if u["location"]["symbol"] != "self"
+    )
+
+
+TAMPERED_TRACES = {
+    "no_digest": lambda obj: obj.pop("digest"),  # malformed, not a mismatch
+    # the self update names another tree, one the node table holds
+    "self_update_names_another_tree": lambda obj: _set_self_value(obj["initial"]["self"])(obj),
+    "relabelled_node": lambda obj: obj["nodes"][0].__setitem__(0, "other"),
+    "update_value": lambda obj: _first_update(obj).update(value={"atom": "other"}),
+    "shared_count": _set_shared_count(7),
+    "status": lambda obj: obj.update(status="max_steps"),
+    "detail": lambda obj: obj.update(detail="clash_stall"),
 }
 
 
-@pytest.mark.parametrize("damage", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
-def test_replay_reports_a_malformed_tree_id_entry_value_or_count_as_an_engine_error(damage):
+@pytest.mark.parametrize("tamper", TAMPERED_TRACES.values(), ids=TAMPERED_TRACES.keys())
+def test_replay_refuses_a_changed_trace_before_it_yields_a_tree(tamper):
+    trace_obj = _parity_trace_obj()
+    tampered = json.loads(json.dumps(trace_obj))
+    tamper(tampered)
+    assert tampered != trace_obj
+    if "digest" in tampered:
+        said = "^the trace does not match its digest$"
+    else:
+        said = "^malformed trace: KeyError: 'digest'$"
+    with pytest.raises(EngineError, match=said):
+        next(replay(tampered))
+
+
+# Each damage, and what its malformed-trace message says once the trace is resealed.
+MALFORMED_TRACES = {
+    # a negative id must not wrap around to the last entry
+    "negative_tree_id": (_set_initial_tree_id(-1), "StateError: tree id -1 names no"),
+    "out_of_range_tree_id": (
+        lambda obj: _set_initial_tree_id(len(obj["nodes"]))(obj),
+        "names no node table entry",
+    ),
+    "bool_tree_id": (_set_initial_tree_id(True), "tree id True names no"),
+    "string_tree_id": (_set_initial_tree_id("0"), "tree id '0' names no"),
+    "float_tree_id": (_set_initial_tree_id(0.0), "tree id 0.0 names no"),
+    "negative_self_value_tree_id": (_set_self_value({"tree": -1}), "tree id -1 names no"),
+    "self_value_not_a_tree": (_set_self_value({"atom": "other"}), "self is Atom, not a tree"),
+    # node table entries that are not trees
+    "non_string_label": (lambda obj: _initial_root(obj).__setitem__(0, 5), "got 5"),
+    "empty_label": (lambda obj: _initial_root(obj).__setitem__(0, ""), "got ''"),
+    "interior_entry_with_a_value": (
+        lambda obj: _initial_root(obj).insert(1, {"atom": "x"}),
+        "interior node 'self' cannot carry a leaf value",
+    ),
+    "later_value_tree_id": (
+        lambda obj: obj["nodes"].__setitem__(0, [obj["nodes"][0][0], {"tree": 0}, []]),
+        "tree id 0 names no",
+    ),
+    "zero_count": (_set_shared_count(0), "shared entry count 0"),
+    "negative_count": (_set_shared_count(-2), "shared entry count -2"),
+    "bool_count": (_set_shared_count(True), "shared entry count True"),
+    "string_count": (_set_shared_count("3"), "shared entry count '3'"),
+    "float_count": (_set_shared_count(3.0), "shared entry count 3.0"),
+    "missing_count": (
+        lambda obj: next(r for r in obj["steps"] if r["shared"])["shared"][0].pop("count"),
+        "KeyError: 'count'",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, said", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
+def test_replay_reports_a_malformed_tree_id_entry_value_or_count_as_an_engine_error(damage, said):
     trace_obj = _parity_trace_obj()
     list(replay(trace_obj))  # the undamaged trace replays
     damage(trace_obj)
-    with pytest.raises(EngineError, match="^malformed trace"):
+    with pytest.raises(EngineError, match="^the trace does not match its digest$"):
         list(replay(trace_obj))
+    with pytest.raises(EngineError, match="^malformed trace: ") as raised:
+        list(replay(_resealed(trace_obj)))
+    assert said in str(raised.value)
 
 
 def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():
@@ -717,3 +793,43 @@ def test_extending_a_hole_ends_the_run_as_an_error():
     assert trace.status == "error"
     assert trace.detail == "step 1: cannot extend below a hole; the root must be labelled"
     assert trace.steps == ()
+
+
+NESTED_SET_PROGRAM = """SIGNATURE
+  x/0
+  seen/1
+INIT
+  x = 0
+RULE
+  PAR
+    x := setadd(emptyset, x, true)
+    seen(x) := true
+  ENDPAR
+"""
+
+
+def test_a_run_that_nests_a_set_each_step_is_written_printed_and_replayed_in_quadratic_calls(
+    monkeypatch,
+):
+    # each step's set holds the last one, so a sort key that wrote each member
+    # anew would double its work with each step
+    n = 100
+    bound = 3 * n * n
+    calls = 0
+    keyed = structures.value_sort_key
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "value_sort_key called more often than 3·n²"
+        return keyed(value)
+
+    for module in (structures, rules, printer, frontend):
+        monkeypatch.setattr(module, "value_sort_key", counted)
+    trace = run(parse(NESTED_SET_PROGRAM, "nested-set", max_steps=n))
+    assert (trace.status, len(trace.steps)) == ("max_steps", n)
+    text = trace.to_json()
+    state_to_json(trace.final_state)
+    repr(trace.final_state)
+    assert len(list(replay(json.loads(text)))) == n + 1
+    assert calls <= bound

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM
 from test_acceptance import JoinCase, join_source
-from test_engine import _initial_root, _self_update, parity_source
+from test_engine import TAMPERED_TRACES, _initial_root, _resealed, _self_update, parity_source
 from rsasm.cli import main as cli_main
 from rsasm.engine import run
 from rsasm.errors import ParseError
@@ -335,7 +335,7 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
 
 
-@pytest.mark.parametrize("fmt", [3, 4, 5])
+@pytest.mark.parametrize("fmt", [3, 4, 5, 6])
 def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
@@ -344,7 +344,7 @@ def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: not a format 6 trace (format: {fmt})\n"
+    assert captured.err == f"error: not a format 7 trace (format: {fmt})\n"
     assert captured.out == ""
 
 
@@ -388,42 +388,43 @@ def test_cli_reports_unreadable_input_and_output_without_a_traceback(tmp_path, c
     assert unfinished.exists()  # the program is never taken for a stale trace
 
 
+def _sealed(damage):
+    """``damage``, then the digest recomputed, so that the damage itself is what replay meets."""
+
+    def sealed(trace_obj):
+        damage(trace_obj)
+        _resealed(trace_obj)
+
+    return sealed
+
+
+# Changes that leave a consistent trace, so that only its digest shows them.
+_CHANGED_TRACES = {
+    "self_value_names_another_tree": TAMPERED_TRACES["self_update_names_another_tree"],
+    "relabelled_node": TAMPERED_TRACES["relabelled_node"],
+}
+# Damage that replay meets in a resealed trace.
+_DAMAGED_TRACES = {
+    "self_value_not_a_tree": lambda obj: _self_update(obj).update(value={"atom": "other"}),
+    "format_1": lambda obj: obj.update(format=1),
+    "no_format": lambda obj: obj.pop("format"),
+    "no_updates": lambda obj: obj["steps"][0].pop("updates"),
+    "later_child_id": lambda obj: _initial_root(obj)[-1].append(len(obj["nodes"])),
+    "negative_child_id": lambda obj: _initial_root(obj)[-1].__setitem__(0, -1),
+    "empty_node_table": lambda obj: obj.update(nodes=[]),
+    "negative_tree_id": lambda obj: obj["initial"]["self"].update(tree=-1),
+    "out_of_range_tree_id": lambda obj: obj["initial"]["self"].update(tree=len(obj["nodes"])),
+    "bool_tree_id": lambda obj: obj["initial"]["self"].update(tree=True),
+    "string_tree_id": lambda obj: obj["initial"]["self"].update(tree="0"),
+    "zero_count": lambda obj: obj["steps"][0]["shared"][0].update(count=0),
+    "bool_count": lambda obj: obj["steps"][0]["shared"][0].update(count=True),
+}
+
+
 @pytest.mark.parametrize(
     "damage",
-    [
-        lambda trace_obj: _self_update(trace_obj).update(value=trace_obj["initial"]["self"]),
-        lambda trace_obj: _self_update(trace_obj).update(value={"atom": "other"}),
-        lambda trace_obj: trace_obj.update(format=1),
-        lambda trace_obj: trace_obj.pop("format"),
-        lambda trace_obj: trace_obj["steps"][0].pop("updates"),
-        lambda trace_obj: trace_obj["nodes"][0].__setitem__(0, "other"),
-        lambda trace_obj: _initial_root(trace_obj)[-1].append(len(trace_obj["nodes"])),
-        lambda trace_obj: _initial_root(trace_obj)[-1].__setitem__(0, -1),
-        lambda trace_obj: trace_obj.update(nodes=[]),
-        lambda trace_obj: trace_obj["initial"]["self"].update(tree=-1),
-        lambda trace_obj: trace_obj["initial"]["self"].update(tree=len(trace_obj["nodes"])),
-        lambda trace_obj: trace_obj["initial"]["self"].update(tree=True),
-        lambda trace_obj: trace_obj["initial"]["self"].update(tree="0"),
-        lambda trace_obj: trace_obj["steps"][0]["shared"][0].update(count=0),
-        lambda trace_obj: trace_obj["steps"][0]["shared"][0].update(count=True),
-    ],
-    ids=[
-        "self_value_names_another_tree",
-        "self_value_not_a_tree",
-        "format_1",
-        "no_format",
-        "no_updates",
-        "relabelled_node",
-        "later_child_id",
-        "negative_child_id",
-        "empty_node_table",
-        "negative_tree_id",
-        "out_of_range_tree_id",
-        "bool_tree_id",
-        "string_tree_id",
-        "zero_count",
-        "bool_count",
-    ],
+    [*_CHANGED_TRACES.values(), *map(_sealed, _DAMAGED_TRACES.values())],
+    ids=[*_CHANGED_TRACES, *_DAMAGED_TRACES],
 )
 def test_cli_diff_self_rejects_a_damaged_trace_without_a_traceback(tmp_path, capsys, damage):
     trace_path = tmp_path / "trace.json"
@@ -435,6 +436,24 @@ def test_cli_diff_self_rejects_a_damaged_trace_without_a_traceback(tmp_path, cap
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_TRACES.values(), ids=TAMPERED_TRACES.keys())
+def test_cli_diff_self_reports_a_changed_trace_by_its_digest(tmp_path, capsys, tamper):
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
+    trace_obj = json.loads(trace_path.read_text())
+    tamper(trace_obj)
+    trace_path.write_text(json.dumps(trace_obj))
+    capsys.readouterr()
+    assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
+    captured = capsys.readouterr()
+    if "digest" in trace_obj:
+        said = "the trace does not match its digest"
+    else:
+        said = "malformed trace: KeyError: 'digest'"
+    assert captured.err == f"error: {said}\n"
+    assert captured.out == ""
 
 
 def test_cli_run_reports_a_broken_self_shape_without_a_traceback(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Property tests: substitution, atom collection, collapse order-independence, parsing,
-printing, and shared subtrees (hash-consing, node tables, the composed digest)."""
+printing, and shared subtrees (hash-consing and node tables)."""
 
-import hashlib
 import itertools
 import json
 import random
@@ -64,12 +63,10 @@ from rsasm.structures import (
     apply_isomorphism,
     canonical_dumps,
     eval_term,
-    self_digest,
     term_children,
     term_free_vars,
     term_substitute,
     term_to_json,
-    tree_to_table,
     trees_from_table,
     value_from_json,
     value_to_json,
@@ -547,7 +544,7 @@ def test_parse_raises_only_parse_errors_on_mutated_bundled_programs(source):
     _parses_or_raises_parse_error(source)
 
 
-# -- shared subtrees: hash-consing, node tables and the composed digest -------------------
+# -- shared subtrees: hash-consing and node tables ----------------------------------------
 
 # labels that JSON escapes or writes outside ASCII, and the hole label
 tree_labels = st.sampled_from(("a", "b", XI, 'q"t', "ü\n"))
@@ -579,10 +576,15 @@ def _distinct(t: Tree) -> tuple[set, set]:
     return set(nodes), {id(node) for node in nodes}
 
 
+def _table_of(t: Tree) -> list:
+    """The node table of ``t`` alone, its root last."""
+    return _with_table(value_to_json, TreeValue(t))[0]
+
+
 @given(st.one_of(trees, machine_self_trees))
 def test_the_node_table_round_trips_and_writes_each_distinct_subtree_once(t):
-    table = tree_to_table(t)
-    assert tree_to_table(_rebuilt(t)) == table  # by value, not by object identity
+    table = _table_of(t)
+    assert _table_of(_rebuilt(t)) == table  # by value, not by object identity
     read = trees_from_table(json.loads(canonical_dumps(table)))
     assert read[-1] == t
     # each distinct tree once, the trees that leaf values hold included
@@ -602,30 +604,24 @@ def _interned(t: Tree, node) -> Tree:
 
 
 @given(st.one_of(trees, machine_self_trees))
+def test_equal_trees_built_with_and_without_the_interner_have_one_node_table(t):
+    assert _table_of(_interned(t, interner())) == _table_of(_rebuilt(t)) == _table_of(t)
+
+
+@given(st.one_of(trees, machine_self_trees))
 @example(Tree("r", (Tree(XI), Tree("leaf", (), SetVal(frozenset({NatVal(2), Atom("p")}))))))
 @example(Tree("r", (Tree("leaf", (), TreeValue(Tree('q"t', (Tree("ü"),)))),)))
 @example(Tree("r", (), NatVal(3)))
-def test_the_composed_digest_is_the_sha256_of_the_label_and_child_tables(t):
-    head = [t.label] if t.value is None else [t.label, *_with_table(value_to_json, t.value)]
-    text = canonical_dumps(head + [tree_to_table(c) for c in t.children])
-    assert self_digest(t) == hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@given(st.one_of(trees, machine_self_trees))
-def test_equal_trees_built_with_and_without_the_interner_have_one_digest(t):
-    assert self_digest(_interned(t, interner())) == self_digest(_rebuilt(t)) == self_digest(t)
-
-
-@given(st.one_of(trees, machine_self_trees))
-def test_a_tree_read_back_from_its_own_table_keeps_its_digest(t):
-    back = trees_from_table(json.loads(canonical_dumps(tree_to_table(t))))[-1]
-    assert self_digest(back) == self_digest(t)
+def test_a_tree_read_back_from_its_own_table_writes_the_same_text(t):
+    text = canonical_dumps(_table_of(t))
+    back = trees_from_table(json.loads(text))[-1]
+    assert canonical_dumps(_table_of(back)) == text
 
 
 @given(st.lists(st.one_of(machine_self_trees, trees), min_size=2, max_size=5))
-def test_distinct_self_trees_have_distinct_digests(forest):
+def test_distinct_trees_have_distinct_node_tables(forest):
     for a, b in itertools.combinations(forest, 2):
-        assert (self_digest(a) == self_digest(b)) == (a == b)
+        assert (_table_of(a) == _table_of(b)) == (a == b)
 
 
 def _tree_holders(tree: Tree):

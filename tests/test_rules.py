@@ -1,4 +1,4 @@
-"""Update multisets, sublocation normalization, and collapse."""
+"""Update multisets, sublocation normalization, collapse, and the background term functions."""
 
 import itertools
 import random
@@ -7,7 +7,9 @@ import pytest
 
 from conftest import make_state, random_rule
 from rsasm.background import SpliceOp, apply_operator
+from rsasm.engine import run
 from rsasm.errors import RuleError, SignatureError
+from rsasm.frontend import parse
 from rsasm.rules import (
     Assign,
     ClashReport,
@@ -40,7 +42,7 @@ from rsasm.structures import (
     Variable,
     is_consistent,
 )
-from rsasm.treealg import Tree, subtree
+from rsasm.treealg import XI, Tree, subtree
 
 
 def test_assign_yields_single_update():
@@ -399,6 +401,70 @@ def test_union_and_concat_take_every_operand():
     result = _partial_result({"s": 0}, {loc: TreeValue(t0)}, rule)
     hedge = TupleVal((TreeValue(t0), TreeValue(t1), TreeValue(t2)))
     assert result == UpdateSet(frozenset({Update(loc, hedge)}))
+
+
+def test_a_multiset_is_unhashable():
+    entries = (Update(Location("card"), NatVal(0)), Update(Location("card"), NatVal(1)))
+    assert UpdateMultiset(entries) == UpdateMultiset(entries[::-1])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(UpdateMultiset(entries))
+
+
+def _evaluated(term: str):
+    """``(status, detail, y)`` after one step of ``y := term``, over the sets D and E and x = 1."""
+    source = f"""DOMAINS
+  D = {{a, b, c}}
+  E = {{b}}
+SIGNATURE
+  x/0
+  y/0
+INIT
+  x = 1
+RULE
+  y := {term}
+"""
+    trace = run(parse(source, "term-function", max_steps=1))
+    return trace.status, trace.detail, trace.final_state.value_at(Location("y"))
+
+
+def _fault(cause: str):
+    return ("error", f"step 1: {cause}", UNDEF)
+
+
+def _done(value):
+    return ("max_steps", "", value)
+
+
+def _tree_value(label: str, *children: Tree) -> TreeValue:
+    return TreeValue(Tree(label, children))
+
+
+@pytest.mark.parametrize(
+    "term, outcome",
+    [
+        ("setminus(D, E)", _done(SetVal(frozenset({Atom("a"), Atom("c")})))),
+        ("setminus(E, D)", _done(SetVal(frozenset()))),
+        ("setminus(D, a)", _fault("setminus expects a set value, got a")),
+        ("setminus(0, E)", _fault("setminus expects a set value, got 0")),
+        ("RAISE(DROP(x + 1))", _done(NatVal(2))),
+        ("RAISE(a)", _done(Atom("a"))),
+        (
+            "RAISE(update<func(x), term<>, term(1)>)",
+            _fault("RAISE produced a rule; only terms can be evaluated here"),
+        ),
+        ("label_context(a, XI)", _done(_tree_value("a", Tree(XI)))),
+        ("label_context(0, XI)", _fault("label_context expects a label, got 0")),
+        ("label_context(a, 0)", _fault("label_context expects a context tree, got 0")),
+        (
+            "inject_context(a<XI, b<>>, c<XI>)",
+            _done(_tree_value("a", Tree("c", (Tree(XI),)), Tree("b"))),
+        ),
+        ("inject_context(0, c<XI>)", _fault("inject_context expects a context tree, got 0")),
+        ("inject_context(a<XI>, 0)", _fault("inject_context expects a context tree, got 0")),
+    ],
+)
+def test_set_difference_raise_and_context_functions_evaluate_or_end_the_run_in_error(term, outcome):
+    assert _evaluated(term) == outcome
 
 
 def test_plus_with_two_operands_adds_both():
