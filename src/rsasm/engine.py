@@ -144,7 +144,8 @@ class Trace:
     def final_state(self) -> State:
         return self.steps[-1].after if self.steps else self.initial_state
 
-    def to_json_obj(self) -> dict:
+    def _body(self) -> dict:
+        """The trace JSON object without its ``digest``."""
         ids: dict = {}
         table: list = []
         obj = {
@@ -156,17 +157,45 @@ class Trace:
         }
         if self.detail:
             obj["detail"] = self.detail
+        return obj
+
+    def to_json_obj(self) -> dict:
+        obj = self._body()
         obj["digest"] = trace_digest(obj)
         return obj
 
     def to_json(self) -> str:
-        return canonical_dumps(self.to_json_obj())
+        """``canonical_dumps(self.to_json_obj())``, each member serialized once.
+
+        The digest is taken over the member texts, which are then joined again
+        with the digest's own member.
+        """
+        texts = _member_texts(self._body())
+        texts["digest"] = canonical_dumps(_digest_of(texts))
+        return _object_text(texts)
+
+
+def _member_texts(trace_obj: dict) -> dict[str, str]:
+    """The canonical text of each member of a trace JSON object but its ``digest``."""
+    return {key: canonical_dumps(value) for key, value in trace_obj.items() if key != "digest"}
+
+
+def _object_text(texts: dict[str, str]) -> str:
+    """``canonical_dumps`` of an object whose members have the canonical texts ``texts``."""
+    return "{" + ",".join(f"{canonical_dumps(key)}:{texts[key]}" for key in sorted(texts)) + "}"
+
+
+def _digest_of(texts: dict[str, str]) -> str:
+    return hashlib.sha256(_object_text(texts).encode("utf-8")).hexdigest()
 
 
 def trace_digest(trace_obj: dict) -> str:
-    """The sha256 hex of the canonical text of a trace JSON object, its ``digest`` left out."""
-    body = {key: value for key, value in trace_obj.items() if key != "digest"}
-    return hashlib.sha256(canonical_dumps(body).encode("utf-8")).hexdigest()
+    """The sha256 hex of the canonical text of a trace JSON object, its ``digest`` left out.
+
+    ``Trace.to_json`` hashes the same text, built from member texts it then
+    writes, so the trace is serialized once.
+    """
+    return _digest_of(_member_texts(trace_obj))
 
 
 def replay(trace_obj: dict):

@@ -140,15 +140,20 @@ def raise_(v) -> Term | Rule:
 # -- rule encoding -----------------------------------------------------------------
 
 
-def _term_leaf(t: Term, node) -> Tree:
-    return node(L_TERM, (), drop(t))
+def _term_leaf(t: Term, node, encoded: dict, label: str = L_TERM) -> Tree:
+    """The leaf labelled ``label`` that holds ``t``, built once per term object and label."""
+    key = (label, id(t))
+    leaf = encoded.get(key)
+    if leaf is None:
+        leaf = encoded[key] = node(label, (), drop(t))
+    return leaf
 
 
-def _term_wrapper(terms: tuple[Term, ...], node) -> Tree:
+def _term_wrapper(terms: tuple[Term, ...], node, encoded: dict) -> Tree:
     """Encode a term list: a single term becomes a leaf, otherwise a node of leaves."""
     if len(terms) == 1:
-        return _term_leaf(terms[0], node)
-    return node(L_TERM, tuple(_term_leaf(t, node) for t in terms))
+        return _term_leaf(terms[0], node, encoded)
+    return node(L_TERM, tuple(_term_leaf(t, node, encoded) for t in terms))
 
 
 def encode_rule(r: Rule) -> Tree:
@@ -156,36 +161,43 @@ def encode_rule(r: Rule) -> Tree:
     return _encode_rule(r, interner(), {})
 
 
-def _encode_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
+def _encode_rule(r: Rule, node, encoded: dict) -> Tree:
     """``encode_rule`` with every node built by the hash-consing constructor ``node``.
 
-    ``encoded`` maps each rule object met so far to its tree, so a subrule
-    that several rules share (the copies of a ``PARFOR`` body share every
-    subrule without the loop variable) is encoded once.  Every key is a
-    subrule of the rule being encoded, which outlives the map; the map lives
+    ``encoded`` maps each rule object met so far to its tree, and each term
+    object met so far, under its leaf's label, to its leaf.  So a subrule or a
+    term that several rules share (the copies of a ``PARFOR`` body share every
+    part without the loop variable) is encoded once.  Every key is the id of a
+    part of the rule being encoded, which outlives the map; the map lives
     exactly as long as the table of ``node``.
+
+    Encoding leaves each rule on its tree as the ``decode_rule`` memo, so the
+    first decode of a tree built here returns the rule it was built from, which
+    equals what decoding would build.  The depth cap of ``decode_rule`` still
+    applies, and a tree built any other way is decoded node by node.
     """
     tree = encoded.get(id(r))
     if tree is None:
         tree = encoded[id(r)] = _encode_new_rule(r, node, encoded)
+        object.__setattr__(tree, "_decoded_rule", r)
     return tree
 
 
-def _encode_new_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
+def _encode_new_rule(r: Rule, node, encoded: dict) -> Tree:
     if isinstance(r, Assign):
         return node(
             L_UPDATE,
             (
                 node(L_FUNC, (), SymbolName(r.target)),
-                _term_wrapper(r.args, node),
-                _term_wrapper((r.rhs,), node),
+                _term_wrapper(r.args, node, encoded),
+                _term_wrapper((r.rhs,), node, encoded),
             ),
         )
     if isinstance(r, If):
         return node(
             L_IF,
             (
-                node(L_BOOL, (), drop(r.cond)),
+                _term_leaf(r.cond, node, encoded, L_BOOL),
                 node(L_RULE, (_encode_rule(r.then, node, encoded),)),
                 node(L_RULE, (_encode_rule(r.orelse, node, encoded),)),
             ),
@@ -197,8 +209,9 @@ def _encode_new_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
         return node(
             L_LET,
             (
-                _term_leaf(Variable(r.var), node),
-                _term_leaf(r.bound, node),
+                # the variable's term is made here, so its id is no key
+                node(L_TERM, (), drop(Variable(r.var))),
+                _term_leaf(r.bound, node, encoded),
                 node(L_RULE, (_encode_rule(r.body, node, encoded),)),
             ),
         )
@@ -208,8 +221,8 @@ def _encode_new_rule(r: Rule, node, encoded: dict[int, Tree]) -> Tree:
             (
                 node(L_FUNC, (), SymbolName(r.target)),
                 node(L_FUNC, (), SymbolName(r.op)),
-                _term_wrapper(r.args, node),
-                _term_wrapper(r.operands, node),
+                _term_wrapper(r.args, node, encoded),
+                _term_wrapper(r.operands, node, encoded),
             ),
         )
     raise ReflectError(f"cannot encode rule {r!r}")
@@ -309,6 +322,10 @@ def _decode_rule_at(t: Tree) -> Rule:
 def decode_rule(t: Tree, at: Path = ()) -> Rule:
     """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism), each rule node once.
 
+    The decoded rule is kept on each rule node; a node that encoding built
+    already holds the rule it encodes, so only trees built any other way (node
+    table reads, update splices, hand-made trees) are read here.  The depth
+    cap is checked first in either case.
     A fault names its node as ``node@p`` below ``at``, the tree's position in ``self``.
     A root whose label starts no rule fails on that label, before any recursion,
     however deep the tree.

@@ -129,9 +129,11 @@ def memoized(t, key: str, compute):
     ``t`` is an immutable tree, term, rule or value, so the result lives
     exactly as long as the object: a tree keeps its decoded rule, a term its
     compiled closures and free variables, a rule its free variables, a
-    composite value its sort key.  A computation that raises raises again on
-    every call.  The memo is an attribute, since reading ``t.__dict__`` would
-    slow every later read.
+    composite value its sort key.  The decoded rule is set either by
+    ``reflect.decode_rule`` or, on a tree that ``reflect`` encoded, by the
+    encoder, which leaves there the rule it encoded.  A computation that
+    raises raises again on every call.  The memo is an attribute, since
+    reading ``t.__dict__`` would slow every later read.
     """
     value = getattr(t, key, None)
     if value is None:

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM, make_state
-from rsasm import frontend, generate, printer, rules, structures
+from rsasm import frontend, generate, printer, reflect, rules, structures
 from rsasm.engine import (
     Machine,
     SELF_TERM,
@@ -21,7 +21,7 @@ from rsasm.engine import (
     step,
     trace_digest,
 )
-from rsasm.errors import EngineError
+from rsasm.errors import EngineError, ReflectError
 from rsasm.frontend import parse, load_program
 from rsasm.reflect import (
     decode_rule,
@@ -61,7 +61,7 @@ from rsasm.structures import (
     trees_from_table,
     value_to_json,
 )
-from rsasm.treealg import L_RULE, Tree
+from rsasm.treealg import L_BOOL, L_IF, L_LET, L_PAR, L_PARTIAL, L_RULE, L_UPDATE, Tree, subst_tt
 from test_acceptance import JoinCase, join_source
 
 
@@ -489,6 +489,46 @@ def test_bundled_program_traces_match_golden_digests():
         text = run(parse(load_program(name))).to_json()
         assert _sha256(text) == digest, name
         assert _sha256(canonical_dumps(_old_form(json.loads(text)))) == old_digest, name
+
+
+def test_step_1_runs_the_rule_that_parse_encoded_and_other_trees_still_decode(monkeypatch):
+    calls = []
+    original = reflect._decode_rule_at
+    monkeypatch.setattr(reflect, "_decode_rule_at", lambda t: calls.append(t) or original(t))
+    program = frontend.parse_program(load_program("join"), "join")
+    state = frontend.build_machine(program).initial_state
+    tree = state.self_tree
+    step(state, 1)
+    assert calls == []
+    assert decode_rule(rule_of_self(tree), reflect.RULE_AT) is program.rule
+
+    # a node-table copy shares no memo: each distinct rule node is decoded once
+    copy = trees_from_table(json.loads(canonical_dumps(_table_of(tree))))[-1]
+    assert decode_rule(rule_of_self(copy), reflect.RULE_AT) == program.rule
+    rule_labels = {L_UPDATE, L_IF, L_PAR, L_LET, L_PARTIAL}
+    copied = {id(n) for _, n in rule_of_self(copy).preorder() if n.label in rule_labels}
+    assert len(calls) == len(copied)
+
+    # the first if condition, emptied: the fault is named from the root of self
+    at = next(p for p, n in tree.preorder() if n.label == L_BOOL)
+    message = f"term leaf carries no value (at node@{'.'.join(map(str, at))})"
+    for whole in (tree, copy):
+        damaged = subst_tt(whole, at, Tree(L_BOOL))
+        with pytest.raises(ReflectError) as raised:
+            decode_rule(rule_of_self(damaged), reflect.RULE_AT)
+        assert str(raised.value) == message
+
+
+def test_a_trace_is_written_as_the_canonical_text_of_its_json_object():
+    # to_json joins member texts it has also hashed; the text must still be
+    # canonical_dumps of the object, key order included ("detail" < "digest")
+    traces = [run(parse(load_program(name), name)) for name in ("parity", "join")]
+    traces += [run(generate.random_machine(random.Random(seed))) for seed in range(30)]
+    faulty = run(parse(FAULTY_PROGRAM, "faulty"))
+    assert faulty.detail
+    for trace in traces + [faulty]:
+        assert trace.to_json() == canonical_dumps(trace.to_json_obj())
+    assert list(json.loads(faulty.to_json()))[:2] == ["detail", "digest"]
 
 
 @functools.cache

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -37,18 +38,22 @@ from rsasm.reflect import (
     signature_of_self,
     tree_diff,
 )
-from rsasm.rules import If, Let, Par
+from rsasm.rules import Assign, If, Let, Par, Rule
 from rsasm.structures import (
     SELF_LOCATION,
     Atom,
+    Constant,
+    Equality,
+    FunctionApp,
     Location,
     NatVal,
     SymbolName,
     TreeValue,
     UNDEF,
+    Variable,
     trees_from_table,
 )
-from rsasm.treealg import L_LET, Tree
+from rsasm.treealg import L_BOOL, L_LET, L_TERM, Tree, interner
 
 
 MINIMAL = """
@@ -72,6 +77,33 @@ def test_parity_program_decodes_to_mode_cascade():
     assert isinstance(rule.orelse, If)  # mode = count
     assert isinstance(rule.orelse.orelse, If)  # mode = eval
     assert rule.orelse.orelse.orelse == Par(())
+
+
+def _leaf_terms(rule: Rule) -> tuple[set, int, set]:
+    """The (label, id of term) pairs of the term leaves of ``rule``, its LETs and its rule ids.
+
+    Each distinct rule object counts once, as encoding meets it once.
+    """
+    pairs, lets, seen, stack = set(), 0, set(), [rule]
+    while stack:
+        r = stack.pop()
+        if id(r) in seen:
+            continue
+        seen.add(id(r))
+        if isinstance(r, Assign):
+            pairs.update((L_TERM, id(t)) for t in r.args + (r.rhs,))
+        elif isinstance(r, If):
+            pairs.add((L_BOOL, id(r.cond)))
+            stack += (r.then, r.orelse)
+        elif isinstance(r, Par):
+            stack.extend(r.branches)
+        elif isinstance(r, Let):
+            lets += 1
+            pairs.add((L_TERM, id(r.bound)))
+            stack.append(r.body)
+        else:
+            pairs.update((L_TERM, id(t)) for t in r.args + r.operands)
+    return pairs, lets, seen
 
 
 def test_the_copies_of_a_parfor_body_share_and_encode_once_what_omits_the_loop_variable(
@@ -98,6 +130,31 @@ def test_the_copies_of_a_parfor_body_share_and_encode_once_what_omits_the_loop_v
     let_trees = [parfor.find((i, 0, 1, 0)) for i in range(6)]
     assert all(t is let_trees[0] for t in let_trees)
     assert let_trees[0].label == L_LET and decode_rule(let_trees[0]) == let
+
+
+@pytest.mark.parametrize("name", ["parity", "join"])
+def test_each_term_object_is_encoded_once_per_label_of_its_leaves(name, monkeypatch):
+    program = parse_program(load_program(name), name)
+    dropped = []
+    original = reflect.drop
+    monkeypatch.setattr(reflect, "drop", lambda t: dropped.append(t) or original(t))
+    build_self_tree(program.signature, program.rule)
+    pairs, lets, rules = _leaf_terms(program.rule)
+    term_ids = {i for _, i in pairs}
+    assert Counter(id(t) for t in dropped if id(t) in term_ids) == Counter(i for _, i in pairs)
+    # a LET's variable is a term made at encoding, once per LET object
+    made = [t for t in dropped if id(t) not in term_ids]
+    assert len(made) == lets and all(isinstance(t, Variable) for t in made)
+    # so it is no key: every key of the encode map is a part of the rule, which keeps its id
+    reflect._encode_rule(program.rule, interner(), keys := {})
+    assert {k if type(k) is int else k[1] for k in keys} <= term_ids | rules
+
+
+def test_a_term_that_is_a_condition_and_an_argument_gets_a_leaf_of_each_label():
+    cond = Equality(FunctionApp("a0"), Constant(Atom("p")))
+    shared = If(cond, Assign("flag", (), cond), Par(()))
+    apart = If(cond, Assign("flag", (), Equality(FunctionApp("a0"), Constant(Atom("p")))), Par(()))
+    assert reflect.encode_rule(shared) == reflect.encode_rule(apart)
 
 
 def test_join_program_parses_and_declares_projections():

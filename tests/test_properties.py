@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_state
+from test_acceptance import JoinCase, join_source
 from rsasm import generate
 from rsasm.background import COMMUTATIVE_OPERATORS
 from rsasm.engine import run
@@ -71,7 +72,7 @@ from rsasm.structures import (
     value_from_json,
     value_to_json,
 )
-from rsasm.treealg import XI, Tree, interner
+from rsasm.treealg import L_IF, L_LET, L_PAR, L_PARTIAL, L_UPDATE, XI, Tree, interner
 
 VARS = ("x", "y")
 ATOMS = (Atom("p"), Atom("q"), Atom("r"))
@@ -703,3 +704,32 @@ def test_renaming_by_a_permutation_and_back_gives_an_equal_tree(seed):
     assert back == state
     # one image per subtree object: shared subtrees stay shared
     assert len(_node_ids(there.self_tree)) == len(_node_ids(state.self_tree))
+
+
+# -- encoding leaves its rule for decode ------------------------------------------------
+
+RULE_LABELS = {L_UPDATE, L_IF, L_PAR, L_LET, L_PARTIAL}
+
+
+def _assert_each_rule_node_holds_what_its_copy_decodes_to(self_tree: Tree) -> None:
+    """The rule encoding left on each rule node equals the decoding of a memo-free copy."""
+    rule_tree = rule_of_self(self_tree)
+    copy = trees_from_table(json.loads(canonical_dumps(_table_of(rule_tree))))[-1]
+    seen = set()
+    for path, node in rule_tree.preorder():
+        if node.label in RULE_LABELS and id(node) not in seen:
+            seen.add(id(node))
+            assert vars(node)["_decoded_rule"] == decode_rule(copy.find(path))
+
+
+@given(machine_self_trees)
+def test_encoding_leaves_on_each_rule_node_the_rule_that_decoding_gives(t):
+    _assert_each_rule_node_holds_what_its_copy_decodes_to(t)
+
+
+def test_encoding_leaves_on_each_rule_node_of_a_parsed_program_the_rule_that_decoding_gives():
+    sources = [load_program(name) for name in ("parity", "join")]
+    rng = random.Random(951)
+    sources += [join_source(JoinCase(rng)) for _ in range(30)]
+    for source in sources:
+        _assert_each_rule_node_holds_what_its_copy_decodes_to(parse(source).initial_state.self_tree)
