@@ -128,7 +128,8 @@ class Trace:
     Olivier, "Efficient annotated terms", 2000).  It holds each distinct tree
     of the trace once, as ``[label, value?, [child ids]]``, an entry after
     every entry it names; a tree anywhere in the trace, the initial self tree
-    included, is ``{"tree": id}`` with the id of its entry.  Ids follow the
+    included, is ``{"tree": id}`` with the id of its entry, found by the
+    tree's identity: as in ATerm, equal trees are one object.  Ids follow the
     order of writing: the initial tree, then each step in turn.  The one
     ``digest`` (:func:`trace_digest`) covers every other key of the trace.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads

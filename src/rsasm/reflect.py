@@ -64,7 +64,6 @@ from .treealg import (
     L_UPDATE,
     Path,
     Tree,
-    interner,
     memoized,
 )
 
@@ -140,89 +139,86 @@ def raise_(v) -> Term | Rule:
 # -- rule encoding -----------------------------------------------------------------
 
 
-def _term_leaf(t: Term, node, encoded: dict, label: str = L_TERM) -> Tree:
+def _term_leaf(t: Term, encoded: dict, label: str = L_TERM) -> Tree:
     """The leaf labelled ``label`` that holds ``t``, built once per term object and label."""
     key = (label, id(t))
     leaf = encoded.get(key)
     if leaf is None:
-        leaf = encoded[key] = node(label, (), drop(t))
+        leaf = encoded[key] = Tree(label, (), drop(t))
     return leaf
 
 
-def _term_wrapper(terms: tuple[Term, ...], node, encoded: dict) -> Tree:
+def _term_wrapper(terms: tuple[Term, ...], encoded: dict) -> Tree:
     """Encode a term list: a single term becomes a leaf, otherwise a node of leaves."""
     if len(terms) == 1:
-        return _term_leaf(terms[0], node, encoded)
-    return node(L_TERM, tuple(_term_leaf(t, node, encoded) for t in terms))
+        return _term_leaf(terms[0], encoded)
+    return Tree(L_TERM, tuple(_term_leaf(t, encoded) for t in terms))
 
 
 def encode_rule(r: Rule) -> Tree:
-    """Encode a rule as a tree over the reserved label vocabulary; equal subtrees are one object."""
-    return _encode_rule(r, interner(), {})
+    """Encode a rule as a tree over the reserved label vocabulary."""
+    return _encode_rule(r, {})
 
 
-def _encode_rule(r: Rule, node, encoded: dict) -> Tree:
-    """``encode_rule`` with every node built by the hash-consing constructor ``node``.
+def _encode_rule(r: Rule, encoded: dict) -> Tree:
+    """``encode_rule``; ``encoded`` holds what this encoding has built so far.
 
-    ``encoded`` maps each rule object met so far to its tree, and each term
-    object met so far, under its leaf's label, to its leaf.  So a subrule or a
-    term that several rules share (the copies of a ``PARFOR`` body share every
-    part without the loop variable) is encoded once.  Every key is the id of a
-    part of the rule being encoded, which outlives the map; the map lives
-    exactly as long as the table of ``node``.
+    It maps each rule object met so far to its tree, and each term object,
+    under its leaf's label, to its leaf, so a subrule or term that several
+    rules share (the copies of a ``PARFOR`` body share every part without the
+    loop variable) is encoded, and its term dropped and hashed, once.  Every
+    key is the id of a part of the rule being encoded, which outlives the map.
 
-    Encoding leaves each rule on its tree as the ``decode_rule`` memo, so the
-    first decode of a tree built here returns the rule it was built from, which
-    equals what decoding would build.  The depth cap of ``decode_rule`` still
-    applies, and a tree built any other way is decoded node by node.
+    Each rule is left on its tree as the ``decode_rule`` memo, unless the tree
+    holds one (an equal rule encoded before), so decoding a tree built here
+    reads no node; the depth cap of ``decode_rule`` still applies.
     """
     tree = encoded.get(id(r))
     if tree is None:
-        tree = encoded[id(r)] = _encode_new_rule(r, node, encoded)
-        object.__setattr__(tree, "_decoded_rule", r)
+        tree = encoded[id(r)] = _encode_new_rule(r, encoded)
+        memoized(tree, "_decoded_rule", lambda _: r)
     return tree
 
 
-def _encode_new_rule(r: Rule, node, encoded: dict) -> Tree:
+def _encode_new_rule(r: Rule, encoded: dict) -> Tree:
     if isinstance(r, Assign):
-        return node(
+        return Tree(
             L_UPDATE,
             (
-                node(L_FUNC, (), SymbolName(r.target)),
-                _term_wrapper(r.args, node, encoded),
-                _term_wrapper((r.rhs,), node, encoded),
+                Tree(L_FUNC, (), SymbolName(r.target)),
+                _term_wrapper(r.args, encoded),
+                _term_wrapper((r.rhs,), encoded),
             ),
         )
     if isinstance(r, If):
-        return node(
+        return Tree(
             L_IF,
             (
-                _term_leaf(r.cond, node, encoded, L_BOOL),
-                node(L_RULE, (_encode_rule(r.then, node, encoded),)),
-                node(L_RULE, (_encode_rule(r.orelse, node, encoded),)),
+                _term_leaf(r.cond, encoded, L_BOOL),
+                Tree(L_RULE, (_encode_rule(r.then, encoded),)),
+                Tree(L_RULE, (_encode_rule(r.orelse, encoded),)),
             ),
         )
     if isinstance(r, Par):
-        wrapped = (node(L_RULE, (_encode_rule(b, node, encoded),)) for b in r.branches)
-        return node(L_PAR, tuple(wrapped))
+        return Tree(L_PAR, tuple(Tree(L_RULE, (_encode_rule(b, encoded),)) for b in r.branches))
     if isinstance(r, Let):
-        return node(
+        return Tree(
             L_LET,
             (
                 # the variable's term is made here, so its id is no key
-                node(L_TERM, (), drop(Variable(r.var))),
-                _term_leaf(r.bound, node, encoded),
-                node(L_RULE, (_encode_rule(r.body, node, encoded),)),
+                Tree(L_TERM, (), drop(Variable(r.var))),
+                _term_leaf(r.bound, encoded),
+                Tree(L_RULE, (_encode_rule(r.body, encoded),)),
             ),
         )
     if isinstance(r, PartialAssign):
-        return node(
+        return Tree(
             L_PARTIAL,
             (
-                node(L_FUNC, (), SymbolName(r.target)),
-                node(L_FUNC, (), SymbolName(r.op)),
-                _term_wrapper(r.args, node, encoded),
-                _term_wrapper(r.operands, node, encoded),
+                Tree(L_FUNC, (), SymbolName(r.target)),
+                Tree(L_FUNC, (), SymbolName(r.op)),
+                _term_wrapper(r.args, encoded),
+                _term_wrapper(r.operands, encoded),
             ),
         )
     raise ReflectError(f"cannot encode rule {r!r}")
@@ -322,10 +318,10 @@ def _decode_rule_at(t: Tree) -> Rule:
 def decode_rule(t: Tree, at: Path = ()) -> Rule:
     """Decode a rule tree (inverse of ``encode_rule`` up to isomorphism), each rule node once.
 
-    The decoded rule is kept on each rule node; a node that encoding built
-    already holds the rule it encodes, so only trees built any other way (node
-    table reads, update splices, hand-made trees) are read here.  The depth
-    cap is checked first in either case.
+    The decoded rule is kept on each rule node, and equal trees are one
+    object, so a node that encoding built or a decode met holds its rule; only
+    other nodes (node table reads, update splices, hand-made trees) are read
+    here.  The depth cap is checked first in either case.
     A fault names its node as ``node@p`` below ``at``, the tree's position in ``self``.
     A root whose label starts no rule fails on that label, before any recursion,
     however deep the tree.
@@ -351,16 +347,12 @@ def is_rule_encoding(t: Tree) -> bool:
 
 
 def encode_signature(sig: Signature) -> Tree:
-    """Encode a signature as a tree of func entries; equal subtrees are one object."""
-    return _encode_signature(sig, interner())
+    """Encode a signature as a tree of func entries."""
+    return Tree(L_SIGNATURE, tuple(_signature_entry(s) for s in sig.symbols))
 
 
-def _encode_signature(sig: Signature, node) -> Tree:
-    return node(L_SIGNATURE, tuple(_signature_entry(s, node) for s in sig.symbols))
-
-
-def _signature_entry(s: FunctionSymbol, node) -> Tree:
-    return node(L_FUNC, (node(L_NAME, (), SymbolName(s.name)), node(L_ARITY, (), NatVal(s.arity))))
+def _signature_entry(s: FunctionSymbol) -> Tree:
+    return Tree(L_FUNC, (Tree(L_NAME, (), SymbolName(s.name)), Tree(L_ARITY, (), NatVal(s.arity))))
 
 
 def decode_signature(t: Tree) -> Signature:
@@ -389,10 +381,8 @@ def _decode_signature(t: Tree) -> Signature:
 
 
 def build_self_tree(sig: Signature, rule: Rule) -> Tree:
-    """The self tree of a signature and a rule, built through one hash-consing table."""
-    node = interner()
-    wrapper = node(L_RULE, (_encode_rule(rule, node, {}),))
-    return node(L_SELF, (_encode_signature(sig, node), wrapper))
+    """The self tree of a signature and a rule."""
+    return Tree(L_SELF, (encode_signature(sig), Tree(L_RULE, (encode_rule(rule),))))
 
 
 # -- selectors on the self tree --------------------------------------------------------
@@ -509,7 +499,7 @@ def new_function(
     """
     allocator = allocator or ReserveAllocator()
     name = allocator.fresh(state.signature.names())
-    entry = _signature_entry(FunctionSymbol(name, arity), Tree)
+    entry = _signature_entry(FunctionSymbol(name, arity))
     update = SharedUpdate(NodeRef(SIGNATURE_AT), "right_extend", (TreeValue(entry),))
     return SymbolName(name), update
 

@@ -141,23 +141,17 @@ def rule_substitute(rule: Rule, var: str, repl: Term) -> Rule:
 @dataclass(frozen=True)
 class SharedUpdate:
     location: Location | NodeRef
-    op: str | SpliceOp
+    op: str | SpliceOp  # a SpliceOp only once normalize_sublocations has run
     args: tuple[Value, ...]
 
 
 Entry = object  # Update | SharedUpdate
 
 
-def _op_text(op: str | SpliceOp) -> str:
-    if isinstance(op, SpliceOp):
-        return f"splice@({'.'.join(map(str, op.path))})" + (f":{op.inner}" if op.inner else "")
-    return op
-
-
 def shared_sort_key(entry: SharedUpdate) -> tuple:
     """A total order on shared updates that never depends on the hash seed."""
     args = tuple(value_sort_key(a) for a in entry.args)
-    return (location_sort_key(entry.location), _op_text(entry.op), args)
+    return (location_sort_key(entry.location), entry.op, args)
 
 
 def entry_to_json(entry, ids: dict, table: list) -> object:
@@ -166,7 +160,7 @@ def entry_to_json(entry, ids: dict, table: list) -> object:
     if isinstance(entry, Update):
         return {"location": location, "value": value_to_json(entry.value, ids, table)}
     args = [value_to_json(a, ids, table) for a in entry.args]
-    return {"location": location, "op": _op_text(entry.op), "args": args}
+    return {"location": location, "op": entry.op, "args": args}
 
 
 @dataclass(frozen=True, eq=False)

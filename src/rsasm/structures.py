@@ -472,8 +472,8 @@ def _rename_tree(t: Tree, sigma: dict[Atom, Atom], renamed: dict[int, Tree]) -> 
             v = None if t.value is None else rename_value(t.value, sigma)
             out = t if v is t.value else Tree(t.label, (), v)
         else:
-            kids = [_rename_tree(c, sigma, renamed) for c in t.children]
-            out = t if _same(kids, t.children) else Tree(t.label, tuple(kids))
+            # a node whose children did not move is built again as ``t`` itself
+            out = Tree(t.label, tuple([_rename_tree(c, sigma, renamed) for c in t.children]))
         renamed[id(t)] = out
     return out
 
@@ -547,9 +547,9 @@ def _table_id(node: Tree, ids: dict[Tree, int], table: list) -> int:
     """The id of ``node`` in ``table``, whose entries are ``[label, value?, [child ids]]``.
 
     A new subtree is appended after its children and the trees its leaf value
-    holds, so an entry names only entries before it.  Subtrees are told apart
-    by tree equality, not by object identity, so the table depends only on
-    what is written into it, and in what order.
+    holds, so an entry names only entries before it.  Equal trees are one
+    object, so a subtree is looked up by identity, which is its value: the
+    table depends only on what is written into it, and in what order.
     """
     nid = ids.get(node)
     if nid is None:
@@ -614,12 +614,11 @@ def value_from_json(obj, trees: list[Tree]) -> Value:
 def trees_from_table(table) -> list[Tree]:
     """The tree of every entry of a node table, by id (inverse of ``_table_id``).
 
-    Equal entries are one object.  An entry may name, as a child or as a tree
-    in its value, only an entry before it.
+    An entry may name, as a child or as a tree in its value, only an entry
+    before it.
     """
     if not isinstance(table, list):
         raise StateError("a node table must be a list")
-    node = treealg.interner()
     trees: list[Tree] = []
     for nid, entry in enumerate(table):
         if not isinstance(entry, list) or len(entry) not in (2, 3):
@@ -630,7 +629,7 @@ def trees_from_table(table) -> list[Tree]:
         ):
             raise StateError(f"node table entry {nid} names a child that does not precede it")
         value = value_from_json(entry[1], trees) if len(entry) == 3 else None
-        trees.append(node(entry[0], tuple(trees[k] for k in kids), value))
+        trees.append(Tree(entry[0], tuple(trees[k] for k in kids), value))
     return trees
 
 

@@ -1,11 +1,12 @@
 """Unranked labelled trees, hedges, contexts, substitutions, and the tree algebra.
 
-Trees are immutable recursive values.  A node is its path, the child indices
-that lead to it from the root: the selectors and substitutions take paths, so
-every operator output carries its own addresses.  Value equality is
-isomorphism of ordered labelled value-carrying trees.  Leaf values are opaque
-to this module; a leaf may also carry no value at all (it then reads as
-undefined at higher layers).
+Trees are immutable recursive values, and hash-consed: trees that are
+isomorphic as ordered labelled value-carrying trees are one object, however
+they were built, so tree equality is identity.  A node is its path, the child
+indices that lead to it from the root: the selectors and substitutions take
+paths, so every operator output carries its own addresses.  Leaf values are
+opaque to this module; a leaf may also carry no value at all (it then reads
+as undefined at higher layers).
 
 A context is a tree with exactly one leaf carrying the reserved hole label;
 the hole leaf never carries a value.
@@ -16,6 +17,7 @@ of these operators, lives in :mod:`rsasm.reflect` with the self-representation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import TreeError
@@ -42,33 +44,65 @@ L_PARTIAL = "partial"
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+# Every live tree, keyed by ``(label, value, children)``: equal trees are one
+# object (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  An
+# entry is a weak reference that carries its key, and it drops its entry when
+# its tree dies, so the table holds no tree alive.  A miss looks the key up and
+# then stores it without a lock, so trees are built on one thread at a time.
+_live: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # so the callback needs no closure, which would double an entry's size
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop the entry of a dead tree, unless an equal tree has taken its place."""
+    current = _live.pop(ref.key, ref)
+    if current is not ref:
+        _live[ref.key] = current
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Tree:
-    """An ordered labelled tree; ``value`` is only meaningful on leaves."""
+    """An ordered labelled tree; ``value`` is only meaningful on leaves.
+
+    ``Tree(label, children, value)`` returns the live tree equal to the one
+    asked for, if there is one, so ``==`` and ``hash`` are identity.
+    """
 
     label: str
     children: tuple["Tree", ...] = ()
     value: object | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
-            raise TreeError(f"tree label must be a non-empty string, got {self.label!r}")
-        if not isinstance(self.children, tuple):
+    def __new__(cls, label: str, children: tuple = (), value: object | None = None) -> "Tree":
+        if not isinstance(label, str) or not label:
+            raise TreeError(f"tree label must be a non-empty string, got {label!r}")
+        if not isinstance(children, tuple):
             raise TreeError("tree children must be a tuple")
-        if self.children and self.value is not None:
-            raise TreeError(f"interior node {self.label!r} cannot carry a leaf value")
-        size, depth, hashes = 1, 0, []
-        for c in self.children:
-            size += c.size
-            depth = max(depth, c.depth + 1)
-            hashes.append(c._hash)
-        # Cached so no reader re-walks the tree: nodes, edges to the deepest leaf, hash.
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "_hash", hash((self.label, self.value, tuple(hashes))))
+        if children and value is not None:
+            raise TreeError(f"interior node {label!r} cannot carry a leaf value")
+        key = (label, value, children)
+        ref = _live.get(key)
+        tree = ref and ref()
+        if tree is None:
+            size, depth = 1, 0  # cached so no reader re-walks the tree
+            for c in children:
+                size += c.size
+                depth = max(depth, c.depth + 1)
+            tree = object.__new__(cls)
+            set_ = object.__setattr__
+            set_(tree, "label", label)
+            set_(tree, "children", children)
+            set_(tree, "value", value)
+            set_(tree, "size", size)  # nodes
+            set_(tree, "depth", depth)  # edges to the deepest leaf
+            ref = _live[key] = _Ref(tree, _forget)
+            ref.key = key
+        return tree
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __reduce__(self):  # copies and pickles are rebuilt, so they are the live tree
+        return Tree, (self.label, self.children, self.value)
 
     @property
     def is_leaf(self) -> bool:
@@ -100,40 +134,18 @@ class Tree:
         return node
 
 
-def interner():
-    """A tree constructor ``node(label, children=(), value=None)`` that hash-conses.
-
-    Equal trees built through one constructor are one object (Filliâtre &
-    Conchon, "Type-safe modular hash-consing"): the table is looked up by
-    ``(label, value, children)`` before a ``Tree`` is built, and children built
-    through it compare by identity.  Tree equality is isomorphism, so the
-    sharing cannot be observed; memos kept on a shared subtree serve every
-    occurrence.  Each constructor has its own table, so a table lives only as
-    long as the build that uses it.
-    """
-    table: dict = {}
-
-    def node(label: str, children: tuple = (), value: object | None = None) -> Tree:
-        key = (label, value, children)
-        tree = table.get(key)
-        if tree is None:
-            tree = table[key] = Tree(label, children, value)
-        return tree
-
-    return node
-
-
 def memoized(t, key: str, compute):
     """``compute(t)``, computed once per object and kept on it; it is never None.
 
     ``t`` is an immutable tree, term, rule or value, so the result lives
     exactly as long as the object: a tree keeps its decoded rule, a term its
     compiled closures and free variables, a rule its free variables, a
-    composite value its sort key.  The decoded rule is set either by
-    ``reflect.decode_rule`` or, on a tree that ``reflect`` encoded, by the
-    encoder, which leaves there the rule it encoded.  A computation that
-    raises raises again on every call.  The memo is an attribute, since
-    reading ``t.__dict__`` would slow every later read.
+    composite value its sort key; equal trees are one object, so a tree's
+    memo serves every build of it while it lives.  The decoded rule is set by
+    ``reflect.decode_rule`` or, on a tree that held none, by the encoder,
+    which leaves there the rule it encoded.  A computation that raises raises
+    again on every call.  The memo is an attribute, since reading
+    ``t.__dict__`` would slow every later read.
     """
     value = getattr(t, key, None)
     if value is None:

@@ -6,10 +6,12 @@ fixture, hand transcriptions of the extraction equations, and exhaustive
 checks of the algebra laws on randomized inputs.
 """
 
+import gc
 import itertools
 import json
 import random
 import time
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -471,22 +473,28 @@ def test_criterion_8_monotonicity_and_determinism():
             "join": load_program("join"),
         }
         for name, src in sources.items():
-            first = run(parse(src, name))
-            second = run(parse(src, name))
-            assert first.to_json() == second.to_json()
-            previous = decode_signature(signature_of_self(first.initial_state.self_tree))
-            for record in first.steps:
-                current = decode_signature(signature_of_self(record.after.self_tree))
-                assert previous.is_subsignature_of(current)
-                previous = current
-
+            _assert_monotone_and_rerun_alike(lambda: run(parse(src, name)))
         for seed in range(10):
-            m1 = generate.random_machine(random.Random(seed))
-            m2 = generate.random_machine(random.Random(seed))
-            t1, t2 = run(m1), run(m2)
-            assert t1.to_json() == t2.to_json()
-            previous = decode_signature(signature_of_self(t1.initial_state.self_tree))
-            for record in t1.steps:
-                current = decode_signature(signature_of_self(record.after.self_tree))
-                assert previous.is_subsignature_of(current)
-                previous = current
+            _assert_monotone_and_rerun_alike(
+                lambda: run(generate.random_machine(random.Random(seed)))
+            )
+
+
+def _assert_monotone_and_rerun_alike(make) -> None:
+    """The trace ``make()`` only grows its signature, and a second ``make()`` writes it alike.
+
+    Equal trees are one object, so a rerun beside the live first run would
+    meet its trees and the decoded rules and compiled terms kept on them.
+    The first run is gone before the second starts, so the rerun builds every
+    tree and memo anew.
+    """
+    first = make()
+    states = [first.initial_state] + [record.after for record in first.steps]
+    signatures = [decode_signature(signature_of_self(s.self_tree)) for s in states]
+    assert all(a.is_subsignature_of(b) for a, b in zip(signatures, signatures[1:]))
+    text = first.to_json()
+    gone = weakref.ref(first.initial_state.self_tree)
+    del first, states
+    gc.collect()
+    assert gone() is None
+    assert make().to_json() == text

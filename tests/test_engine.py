@@ -1,9 +1,11 @@
 """Stepping, runs, traces, coincidence, and the postulate probes."""
 
 import functools
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -491,6 +493,12 @@ def test_bundled_program_traces_match_golden_digests():
         assert _sha256(canonical_dumps(_old_form(json.loads(text)))) == old_digest, name
 
 
+def _emptied_condition_fault(whole: Tree, at) -> str:
+    with pytest.raises(ReflectError) as raised:
+        decode_rule(rule_of_self(subst_tt(whole, at, Tree(L_BOOL))), reflect.RULE_AT)
+    return str(raised.value)
+
+
 def test_step_1_runs_the_rule_that_parse_encoded_and_other_trees_still_decode(monkeypatch):
     calls = []
     original = reflect._decode_rule_at
@@ -502,21 +510,31 @@ def test_step_1_runs_the_rule_that_parse_encoded_and_other_trees_still_decode(mo
     assert calls == []
     assert decode_rule(rule_of_self(tree), reflect.RULE_AT) is program.rule
 
-    # a node-table copy shares no memo: each distinct rule node is decoded once
-    copy = trees_from_table(json.loads(canonical_dumps(_table_of(tree))))[-1]
-    assert decode_rule(rule_of_self(copy), reflect.RULE_AT) == program.rule
-    rule_labels = {L_UPDATE, L_IF, L_PAR, L_LET, L_PARTIAL}
-    copied = {id(n) for _, n in rule_of_self(copy).preorder() if n.label in rule_labels}
-    assert len(calls) == len(copied)
-
     # the first if condition, emptied: the fault is named from the root of self
     at = next(p for p, n in tree.preorder() if n.label == L_BOOL)
     message = f"term leaf carries no value (at node@{'.'.join(map(str, at))})"
-    for whole in (tree, copy):
-        damaged = subst_tt(whole, at, Tree(L_BOOL))
-        with pytest.raises(ReflectError) as raised:
-            decode_rule(rule_of_self(damaged), reflect.RULE_AT)
-        assert str(raised.value) == message
+    assert _emptied_condition_fault(tree, at) == message
+
+    # Equal trees are one object, so a node-table copy is a tree without the
+    # memos encoding left only once the encoded tree is gone.  Then each
+    # distinct rule node that holds no memo (a small rule such as ``par<>``
+    # may live on in other trees) is decoded once, and the fault is the same.
+    text = canonical_dumps(_table_of(tree))
+    gone = weakref.ref(tree)
+    del state, tree
+    calls.clear()
+    gc.collect()
+    assert gone() is None
+    copy = trees_from_table(json.loads(text))[-1]
+    rule_labels = {L_UPDATE, L_IF, L_PAR, L_LET, L_PARTIAL}
+    bare = {
+        n for _, n in rule_of_self(copy).preorder()
+        if n.label in rule_labels and "_decoded_rule" not in vars(n)
+    }
+    assert rule_of_self(copy) in bare
+    assert decode_rule(rule_of_self(copy), reflect.RULE_AT) == program.rule
+    assert sorted(map(id, calls)) == sorted(map(id, bare))
+    assert _emptied_condition_fault(copy, at) == message
 
 
 def test_a_trace_is_written_as_the_canonical_text_of_its_json_object():

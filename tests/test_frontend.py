@@ -53,7 +53,7 @@ from rsasm.structures import (
     Variable,
     trees_from_table,
 )
-from rsasm.treealg import L_BOOL, L_LET, L_TERM, Tree, interner
+from rsasm.treealg import L_BOOL, L_LET, L_TERM, Tree
 
 
 MINIMAL = """
@@ -146,7 +146,7 @@ def test_each_term_object_is_encoded_once_per_label_of_its_leaves(name, monkeypa
     made = [t for t in dropped if id(t) not in term_ids]
     assert len(made) == lets and all(isinstance(t, Variable) for t in made)
     # so it is no key: every key of the encode map is a part of the rule, which keeps its id
-    reflect._encode_rule(program.rule, interner(), keys := {})
+    reflect._encode_rule(program.rule, keys := {})
     assert {k if type(k) is int else k[1] for k in keys} <= term_ids | rules
 
 

@@ -1,6 +1,7 @@
 """Property tests: substitution, atom collection, collapse order-independence, parsing,
 printing, and shared subtrees (hash-consing and node tables)."""
 
+import gc
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_state
 from test_acceptance import JoinCase, join_source
-from rsasm import generate
+from rsasm import generate, treealg
 from rsasm.background import COMMUTATIVE_OPERATORS
 from rsasm.engine import run
 from rsasm.errors import ParseError, RsasmError
@@ -72,7 +73,7 @@ from rsasm.structures import (
     value_from_json,
     value_to_json,
 )
-from rsasm.treealg import L_IF, L_LET, L_PAR, L_PARTIAL, L_UPDATE, XI, Tree, interner
+from rsasm.treealg import L_IF, L_LET, L_PAR, L_PARTIAL, L_UPDATE, XI, Tree, subst_tt
 
 VARS = ("x", "y")
 ATOMS = (Atom("p"), Atom("q"), Atom("r"))
@@ -553,14 +554,14 @@ tree_leaves = st.builds(Tree, tree_labels, st.just(()), st.one_of(st.none(), val
 
 
 def _rebuilt(t: Tree) -> Tree:
-    """An equal tree that shares no node object with ``t``."""
+    """``t`` built again node by node, which gives ``t`` itself."""
     return Tree(t.label, tuple(_rebuilt(c) for c in t.children), t.value)
 
 
 def _compound_trees(inner):
     return st.one_of(
         st.builds(lambda a, kids: Tree(a, tuple(kids)), tree_labels, st.lists(inner, max_size=3)),
-        # a repeated subtree: once as the same object, once as an equal copy
+        # a repeated subtree: once as the same object, once built again
         st.builds(lambda a, kid: Tree(a, (kid, kid, _rebuilt(kid))), tree_labels, inner),
     )
 
@@ -571,26 +572,29 @@ machine_self_trees = st.integers(0, 2**32 - 1).map(
 )
 
 
-def _distinct(t: Tree) -> tuple[set, set]:
-    """The distinct subtrees of ``t`` and the distinct node objects."""
-    nodes = [node for _, node in t.preorder()]
-    return set(nodes), {id(node) for node in nodes}
-
-
 def _table_of(t: Tree) -> list:
     """The node table of ``t`` alone, its root last."""
     return _with_table(value_to_json, TreeValue(t))[0]
 
 
+def _text(t: Tree) -> str:
+    """The text of ``t``'s node table: equal texts are equal trees, whatever the objects."""
+    return canonical_dumps(_table_of(t))
+
+
+def _distinct(t: Tree) -> tuple[set, set]:
+    """The distinct subtrees of ``t``, by their text, and the distinct node objects."""
+    nodes = [node for _, node in t.preorder()]
+    return {_text(node) for node in nodes}, set(nodes)
+
+
 @given(st.one_of(trees, machine_self_trees))
 def test_the_node_table_round_trips_and_writes_each_distinct_subtree_once(t):
     table = _table_of(t)
-    assert _table_of(_rebuilt(t)) == table  # by value, not by object identity
     read = trees_from_table(json.loads(canonical_dumps(table)))
-    assert read[-1] == t
+    assert read[-1] is t
     # each distinct tree once, the trees that leaf values hold included
-    assert len(set(read)) == len(read) and _distinct(t)[0] <= set(read)
-    assert _distinct(read[-1])[1] <= set(map(id, read))  # the reader shares equal subtrees
+    assert len(set(read)) == len(read) and _distinct(t)[1] <= set(read)
 
 
 @given(machine_self_trees)
@@ -599,14 +603,9 @@ def test_a_built_self_tree_is_one_object_per_distinct_subtree(t):
     assert len(objects) == len(subtrees)
 
 
-def _interned(t: Tree, node) -> Tree:
-    """``t`` built again through the intern table ``node``."""
-    return node(t.label, tuple(_interned(c, node) for c in t.children), t.value)
-
-
 @given(st.one_of(trees, machine_self_trees))
-def test_equal_trees_built_with_and_without_the_interner_have_one_node_table(t):
-    assert _table_of(_interned(t, interner())) == _table_of(_rebuilt(t)) == _table_of(t)
+def test_a_tree_built_again_is_the_same_object(t):
+    assert _rebuilt(t) is t
 
 
 @given(st.one_of(trees, machine_self_trees))
@@ -644,15 +643,80 @@ def test_a_value_holding_trees_reads_back_from_its_json(v):
     assert value_from_json(written, trees_from_table(table)) == v
 
 
-@given(st.lists(trees, min_size=2, max_size=4))
-@example([Tree("x", (), NatVal(1)), Tree("x", (), TRUE)])
-@example([Tree("x", (), NatVal(0)), Tree("x", (), FALSE), Tree("x", (), Atom("0"))])
-def test_interning_shares_equal_trees_and_never_merges_unequal_ones(forest):
-    node = interner()
-    built = [_interned(t, node) for t in forest]
-    assert built == forest
-    for (a, x), (b, y) in itertools.combinations(zip(forest, built), 2):
-        assert (x is y) == (a == b)
+# (label, value, child specs): what a tree is asked to be, compared without ``Tree``
+tree_specs = st.recursive(
+    st.tuples(tree_labels, st.one_of(st.none(), values), st.just(())),
+    lambda inner: st.tuples(tree_labels, st.none(), st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+
+
+def _built(spec: tuple) -> Tree:
+    """The tree ``spec`` asks for, checked to hold what it was asked to hold."""
+    label, value, kids = spec
+    tree = Tree(label, tuple(map(_built, kids)), value)
+    assert (tree.label, tree.value, len(tree.children)) == (label, value, len(kids))
+    return tree
+
+
+@given(st.lists(tree_specs, min_size=2, max_size=4))
+@example([("x", NatVal(1), ()), ("x", TRUE, ())])
+@example([("x", NatVal(0), ()), ("x", FALSE, ()), ("x", Atom("0"), ())])
+@example([("x", NatVal(0), ()), ("x", NatVal(1), ()), ("x", NatVal(0), ())])
+def test_trees_are_one_object_exactly_when_their_node_tables_agree(specs):
+    forest = [_built(spec) for spec in specs]
+    for (s, a), (t, b) in itertools.combinations(zip(specs, forest), 2):
+        assert (a is b) == (a == b) == (s == t) == (_text(a) == _text(b))
+
+
+def _rebuilding_term(t: Tree) -> Term:
+    """A term of ``leaf`` and ``label_hedge`` applications that evaluates to ``t``."""
+    label = Constant(Atom(t.label))
+    if t.value is not None:
+        return FunctionApp("leaf", (label, Constant(t.value)))
+    return FunctionApp("label_hedge", (label,) + tuple(map(_rebuilding_term, t.children)))
+
+
+ROTATION = dict(zip(ATOMS, ATOMS[1:] + ATOMS[:1]))
+
+
+def _renamed(t: Tree, sigma: dict) -> Tree:
+    state = make_state(SYMBOLS, {Location("a0"): TreeValue(t)}, base=ATOMS)
+    return apply_isomorphism(state, sigma).interp[Location("a0")].tree
+
+
+@given(st.lists(trees, min_size=1, max_size=3), st.data())
+def test_trees_from_every_source_are_one_object_exactly_when_their_node_tables_agree(forest, data):
+    built = []
+    for t in forest:
+        at = data.draw(st.sampled_from([path for path, _ in t.preorder()]))
+        spliced = subst_tt(t, at, data.draw(st.sampled_from(forest)))
+        renamed = _renamed(t, ROTATION)
+        again = [
+            _rebuilt(t),
+            trees_from_table(json.loads(_text(t)))[-1],
+            subst_tt(spliced, at, t.find(at)),
+            _renamed(renamed, {b: a for a, b in ROTATION.items()}),
+        ]
+        if all(node.value is not UNDEF for _, node in t.preorder()):  # leaf(l, undef) is undef
+            again.append(eval_term(STATE, _rebuilding_term(t)).tree)
+        assert all(u is t for u in again)
+        built += again + [spliced, renamed]
+    objects = {node for t in forest + built for _, node in t.preorder()}
+    texts = {_text(node) for node in objects}
+    assert len(texts) == len(objects)  # an equal text is the same object
+    for a, b in itertools.combinations(forest + built, 2):
+        assert (a is b) == (a == b) == (_text(a) == _text(b))
+
+
+def test_the_table_of_live_trees_forgets_trees_that_died():
+    gc.collect()
+    before = len(treealg._live)
+    rng = random.Random(951)
+    for _ in range(50):
+        run(parse(join_source(JoinCase(rng)))).to_json()
+    gc.collect()
+    assert len(treealg._live) == before
 
 
 generated_machines = st.integers(0, 2**32 - 1).map(
@@ -711,20 +775,27 @@ def test_renaming_by_a_permutation_and_back_gives_an_equal_tree(seed):
 RULE_LABELS = {L_UPDATE, L_IF, L_PAR, L_LET, L_PARTIAL}
 
 
-def _assert_each_rule_node_holds_what_its_copy_decodes_to(self_tree: Tree) -> None:
-    """The rule encoding left on each rule node equals the decoding of a memo-free copy."""
-    rule_tree = rule_of_self(self_tree)
-    copy = trees_from_table(json.loads(canonical_dumps(_table_of(rule_tree))))[-1]
-    seen = set()
-    for path, node in rule_tree.preorder():
-        if node.label in RULE_LABELS and id(node) not in seen:
-            seen.add(id(node))
-            assert vars(node)["_decoded_rule"] == decode_rule(copy.find(path))
+def _assert_each_rule_node_holds_what_decoding_gives(self_tree: Tree) -> None:
+    """The rule encoding left on each rule node equals what decoding gives once it is taken off.
+
+    A copy read back from the node table is the same object, so the memos are
+    taken off the nodes for the decode and put back afterwards.
+    """
+    nodes = list(dict.fromkeys(
+        node for _, node in rule_of_self(self_tree).preorder() if node.label in RULE_LABELS
+    ))
+    left = [vars(node).pop("_decoded_rule") for node in nodes]
+    try:
+        for node, rule in zip(nodes, left):
+            assert rule == decode_rule(node)
+    finally:
+        for node, rule in zip(nodes, left):
+            vars(node)["_decoded_rule"] = rule
 
 
 @given(machine_self_trees)
 def test_encoding_leaves_on_each_rule_node_the_rule_that_decoding_gives(t):
-    _assert_each_rule_node_holds_what_its_copy_decodes_to(t)
+    _assert_each_rule_node_holds_what_decoding_gives(t)
 
 
 def test_encoding_leaves_on_each_rule_node_of_a_parsed_program_the_rule_that_decoding_gives():
@@ -732,4 +803,4 @@ def test_encoding_leaves_on_each_rule_node_of_a_parsed_program_the_rule_that_dec
     rng = random.Random(951)
     sources += [join_source(JoinCase(rng)) for _ in range(30)]
     for source in sources:
-        _assert_each_rule_node_holds_what_its_copy_decodes_to(parse(source).initial_state.self_tree)
+        _assert_each_rule_node_holds_what_decoding_gives(parse(source).initial_state.self_tree)

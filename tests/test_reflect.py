@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import make_state, random_rule, random_self_tree, random_signature, random_term
-from rsasm import generate
+from rsasm import generate, reflect
 from rsasm.errors import ReflectError, TreeError
 from rsasm.reflect import (
     MAX_NESTING,
@@ -111,10 +111,9 @@ def test_decoding_is_memoized_per_tree_object():
         rule = decode_rule(rule_tree)
         assert decode_rule(rule_tree) is rule
         assert decode_signature(sig_tree) is decode_signature(sig_tree)
-        # an equal tree built anew decodes on its own, to an equal rule
-        rebuilt = encode_rule(rule)
-        assert rebuilt is not rule_tree
-        assert decode_rule(rebuilt) == rule
+        # encoding the rule again gives the same tree, which keeps its memo
+        assert encode_rule(rule) is rule_tree
+        assert decode_rule(rule_tree) is rule
 
 
 def _rule_nodes(t: Tree, rule):
@@ -132,16 +131,29 @@ def _rule_nodes(t: Tree, rule):
         yield from _rule_nodes(t.children[i].children[0], sub)
 
 
-def test_every_rule_subtree_is_decoded_once():
+def test_every_rule_subtree_is_decoded_once(monkeypatch):
+    calls = []
+    original = reflect._decode_rule_at
+    monkeypatch.setattr(reflect, "_decode_rule_at", lambda t: calls.append(t) or original(t))
     rng = random.Random(11)
     for _ in range(20):
         rule_tree = rule_of_self(random_self_tree(rng, extra_symbols=2))
+        # take off the rules that encoding left, so that every rule node is read
+        nodes = {node for _, node in rule_tree.preorder() if "_decoded_rule" in vars(node)}
+        for node in nodes:
+            del vars(node)["_decoded_rule"]
+        calls.clear()
         for node, rule in _rule_nodes(rule_tree, decode_rule(rule_tree, RULE_AT)):
             assert decode_rule(node) is rule
+        assert sorted(map(id, calls)) == sorted(map(id, nodes))
         # a par grown on the right, as a splice grows it, keeps its old branches' rules
         par = Tree("par", (Tree("rule", (rule_tree,)),))
         grown = Tree("par", par.children + (Tree("rule", (encode_rule(Par(())),)),))
+        for t in (par, grown):  # an earlier draw may have built and decoded them
+            vars(t).pop("_decoded_rule", None)
+        calls.clear()
         assert decode_rule(grown).branches[0] is decode_rule(par).branches[0]
+        assert calls == [grown, par]
 
 
 def _nested_pars(rule_tree: Tree, levels: int) -> Tree:

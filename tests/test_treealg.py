@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import make_state, random_context, random_tree, reference_preorder
+from rsasm import treealg
 from rsasm.errors import TreeError
 from rsasm.printer import SourcePrinter
 from rsasm.reflect import build_self_tree, eval_algebra, tree_diff, tree_update_rule
@@ -64,6 +65,39 @@ def test_tree_invariants():
     assert subtree(t, ()).label == "a"
     assert subtree(t, (1,)) == leaf("c", NatVal(2))
     assert subtree(t, (1,)).value == NatVal(2)
+
+
+@pytest.mark.parametrize(
+    "label, children, value, message",
+    [
+        (5, (), None, "tree label must be a non-empty string, got 5"),
+        ("", (), None, "tree label must be a non-empty string, got ''"),
+        (["a"], (), None, "tree label must be a non-empty string, got ['a']"),
+        ("a", [leaf("b")], None, "tree children must be a tuple"),
+        ("a", (leaf("b"),), NatVal(1), "interior node 'a' cannot carry a leaf value"),
+    ],
+)
+def test_a_bad_tree_raises_before_it_reaches_the_table_of_live_trees(
+    label, children, value, message
+):
+    before = dict(treealg._live)
+    with pytest.raises(TreeError) as raised:
+        Tree(label, children, value)
+    assert str(raised.value) == message
+    assert treealg._live == before
+
+
+def test_a_dead_trees_entry_goes_but_an_entry_that_took_its_place_stays():
+    key = ("only-here", None, ())
+    tree = Tree("only-here")
+    entry = treealg._live[key]
+    other = Tree("elsewhere")
+    stale = treealg._Ref(other, treealg._forget)
+    stale.key = key
+    treealg._forget(stale)  # the callback of a reference the table no longer holds
+    assert treealg._live[key] is entry and entry() is tree
+    del tree
+    assert key not in treealg._live
 
 
 _STATE = make_state()
