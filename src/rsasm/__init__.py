@@ -7,7 +7,6 @@ therefore extend their own signature and rewrite their own rule mid-run.
 """
 
 from .engine import (
-    Machine,
     Report,
     Trace,
     check_strong_coincidence,
@@ -72,6 +71,7 @@ from .structures import (
     FunctionSymbol,
     Iota,
     Location,
+    Machine,
     NatVal,
     NodeRef,
     SetVal,

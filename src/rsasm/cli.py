@@ -8,7 +8,7 @@ prints nothing else), and 0 otherwise; a ``run`` that ends before it writes
 its trace, on a parse error or such a value, removes the file at the
 ``--trace`` path; ``check`` gives 1 on a parse or read error; ``probe`` gives
 1 when a probe finds a violation; ``diff-self`` gives 2 on an unreadable trace
-(one nested too deeply included), one that is not format 7, or one whose
+(one nested too deeply included), one that is not format 8, or one whose
 digest does not match.  Every command gives 2 on a usage error, ``--trials``
 below 1 or a negative ``--max-steps`` among them.
 """

@@ -14,7 +14,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ReflectError, RsasmError, StateError, TreeError
+from .errors import EngineError, ParseError, ReflectError, RsasmError, StateError, TreeError
 from .reflect import (
     RULE_AT,
     beta,
@@ -37,6 +37,7 @@ from .rules import (
 )
 from .structures import (
     SELF_LOCATION,
+    Machine,
     State,
     TreeValue,
     FunctionApp,
@@ -45,32 +46,24 @@ from .structures import (
     eval_term,
     location_sort_key,
     location_to_json,
-    trees_from_table,
-    value_from_json,
     value_to_json,
 )
+
+# after reflect, whose import loads the modules below the parser in the order they need
+from .frontend import trees_from_table, value_from_json
+from .printer import TracePrinter
 
 SELF_TERM = FunctionApp("self", ())
 
 # Version of the trace JSON written by ``Trace.to_json``.
-TRACE_FORMAT = 7
-
-# The step cap of a machine whose program sets none.
-DEFAULT_MAX_STEPS = 1000
-
-
-@dataclass(frozen=True)
-class Machine:
-    initial_state: State
-    max_steps: int = DEFAULT_MAX_STEPS
-    name: str = "machine"
+TRACE_FORMAT = 8
 
 
 @dataclass(frozen=True)
 class StepRecord:
     """One step: the state after it, its multiset and its collapse.
 
-    In the trace JSON (format 7) a step holds its ``index``; its ``updates``
+    In the trace JSON (format 8) a step holds its ``index``; its ``updates``
     in ``location_sort_key`` order, or a ``clash`` instead; the ``shared``
     entries of its multiset; and the ``signature_added`` names.  Each
     distinct shared entry is written once, with its multiplicity as
@@ -78,9 +71,9 @@ class StepRecord:
     included, is ``entry_to_json`` output, so a step that does not write
     ``self`` carries no self tree.
     Every tree in a record, a value or a location argument, is
-    ``{"tree": id}``, an id into the trace's node table, whose ``ids``/``table``
-    pair :meth:`to_json` extends; a new self tree adds entries only for the
-    subtrees the trace has not written yet.
+    ``{"tree": id}``, an id into the trace's node table, which :meth:`to_json`
+    extends through the trace's printer; a new self tree adds entries only for
+    the subtrees the trace has not written yet.
     """
 
     index: int
@@ -93,7 +86,7 @@ class StepRecord:
     def clashed(self) -> bool:
         return isinstance(self.result, ClashReport)
 
-    def to_json(self, ids: dict, table: list) -> dict:
+    def to_json(self, doc: TracePrinter) -> dict:
         obj: dict = {
             "index": self.index,
             "updates": [],
@@ -103,15 +96,15 @@ class StepRecord:
         # fixed by sort keys of the entries, never by the hash seed.
         if isinstance(self.result, UpdateSet):
             updates = sorted(self.result, key=lambda u: location_sort_key(u.location))
-            obj["updates"] = [entry_to_json(u, ids, table) for u in updates]
+            obj["updates"] = [entry_to_json(u, doc) for u in updates]
         else:
             obj["clash"] = {
-                "location": location_to_json(self.result.location, ids, table),
+                "location": location_to_json(self.result.location, doc),
                 "reason": self.result.reason,
             }
         counts = Counter(e for e in self.multiset if isinstance(e, SharedUpdate))
         obj["shared"] = [
-            dict(entry_to_json(e, ids, table), count=counts[e])
+            dict(entry_to_json(e, doc), count=counts[e])
             for e in sorted(counts, key=shared_sort_key)
         ]
         return obj
@@ -121,16 +114,18 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 7) holds ``format``, ``status``, the optional
+    The trace JSON (format 8) holds ``format``, ``status``, the optional
     ``detail``, the ``initial`` self tree, the step records (see
     :class:`StepRecord`), ``nodes``, the one node table of
     the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
     Olivier, "Efficient annotated terms", 2000).  It holds each distinct tree
     of the trace once, as ``[label, value?, [child ids]]``, an entry after
     every entry it names; a tree anywhere in the trace, the initial self tree
-    included, is ``{"tree": id}`` with the id of its entry, found by the
-    tree's identity: as in ATerm, equal trees are one object.  Ids follow the
-    order of writing: the initial tree, then each step in turn.  The one
+    and a term's text included, is ``{"tree": id}`` with the id of its entry,
+    found by the tree's identity: as in ATerm, equal trees are one object.  A
+    dropped term is ``{"dropped": text}``, program text with the marks of
+    ``printer``.  Ids follow the order of writing: the initial tree, then
+    each step in turn.  The one
     ``digest`` (:func:`trace_digest`) covers every other key of the trace.
     :func:`replay` rebuilds the self tree at every point in one pass: it reads
     the initial tree, then the value of each step's update of ``self``.
@@ -147,14 +142,13 @@ class Trace:
 
     def _body(self) -> dict:
         """The trace JSON object without its ``digest``."""
-        ids: dict = {}
-        table: list = []
+        doc = TracePrinter()
         obj = {
             "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {"self": value_to_json(TreeValue(self.initial_state.self_tree), ids, table)},
-            "steps": [s.to_json(ids, table) for s in self.steps],
-            "nodes": table,
+            "initial": {"self": value_to_json(TreeValue(self.initial_state.self_tree), doc)},
+            "steps": [s.to_json(doc) for s in self.steps],
+            "nodes": doc.entries,
         }
         if self.detail:
             obj["detail"] = self.detail
@@ -203,13 +197,15 @@ def replay(trace_obj: dict):
     """Yield the self tree at every point of a trace JSON object, the initial tree first.
 
     Checks the format, then the trace's ``digest``, before it yields any tree;
-    then reads the node table once.  The tree after a step is the value of its
+    then reads the node table once, a dropped term with the program parser.
+    The tree after a step is the value of its
     update of ``self``, or the tree so far if it writes none.  A trace that is
-    not format 7, one that does not match its digest and a malformed trace
+    not format 8, one that does not match its digest and a malformed trace
     raise ``EngineError``: a tree id that names no entry before the one that
-    holds it, a node table entry that is not a tree, a ``self`` value that is
-    not a tree, a shared entry whose ``count`` is not a positive integer, and
-    any missing or mistyped part, the digest included, are malformed.
+    holds it, a node table entry that is not a tree, a term that does not
+    parse, a ``self`` value that is not a tree, a shared entry whose ``count``
+    is not a positive integer, and any missing or mistyped part, the digest
+    included, are malformed.
     """
     try:
         fmt = trace_obj.get("format", "missing")
@@ -219,7 +215,7 @@ def replay(trace_obj: dict):
             raise EngineError("the trace does not match its digest")
         steps = trace_obj["steps"]
         trees = trees_from_table(trace_obj["nodes"])
-        self_location = location_to_json(SELF_LOCATION, {}, [])
+        self_location = location_to_json(SELF_LOCATION, TracePrinter())
         tree = _self_tree(trace_obj["initial"]["self"], trees)
         yield tree
         for record in steps:
@@ -231,7 +227,7 @@ def replay(trace_obj: dict):
                 if entry["location"] == self_location:
                     tree = _self_tree(entry["value"], trees)
             yield tree
-    except (AttributeError, KeyError, TypeError, ValueError, StateError, TreeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError, StateError, TreeError) as exc:
         raise EngineError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
 
 

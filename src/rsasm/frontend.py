@@ -5,17 +5,18 @@ OPTIONS, in that order; only SIGNATURE and RULE are required.  The parser
 builds the machine's initial state, including the self tree encoding the
 declared signature and rule.  Bounded per-element families (PARFOR) and set
 comprehensions are expanded at parse time over declared finite domains, so
-the engine only ever sees core rules.
+the engine only ever sees core rules.  The same parser reads a trace's
+values back (``value_from_json``), a dropped term as the text ``printer`` writes.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
 from . import background as bg
-from .engine import DEFAULT_MAX_STEPS, Machine
-from .errors import ParseError
+from .errors import ParseError, StateError
 from .printer import SourcePrinter
 from .reflect import MAX_NESTING, RULE_AT, build_self_tree, decode_rule, drop, rule_of_self
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_substitute
@@ -23,7 +24,9 @@ from .structures import (
     Atom,
     BackgroundConfig,
     BoolConnective,
+    BoolVal,
     Constant,
+    DEFAULT_MAX_STEPS,
     DroppedTerm,
     Equality,
     FALSE,
@@ -31,7 +34,9 @@ from .structures import (
     FunctionSymbol,
     Iota,
     Location,
+    Machine,
     NatVal,
+    NodeRef,
     NODES_DOMAIN,
     SELF_LOCATION,
     SELF_SYMBOL,
@@ -50,37 +55,15 @@ from .structures import (
     term_substitute,
     value_sort_key,
 )
+from .treealg import Tree
 
-KEYWORDS = {
-    "DOMAINS",
-    "SIGNATURE",
-    "PROJECTIONS",
-    "INIT",
-    "RULE",
-    "OPTIONS",
-    "IF",
-    "THEN",
-    "ELSE",
-    "ENDIF",
-    "PAR",
-    "ENDPAR",
-    "PARFOR",
-    "ENDPARFOR",
-    "LET",
-    "IN",
-    "IOTA",
-    "NODES",
-    "CARD",
-    "DROP",
-    "RAISE",
-    "AND",
-    "OR",
-    "NOT",
-    "MOD",
-    "XI",
-}
+KEYWORDS = frozenset(
+    "DOMAINS SIGNATURE PROJECTIONS INIT RULE OPTIONS IF THEN ELSE ENDIF PAR ENDPAR PARFOR"
+    " ENDPARFOR LET IN IOTA NODES CARD DROP RAISE AND OR NOT MOD XI".split()
+)
 
-RESERVED_WORDS = {"true", "false", "undef"}
+# The reserved words, and the constants they name
+RESERVED_WORDS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
 
 
 @dataclass
@@ -109,6 +92,7 @@ _SYMBOLS = {
     ".": "DOT",
     "+": "PLUS",
     "-": "MINUS",
+    "@": "AT",
 }
 
 
@@ -131,6 +115,15 @@ def tokenize(source: str) -> list[Token]:
         if ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
+            continue
+        if ch == "{" and source.startswith('"', i + 1):  # a value's JSON: a trace's constant
+            try:
+                j = json.JSONDecoder().raw_decode(source, i)[1]
+            except ValueError as exc:
+                raise ParseError(f"not a value's JSON: {exc}", line, col) from None
+            tokens.append(Token("JSON", source[i:j], line, col))
+            col, i = col + j - i, j
             continue
         two = source[i : i + 2]
         if two in (":=", "<="):
@@ -192,10 +185,13 @@ def _nested(parse):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], name: str = "program"):
+    """A parser of program text, or of a trace's text given ``trees``, the node table it names."""
+
+    def __init__(self, tokens: list[Token], name: str = "program", trees: list[Tree] | None = None):
         self.tokens = tokens
         self.pos = 0
         self.name = name
+        self.trees = trees
         self.domains: dict[str, tuple[Value, ...]] = {}
         self.signature_symbols: dict[str, int] = {}
         self.projections: dict[str, str] = {}
@@ -346,12 +342,8 @@ class Parser:
             self.expect("RPAREN")
             return SymbolName(name_tok.text)
         if tok.kind == "IDENT":
-            if tok.text == "true":
-                return TRUE
-            if tok.text == "false":
-                return FALSE
-            if tok.text == "undef":
-                return UNDEF
+            if tok.text in RESERVED_WORDS:
+                return RESERVED_WORDS[tok.text]
             if tok.text in self.signature_symbols or tok.text == "self":
                 return SymbolName(tok.text)
             return Atom(tok.text)
@@ -493,18 +485,17 @@ class Parser:
         return self.parse_or()
 
     def parse_or(self) -> Term:
-        term = self.parse_and()
-        parts = [term]
-        while self.take_keyword("OR"):
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else BoolConnective("or", tuple(parts))
+        return self._connective("or", self.parse_and)
 
     def parse_and(self) -> Term:
-        term = self.parse_not()
-        parts = [term]
-        while self.take_keyword("AND"):
-            parts.append(self.parse_not())
-        return parts[0] if len(parts) == 1 else BoolConnective("and", tuple(parts))
+        return self._connective("and", self.parse_not)
+
+    def _connective(self, op: str, parse_operand) -> Term:
+        """Operands joined by ``op``: the one operand, or one connective of them all."""
+        parts = [parse_operand()]
+        while self.take_keyword(op.upper()):
+            parts.append(parse_operand())
+        return parts[0] if len(parts) == 1 else BoolConnective(op, tuple(parts))
 
     def parse_not(self) -> Term:
         if self.take_keyword("NOT"):
@@ -547,7 +538,7 @@ class Parser:
         if self.take_keyword("NODES"):
             return NODES_DOMAIN
         name = self.ident("domain name")
-        if name not in self.domains:
+        if name not in self.domains and self.trees is None:
             self.fail(f"search domain {name!r} is not declared; unbounded search is rejected")
         return name
 
@@ -562,6 +553,13 @@ class Parser:
             term = self.parse_term()
             self.expect("RPAREN")
             return term
+        marked = self.trees is not None
+        if marked and tok.kind == "JSON":
+            self.next()
+            return Constant(value_from_json(json.loads(tok.text), self.trees))
+        if marked and tok.text in ("AND", "OR") and self.peek(1).kind == "LPAREN":
+            self.pos += 2
+            return BoolConnective(tok.text.lower(), tuple(self._items(self.parse_term, "RPAREN")))
         if tok.kind == "LBRACE":
             return self.parse_comprehension()
         if tok.kind == "KEYWORD":
@@ -571,28 +569,24 @@ class Parser:
                 self.expect("KEYWORD", "IN")
                 domain = self.parse_domain_tag()
                 self.expect("DOT")
+                if marked:  # its variable is written var@x
+                    return Iota(var, domain, self.parse_term())
                 self._bind(var)
                 cond = self.parse_term()
                 self._unbind(var)
                 return Iota(var, domain, cond)
-            if tok.text == "CARD":
+            if tok.text in ("CARD", "RAISE"):
                 self.next()
                 self.expect("LPAREN")
                 arg = self.parse_term()
                 self.expect("RPAREN")
-                return FunctionApp("card_of", (arg,))
+                return FunctionApp("card_of" if tok.text == "CARD" else "raise_eval", (arg,))
             if tok.text == "DROP":
                 self.next()
                 self.expect("LPAREN")
                 term = self.parse_droppable()
                 self.expect("RPAREN")
                 return term
-            if tok.text == "RAISE":
-                self.next()
-                self.expect("LPAREN")
-                arg = self.parse_term()
-                self.expect("RPAREN")
-                return FunctionApp("raise_eval", (arg,))
             if tok.text == "XI":
                 self.next()
                 return FunctionApp("hole", ())
@@ -600,12 +594,12 @@ class Parser:
         if tok.kind != "IDENT":
             self.fail(f"unexpected {tok.text or 'end of input'} in a term")
         name = self.next().text
-        if name == "true":
-            return Constant(TRUE)
-        if name == "false":
-            return Constant(FALSE)
-        if name == "undef":
-            return Constant(UNDEF)
+        if name in RESERVED_WORDS:
+            return Constant(RESERVED_WORDS[name])
+        if marked and self._take("AT"):
+            if name != "var":
+                self.fail(f"unknown mark {name}@")
+            return Variable(self.ident("variable name"))
         if self.peek().kind == "LANGLE":
             return self.parse_tree_node(name)
         if self._take("LPAREN"):
@@ -614,12 +608,14 @@ class Parser:
             if arity is not None and arity != len(args):
                 self.fail(f"{name!r} has arity {arity}, got {len(args)} arguments")
             fn = bg.TERM_FUNCTIONS.get(name)
-            if fn is not None and fn.arity is not None and fn.arity != len(args):
+            if fn is not None and fn.arity not in (None, len(args)) and not marked:
                 self.fail(f"{name!r} takes {fn.arity} arguments, got {len(args)}")
             return FunctionApp(name, tuple(args))
         return self.resolve_ident(name)
 
     def resolve_ident(self, name: str) -> Term:
+        if self.trees is not None:
+            return Constant(Atom(name))
         if name in self.bound:
             return Variable(name)
         arity = self.signature_symbols.get(name)
@@ -641,8 +637,8 @@ class Parser:
             return Constant(SymbolName(tok.text))
         if tok.kind == "IDENT" and self.peek(1).kind == "RPAREN":
             name = self.next().text
-            if name in RESERVED_WORDS:
-                return Constant(drop(Constant({"true": TRUE, "false": FALSE, "undef": UNDEF}[name])))
+            if name in RESERVED_WORDS:  # dropped, a constant is its value
+                return Constant(RESERVED_WORDS[name])
             return Constant(SymbolName(name))
         inner = self.parse_term()
         return Constant(drop(inner))
@@ -696,12 +692,8 @@ class Parser:
             return Constant(SymbolName(tok.text))
         if tok.kind == "IDENT" and self.peek(1).kind == "RPAREN":
             name = self.next().text
-            if name == "true":
-                return Constant(TRUE)
-            if name == "false":
-                return Constant(FALSE)
-            if name == "undef":
-                return Constant(UNDEF)
+            if name in RESERVED_WORDS:
+                return Constant(RESERVED_WORDS[name])
             if name in self.bound:
                 return Variable(name)
             if name in self.signature_symbols or name in bg.TERM_FUNCTIONS or name == "self":
@@ -825,6 +817,62 @@ def load_program(name: str) -> str:
     return (
         resources.files("rsasm").joinpath("programs").joinpath(f"{name}.rsasm").read_text("utf-8")
     )
+
+
+# -- reading a trace's values -------------------------------------------------------
+
+
+_SCALARS = {"atom": Atom, "bool": BoolVal, "nat": NatVal, "symbol": SymbolName}
+
+
+def value_from_json(obj, trees: list[Tree]) -> Value:
+    """The value ``structures.value_to_json`` wrote, a dropped term's text read by ``Parser``.
+
+    ``trees`` holds the trees of the document's node table.
+    """
+    if not isinstance(obj, dict) or len(obj) < 1:
+        raise StateError(f"malformed value object {obj!r}")
+    if "undef" in obj:
+        return UNDEF
+    for key, kind in _SCALARS.items():
+        if key in obj:
+            return kind(obj[key])
+    if "dropped" in obj:
+        parser = Parser(tokenize(obj["dropped"]), "trace", trees)
+        term = parser.parse_term()
+        parser.expect("EOF")
+        return DroppedTerm(term)
+    if "tree" in obj:
+        nid = obj["tree"]
+        if type(nid) is not int or not 0 <= nid < len(trees):
+            raise StateError(f"tree id {nid!r} names no node table entry")
+        return TreeValue(trees[nid])
+    if "tuple" in obj:
+        return TupleVal(tuple(value_from_json(v, trees) for v in obj["tuple"]))
+    if "set" in obj:
+        return SetVal(frozenset(value_from_json(v, trees) for v in obj["set"]))
+    if "node" in obj:
+        return NodeRef(tuple(obj["node"]))
+    raise StateError(f"malformed value object {obj!r}")
+
+
+def trees_from_table(table) -> list[Tree]:
+    """The tree of every entry of a node table, by id (inverse of ``structures._table_id``).
+
+    An entry may name, as a child or as a tree in its value, only an entry before it.
+    """
+    if not isinstance(table, list):
+        raise StateError("a node table must be a list")
+    trees: list[Tree] = []
+    for nid, entry in enumerate(table):
+        if not isinstance(entry, list) or len(entry) not in (2, 3):
+            raise StateError(f"malformed node table entry {nid}: {entry!r}")
+        kids = entry[-1]
+        if not isinstance(kids, list) or not all(type(k) is int and 0 <= k < nid for k in kids):
+            raise StateError(f"node table entry {nid} names a child that does not precede it")
+        value = value_from_json(entry[1], trees) if len(entry) == 3 else None
+        trees.append(Tree(entry[0], tuple(trees[k] for k in kids), value))
+    return trees
 
 
 # -- printing -------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from .engine import Machine
 from .reflect import build_self_tree, encode_rule
 from .rules import Assign, If, Let, Par, PartialAssign, Rule
 from .structures import (
@@ -21,6 +20,7 @@ from .structures import (
     FunctionApp,
     FunctionSymbol,
     Location,
+    Machine,
     NatVal,
     SELF_LOCATION,
     SELF_SYMBOL,

@@ -5,9 +5,20 @@ Every value and every term prints through ``SourcePrinter``, and it is their
 syntax a program is written in: ``a(DROP(m = 0))``, ``concat(a<>, b<>)``,
 ``x + 1 = 2``.  A node of the self tree prints as ``node@p``, its child-index
 path joined by dots, the address tree difference uses.
+
+A trace writes each dropped term as program text too (``TracePrinter``), read
+back by the program parser (``frontend.value_from_json``) with no signature or
+scope, as the text carries marks only that reader accepts: a bare name is an
+atom; a nullary application is ``f()``; a variable is ``var@x``; a constant
+program text cannot write without a scope (a tree, a set, an atom named ``IF``)
+is its value's JSON, ``{"tree":3}`` naming a tree of the node table; an ``AND``
+or ``OR`` of fewer than two operands is ``AND(a)``; a tree is built by
+``label_hedge`` and ``leaf``.  Symbols and variables are named as parse names them.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import background as bg
 from . import rules
@@ -32,7 +43,9 @@ from .structures import (
     UNDEF,
     Value,
     Variable,
+    canonical_dumps,
     value_sort_key,
+    value_to_json,
 )
 from .treealg import Tree, XI
 
@@ -44,12 +57,18 @@ _PREC_ADD = 5
 _PREC_MOD = 6
 _PREC_PRIMARY = 7
 
+# The operators and the keyword calls that print each function they apply
+_INFIX = {"+": ("+", _PREC_ADD), "-": ("-", _PREC_ADD), "mod": ("MOD", _PREC_MOD)}
+_KEYWORD_CALLS = {"card_of": "CARD", "raise_eval": "RAISE"}
+
 
 class SourcePrinter:
     """Render values, terms, trees and rules as program text.
 
     ``domains`` names finite domains; a set equal to one prints as its name.
     """
+
+    marks = False  # write a trace's text (module docstring)
 
     def __init__(self, domains=()):
         self.domains = dict(domains)
@@ -61,10 +80,12 @@ class SourcePrinter:
             return "true" if value.flag else "false"
         if value is UNDEF:
             return "undef"
-        if isinstance(value, Atom):
+        if isinstance(value, Atom) and (not self.marks or _bare(value.name)):
             return value.name
-        if isinstance(value, SymbolName):
+        if isinstance(value, SymbolName) and (not self.marks or value.name in ("+", "-") or _bare(value.name)):
             return f"DROP({value.name})"
+        if self.marks:  # a value that program text writes only within a scope, or not at all
+            return canonical_dumps(value_to_json(value, self))
         if isinstance(value, DroppedTerm):
             return f"DROP({self.term(value.term)})"
         if isinstance(value, TreeValue):
@@ -116,7 +137,7 @@ class SourcePrinter:
         if isinstance(term, Constant):
             return self.value_literal(term.value), _PREC_PRIMARY
         if isinstance(term, Variable):
-            return term.name, _PREC_PRIMARY
+            return (f"var@{term.name}" if self.marks else term.name), _PREC_PRIMARY
         if isinstance(term, Equality):
             left = self.term(term.left, _PREC_ADD)
             right = self.term(term.right, _PREC_ADD)
@@ -124,42 +145,36 @@ class SourcePrinter:
         if isinstance(term, BoolConnective):
             if term.op == "not":
                 return f"NOT {self.term(term.operands[0], _PREC_NOT)}", _PREC_NOT
+            if self.marks and len(term.operands) < 2:
+                return f"{term.op.upper()}({', '.join(map(self.term, term.operands))})", _PREC_PRIMARY
             joiner = " AND " if term.op == "and" else " OR "
             level = _PREC_AND if term.op == "and" else _PREC_OR
             inner = joiner.join(self.term(a, level + 1) for a in term.operands)
             return inner, level
         if isinstance(term, Iota):
+            # the condition reaches as far as a term can: as an operand, an IOTA is in parentheses
             domain = "NODES" if term.domain == NODES_DOMAIN else term.domain
-            return (
-                f"IOTA {term.var} IN {domain} . {self.term(term.condition)}",
-                _PREC_PRIMARY,
-            )
+            return f"IOTA {term.var} IN {domain} . {self.term(term.condition)}", 0
         if isinstance(term, FunctionApp):
             return self._application(term)
         raise ParseError(f"cannot print a {type(term).__name__} as a term")
 
     def _application(self, term: FunctionApp) -> tuple[str, int]:
         name = term.symbol
-        if name in ("+", "-") and len(term.args) == 2:
-            left = self.term(term.args[0], _PREC_ADD)
-            right = self.term(term.args[1], _PREC_ADD + 1)
-            return f"{left} {name} {right}", _PREC_ADD
-        if name == "mod" and len(term.args) == 2:
-            left = self.term(term.args[0], _PREC_MOD)
-            right = self.term(term.args[1], _PREC_MOD + 1)
-            return f"{left} MOD {right}", _PREC_MOD
-        if name == "card_of" and len(term.args) == 1:
-            return f"CARD({self.term(term.args[0])})", _PREC_PRIMARY
-        if name == "raise_eval" and len(term.args) == 1:
-            return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
+        if name in _INFIX and len(term.args) == 2:  # left-associative
+            text, level = _INFIX[name]
+            left, right = self.term(term.args[0], level), self.term(term.args[1], level + 1)
+            return f"{left} {text} {right}", level
+        if name in _KEYWORD_CALLS and len(term.args) == 1:
+            return f"{_KEYWORD_CALLS[name]}({self.term(term.args[0])})", _PREC_PRIMARY
         if name == "hole" and not term.args:
             return "XI", _PREC_PRIMARY
         label = _atom_label(term)
-        if name == "label_hedge" and label is not None:
+        if name == "label_hedge" and label is not None and not self.marks:
             parts = ", ".join(self._term_item(child) for child in term.args[1:])
             return f"{label}<{parts}>", _PREC_PRIMARY
         if not term.args:
-            if name in bg.TERM_FUNCTIONS:
+            if self.marks or name in bg.TERM_FUNCTIONS:
                 return f"{name}()", _PREC_PRIMARY
             return name, _PREC_PRIMARY
         inner = ", ".join(self.term(a) for a in term.args)
@@ -177,17 +192,13 @@ class SourcePrinter:
 
     def rule(self, rule: rules.Rule, indent: int = 0) -> str:
         pad = "  " * indent
-        if isinstance(rule, rules.Assign):
+        if isinstance(rule, (rules.Assign, rules.PartialAssign)):
+            target = rule.target
             if rule.args:
-                args = ", ".join(self.term(a) for a in rule.args)
-                return f"{pad}{rule.target}({args}) := {self.term(rule.rhs)}"
-            return f"{pad}{rule.target} := {self.term(rule.rhs)}"
-        if isinstance(rule, rules.PartialAssign):
-            operands = ", ".join(self.term(a) for a in rule.operands)
-            if rule.args:
-                args = ", ".join(self.term(a) for a in rule.args)
-                return f"{pad}{rule.target}({args}) <=[{rule.op}] {operands}"
-            return f"{pad}{rule.target} <=[{rule.op}] {operands}"
+                target += f"({', '.join(self.term(a) for a in rule.args)})"
+            if isinstance(rule, rules.Assign):
+                return f"{pad}{target} := {self.term(rule.rhs)}"
+            return f"{pad}{target} <=[{rule.op}] {', '.join(self.term(a) for a in rule.operands)}"
         if isinstance(rule, rules.If):
             lines = [f"{pad}IF {self.term(rule.cond)} THEN", self.rule(rule.then, indent + 1)]
             if rule.orelse != rules.Par(()):
@@ -207,6 +218,24 @@ class SourcePrinter:
                 + self.rule(rule.body, indent + 1)
             )
         raise ParseError(f"cannot print rule {rule!r}")
+
+
+class TracePrinter(SourcePrinter):
+    """The printer of a trace's text, which keeps its JSON document's node table, ``entries``, and ``ids``."""
+
+    marks = True
+
+    def __init__(self):
+        self.domains: dict = {}
+        self.ids: dict[Tree, int] = {}
+        self.entries: list = []
+
+
+@functools.lru_cache(maxsize=4096)
+def _bare(name: str) -> bool:
+    """True iff ``name`` reads back as a name: an ASCII identifier, no keyword or truth value."""
+    ident = name.isascii() and name.isidentifier() and not (name.isalpha() and name.isupper())
+    return ident and name not in ("true", "false", "undef")
 
 
 def _atom_label(term: FunctionApp) -> str | None:

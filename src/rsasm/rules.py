@@ -154,12 +154,12 @@ def shared_sort_key(entry: SharedUpdate) -> tuple:
     return (location_sort_key(entry.location), entry.op, args)
 
 
-def entry_to_json(entry, ids: dict, table: list) -> object:
-    """An update or shared update as JSON; its trees are ids into ``table`` (``value_to_json``)."""
-    location = location_to_json(entry.location, ids, table)
+def entry_to_json(entry, doc) -> object:
+    """An update or shared update as JSON; its trees are ids into ``doc``'s node table (``value_to_json``)."""
+    location = location_to_json(entry.location, doc)
     if isinstance(entry, Update):
-        return {"location": location, "value": value_to_json(entry.value, ids, table)}
-    args = [value_to_json(a, ids, table) for a in entry.args]
+        return {"location": location, "value": value_to_json(entry.value, doc)}
+    args = [value_to_json(a, doc) for a in entry.args]
     return {"location": location, "op": entry.op, "args": args}
 
 

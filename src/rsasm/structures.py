@@ -395,6 +395,17 @@ class State:
         return sorted(self.interp, key=location_sort_key)
 
 
+# The step cap of a machine whose program sets none.
+DEFAULT_MAX_STEPS = 1000
+
+
+@dataclass(frozen=True)
+class Machine:
+    initial_state: State
+    max_steps: int = DEFAULT_MAX_STEPS
+    name: str = "machine"
+
+
 def apply_update_set(state: State, delta: UpdateSet) -> State:
     """The successor state under ``delta``; an inconsistent set leaves the state unchanged."""
     if not is_consistent(delta):
@@ -509,145 +520,60 @@ def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
 # -- canonical serialization -------------------------------------------------------
 
 
-def value_to_json(value: Value, ids: dict[Tree, int], table: list) -> object:
-    """A value as JSON; each tree it holds is ``{"tree": id}``, an id into ``table``.
+def value_to_json(value: Value, doc: TracePrinter) -> object:
+    """A value as JSON; each tree it holds is ``{"tree": id}``, an id into ``doc.entries``.
 
-    ``table`` is the node table of the whole JSON document the value is part
-    of, and ``ids`` maps each tree written into it so far to its id, so a
-    tree that the document holds several times is written once.
+    ``doc``, the printer of the whole JSON document the value is part of,
+    keeps its node table and the id of each tree written into it so far, so
+    a tree that the document holds several times is written once; it writes a
+    dropped term as program text whose trees are ids into the same table.
     """
     if value is UNDEF:
         return {"undef": True}
-    if isinstance(value, Atom):
-        return {"atom": value.name}
-    if isinstance(value, BoolVal):
-        return {"bool": value.flag}
-    if isinstance(value, NatVal):
-        return {"nat": value.n}
-    if isinstance(value, SymbolName):
-        return {"symbol": value.name}
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return {scalar[0]: getattr(value, scalar[1])}
     if isinstance(value, DroppedTerm):
-        return {"dropped": term_to_json(value.term, ids, table)}
+        return {"dropped": doc.term(value.term)}
     if isinstance(value, TreeValue):
-        return {"tree": _table_id(value.tree, ids, table)}
+        return {"tree": _table_id(value.tree, doc)}
     if isinstance(value, TupleVal):
-        return {"tuple": [value_to_json(v, ids, table) for v in value.items]}
+        return {"tuple": [value_to_json(v, doc) for v in value.items]}
     if isinstance(value, SetVal):
         members = sorted(value.members, key=value_sort_key)
-        return {"set": [value_to_json(v, ids, table) for v in members]}
+        return {"set": [value_to_json(v, doc) for v in members]}
     if isinstance(value, NodeRef):
         return {"node": list(value.path)}
     raise StateError(f"cannot serialize value {value!r}")
 
 
+# The kinds of value written as one key holding one field, by type
+_SCALARS = {
+    Atom: ("atom", "name"), BoolVal: ("bool", "flag"), NatVal: ("nat", "n"), SymbolName: ("symbol", "name")
+}
+
+
 # The recursive walk of the table is a module function: a nested function that
 # calls itself is a reference cycle, which would keep every tree it reaches,
 # and the memos kept on them, alive until a full garbage collection.
-def _table_id(node: Tree, ids: dict[Tree, int], table: list) -> int:
-    """The id of ``node`` in ``table``, whose entries are ``[label, value?, [child ids]]``.
+def _table_id(node: Tree, doc: TracePrinter) -> int:
+    """The id of ``node`` in ``doc.entries``, whose entries are ``[label, value?, [child ids]]``.
 
     A new subtree is appended after its children and the trees its leaf value
     holds, so an entry names only entries before it.  Equal trees are one
     object, so a subtree is looked up by identity, which is its value: the
     table depends only on what is written into it, and in what order.
     """
-    nid = ids.get(node)
+    nid = doc.ids.get(node)
     if nid is None:
-        kids = [_table_id(c, ids, table) for c in node.children]
+        kids = [_table_id(c, doc) for c in node.children]
         entry: list = [node.label]
         if node.value is not None:
-            entry.append(value_to_json(node.value, ids, table))
+            entry.append(value_to_json(node.value, doc))
         entry.append(kids)
-        nid = ids[node] = len(table)
-        table.append(entry)
+        nid = doc.ids[node] = len(doc.entries)
+        doc.entries.append(entry)
     return nid
-
-
-def term_to_json(term: Term, ids: dict[Tree, int], table: list) -> object:
-    """A term as JSON; its tree constants are ids into ``table``, as in ``value_to_json``."""
-    if isinstance(term, Constant):
-        return {"const": value_to_json(term.value, ids, table)}
-    if isinstance(term, FunctionApp):
-        return {"app": term.symbol, "args": [term_to_json(a, ids, table) for a in term.args]}
-    if isinstance(term, Equality):
-        return {"eq": [term_to_json(term.left, ids, table), term_to_json(term.right, ids, table)]}
-    if isinstance(term, BoolConnective):
-        return {"conn": term.op, "args": [term_to_json(a, ids, table) for a in term.operands]}
-    if isinstance(term, Iota):
-        cond = term_to_json(term.condition, ids, table)
-        return {"iota": term.var, "domain": term.domain, "cond": cond}
-    if isinstance(term, Variable):
-        return {"var": term.name}
-    raise EvalError(f"cannot serialize term {term!r}")
-
-
-def value_from_json(obj, trees: list[Tree]) -> Value:
-    """The value ``value_to_json`` wrote; ``trees`` holds the trees of the document's node table."""
-    if not isinstance(obj, dict) or len(obj) < 1:
-        raise StateError(f"malformed value object {obj!r}")
-    if "undef" in obj:
-        return UNDEF
-    if "atom" in obj:
-        return Atom(obj["atom"])
-    if "bool" in obj:
-        return BoolVal(obj["bool"])
-    if "nat" in obj:
-        return NatVal(obj["nat"])
-    if "symbol" in obj:
-        return SymbolName(obj["symbol"])
-    if "dropped" in obj:
-        return DroppedTerm(term_from_json(obj["dropped"], trees))
-    if "tree" in obj:
-        nid = obj["tree"]
-        if type(nid) is not int or not 0 <= nid < len(trees):
-            raise StateError(f"tree id {nid!r} names no node table entry")
-        return TreeValue(trees[nid])
-    if "tuple" in obj:
-        return TupleVal(tuple(value_from_json(v, trees) for v in obj["tuple"]))
-    if "set" in obj:
-        return SetVal(frozenset(value_from_json(v, trees) for v in obj["set"]))
-    if "node" in obj:
-        return NodeRef(tuple(obj["node"]))
-    raise StateError(f"malformed value object {obj!r}")
-
-
-def trees_from_table(table) -> list[Tree]:
-    """The tree of every entry of a node table, by id (inverse of ``_table_id``).
-
-    An entry may name, as a child or as a tree in its value, only an entry
-    before it.
-    """
-    if not isinstance(table, list):
-        raise StateError("a node table must be a list")
-    trees: list[Tree] = []
-    for nid, entry in enumerate(table):
-        if not isinstance(entry, list) or len(entry) not in (2, 3):
-            raise StateError(f"malformed node table entry {nid}: {entry!r}")
-        kids = entry[-1]
-        if not isinstance(kids, list) or not all(
-            type(k) is int and 0 <= k < nid for k in kids
-        ):
-            raise StateError(f"node table entry {nid} names a child that does not precede it")
-        value = value_from_json(entry[1], trees) if len(entry) == 3 else None
-        trees.append(Tree(entry[0], tuple(trees[k] for k in kids), value))
-    return trees
-
-
-def term_from_json(obj, trees: list[Tree]) -> Term:
-    if "const" in obj:
-        return Constant(value_from_json(obj["const"], trees))
-    if "app" in obj:
-        return FunctionApp(obj["app"], tuple(term_from_json(a, trees) for a in obj["args"]))
-    if "eq" in obj:
-        left, right = obj["eq"]
-        return Equality(term_from_json(left, trees), term_from_json(right, trees))
-    if "conn" in obj:
-        return BoolConnective(obj["conn"], tuple(term_from_json(a, trees) for a in obj["args"]))
-    if "iota" in obj:
-        return Iota(obj["iota"], obj["domain"], term_from_json(obj["cond"], trees))
-    if "var" in obj:
-        return Variable(obj["var"])
-    raise EvalError(f"malformed term object {obj!r}")
 
 
 def canonical_dumps(obj: object) -> str:
@@ -672,10 +598,10 @@ def value_sort_key(value: Value) -> tuple:
 
 
 def _composite_sort_key(value: Value) -> tuple:
-    """``(6, text)``: the canonical text of ``[table, json]``, the value alone in a table."""
-    table: list = []
-    obj = value_to_json(value, {}, table)
-    return (6, canonical_dumps([table, obj]))
+    """``(6, text)``: the canonical text of ``[table, json]``, the value alone in a document."""
+    doc = _printer.TracePrinter()
+    obj = value_to_json(value, doc)
+    return (6, canonical_dumps([doc.entries, obj]))
 
 
 def location_sort_key(loc: Location | NodeRef) -> tuple:
@@ -684,35 +610,36 @@ def location_sort_key(loc: Location | NodeRef) -> tuple:
     return (0, loc.symbol, tuple(value_sort_key(a) for a in loc.args))
 
 
-def location_to_json(loc: Location | NodeRef, ids: dict[Tree, int], table: list) -> object:
+def location_to_json(loc: Location | NodeRef, doc: TracePrinter) -> object:
     if isinstance(loc, NodeRef):
-        return value_to_json(loc, ids, table)
-    return {"symbol": loc.symbol, "args": [value_to_json(a, ids, table) for a in loc.args]}
+        return value_to_json(loc, doc)
+    return {"symbol": loc.symbol, "args": [value_to_json(a, doc) for a in loc.args]}
 
 
 def state_to_json(state: State) -> dict:
     """A state as JSON; every tree in it is an id into its one node table, ``nodes``."""
-    ids: dict[Tree, int] = {}
-    table: list = []
+    doc = _printer.TracePrinter()
     obj = {
         "signature": [[s.name, s.arity] for s in state.signature.symbols],
         "base": sorted(a.name for a in state.base),
         "domains": [
-            {"name": name, "members": [value_to_json(m, ids, table) for m in members]}
+            {"name": name, "members": [value_to_json(m, doc) for m in members]}
             for name, members in state.background.domains
         ],
         "locations": [
-            [location_to_json(loc, ids, table), value_to_json(state.interp[loc], ids, table)]
+            [location_to_json(loc, doc), value_to_json(state.interp[loc], doc)]
             for loc in state.defined_locations()
         ],
     }
-    obj["nodes"] = table
+    obj["nodes"] = doc.entries
     return obj
 
 
 # -- term evaluation ----------------------------------------------------------------
 
 if TYPE_CHECKING:
+    from .printer import TracePrinter
+
     # A compiled term: ``(state, env, reads) -> Value``.  Not built at run
     # time: typing caches a subscripted ``Callable``, and the cached alias
     # would keep this module alive after a fresh import replaces it.

@@ -11,19 +11,29 @@ from rsasm.rules import Assign, If, Let, Par, PartialAssign, Rule
 from rsasm.structures import (
     Atom,
     BackgroundConfig,
+    BoolConnective,
+    BoolVal,
     Constant,
+    DroppedTerm,
     Equality,
     FALSE,
     FunctionApp,
     FunctionSymbol,
+    Iota,
     NatVal,
+    NodeRef,
     SELF_LOCATION,
     SELF_SYMBOL,
+    SetVal,
     Signature,
     State,
+    SymbolName,
     TreeValue,
     TRUE,
+    TupleVal,
+    UNDEF,
     Variable,
+    canonical_dumps,
 )
 from rsasm.treealg import Context, Tree
 
@@ -181,3 +191,74 @@ RULE
     ENDPAR
   ENDIF
 """
+
+
+# -- the JSON of formats 1 to 7: the reference for what a trace's values mean -------------
+
+_OLD_RANKS = {"atom": 0, "nat": 1, "bool": 2, "undef": 3, "symbol": 4, "node": 5}
+
+
+def old_sort_key(member) -> tuple:
+    """The ``value_sort_key`` format 1 ordered a set by, read off a member's format-1 JSON."""
+    ((kind, inner),) = member.items()
+    rank = _OLD_RANKS.get(kind)
+    if rank is None:
+        return (6, canonical_dumps(member))
+    return (3,) if kind == "undef" else (rank, tuple(inner) if kind == "node" else inner)
+
+
+def old_value_json(value, nested: dict) -> dict:
+    """``value`` as format 1 wrote it: every tree nested, every dropped term as term JSON.
+
+    ``nested`` keeps the JSON of each tree written so far, so a tree that
+    many others share is built once.
+    """
+    if value is UNDEF:
+        return {"undef": True}
+    for kind, key, field in (
+        (Atom, "atom", "name"),
+        (BoolVal, "bool", "flag"),
+        (NatVal, "nat", "n"),
+        (SymbolName, "symbol", "name"),
+    ):
+        if isinstance(value, kind):
+            return {key: getattr(value, field)}
+    if isinstance(value, DroppedTerm):
+        return {"dropped": old_term_json(value.term, nested)}
+    if isinstance(value, TreeValue):
+        return {"tree": old_tree_json(value.tree, nested)}
+    if isinstance(value, TupleVal):
+        return {"tuple": [old_value_json(v, nested) for v in value.items]}
+    if isinstance(value, SetVal):
+        members = [old_value_json(v, nested) for v in value.members]
+        return {"set": sorted(members, key=old_sort_key)}
+    assert isinstance(value, NodeRef), value
+    return {"node": list(value.path)}
+
+
+def old_tree_json(tree: Tree, nested: dict) -> dict:
+    """A tree as format 1 wrote it: ``{"children", "label", "value"?}``."""
+    out = nested.get(tree)
+    if out is None:
+        out = {"label": tree.label, "children": [old_tree_json(c, nested) for c in tree.children]}
+        if tree.value is not None:
+            out["value"] = old_value_json(tree.value, nested)
+        nested[tree] = out
+    return out
+
+
+def old_term_json(term, nested: dict) -> dict:
+    """A term as ``structures.term_to_json`` wrote it up to format 7, its trees nested."""
+    if isinstance(term, Constant):
+        return {"const": old_value_json(term.value, nested)}
+    if isinstance(term, FunctionApp):
+        return {"app": term.symbol, "args": [old_term_json(a, nested) for a in term.args]}
+    if isinstance(term, Equality):
+        return {"eq": [old_term_json(term.left, nested), old_term_json(term.right, nested)]}
+    if isinstance(term, BoolConnective):
+        return {"conn": term.op, "args": [old_term_json(a, nested) for a in term.operands]}
+    if isinstance(term, Iota):
+        cond = old_term_json(term.condition, nested)
+        return {"iota": term.var, "domain": term.domain, "cond": cond}
+    assert isinstance(term, Variable), term
+    return {"var": term.name}

@@ -68,12 +68,13 @@ from rsasm.structures import (
     TRUE,
     Update,
     UpdateSet,
+    DroppedTerm,
     canonical_dumps,
-    term_from_json,
     term_substitute,
-    term_to_json,
-    trees_from_table,
+    value_to_json,
 )
+from rsasm.frontend import trees_from_table, value_from_json
+from rsasm.printer import TracePrinter
 from rsasm.treealg import (
     XI,
     concat,
@@ -380,10 +381,10 @@ def test_criterion_4_difference_terms_replay_after_json():
     rng = random.Random(4)
     for _ in range(200):
         t, t2 = _self_pair(rng)
-        table: list = []
-        written = term_to_json(tree_diff(t, t2), {}, table)
-        obj, table = json.loads(canonical_dumps([written, table]))
-        theta = term_from_json(obj, trees_from_table(table))
+        doc = TracePrinter()
+        written = value_to_json(DroppedTerm(tree_diff(t, t2)), doc)
+        obj, table = json.loads(canonical_dumps([written, doc.entries]))
+        theta = value_from_json(obj, trees_from_table(table)).term
         assert eval_algebra(theta, t) == t2
 
 

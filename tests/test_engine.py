@@ -10,7 +10,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import FAULTY_PROGRAM, SHAPE_BREAKING_PROGRAM, make_state
+from conftest import (
+    FAULTY_PROGRAM,
+    SHAPE_BREAKING_PROGRAM,
+    make_state,
+    old_tree_json,
+    old_value_json,
+)
 from rsasm import frontend, generate, printer, reflect, rules, structures
 from rsasm.engine import (
     Machine,
@@ -24,7 +30,8 @@ from rsasm.engine import (
     trace_digest,
 )
 from rsasm.errors import EngineError, ReflectError
-from rsasm.frontend import parse, load_program
+from rsasm.frontend import load_program, parse, trees_from_table, value_from_json
+from rsasm.printer import TracePrinter
 from rsasm.reflect import (
     decode_rule,
     decode_signature,
@@ -60,7 +67,6 @@ from rsasm.structures import (
     diff_states,
     eval_term,
     state_to_json,
-    trees_from_table,
     value_to_json,
 )
 from rsasm.treealg import L_BOOL, L_IF, L_LET, L_PAR, L_PARTIAL, L_RULE, L_UPDATE, Tree, subst_tt
@@ -388,56 +394,34 @@ def _sha256(text: str) -> str:
 
 def _table_of(tree: Tree) -> list:
     """The node table of ``tree`` alone, its root last."""
-    table: list = []
-    value_to_json(TreeValue(tree), {}, table)
-    return table
+    doc = TracePrinter()
+    value_to_json(TreeValue(tree), doc)
+    return doc.entries
 
 
-def _nested(table: list) -> list:
-    """Each tree a node table holds, by id, as format 1 wrote a tree: ``{"children", "label", "value"?}``."""
-    nodes: list = []
-    for entry in table:
-        node = {"label": entry[0], "children": [nodes[k] for k in entry[-1]]}
-        if len(entry) == 3:
-            node["value"] = _old_json(entry[1], nodes)
-        nodes.append(node)
-    return nodes
+def _old_json(obj, trees: list, nested: dict):
+    """A trace JSON fragment as format 1 wrote it: every tree nested, every term as term JSON.
 
-
-_OLD_RANKS = {"atom": 0, "nat": 1, "bool": 2, "undef": 3, "symbol": 4, "node": 5}
-
-
-def _old_sort_key(member) -> tuple:
-    """The ``value_sort_key`` format 1 ordered a set by, read off a member's format-1 JSON."""
-    ((kind, inner),) = member.items()
-    rank = _OLD_RANKS.get(kind)
-    if rank is None:
-        return (6, canonical_dumps(member))
-    return (3,) if kind == "undef" else (rank, tuple(inner) if kind == "node" else inner)
-
-
-def _old_json(obj, nodes: list):
-    """A trace JSON fragment with every ``{"tree": id}`` written as format 1's nested tree.
-
-    ``nodes`` holds the nested tree of each id (``_nested``).
+    ``trees`` holds the tree of each id of the document's node table; a tree,
+    a dropped term and a set are read back with the trace reader and written
+    again with the reference writer of ``conftest``.
     """
     if isinstance(obj, list):
-        return [_old_json(item, nodes) for item in obj]
+        return [_old_json(item, trees, nested) for item in obj]
     if not isinstance(obj, dict):
         return obj
-    if obj.keys() == {"tree"}:
-        return {"tree": nodes[obj["tree"]]}
-    if obj.keys() == {"set"}:
-        return {"set": sorted(_old_json(obj["set"], nodes), key=_old_sort_key)}
-    return {key: _old_json(value, nodes) for key, value in obj.items()}
+    if obj.keys() in ({"tree"}, {"dropped"}, {"set"}):
+        return old_value_json(value_from_json(obj, trees), nested)
+    return {key: _old_json(value, trees, nested) for key, value in obj.items()}
 
 
-def _old_shared(shared: list, nodes: list) -> list:
+def _old_shared(shared: list, trees: list, nested: dict) -> list:
     """A record's shared entries as format 1 wrote them: each one ``count`` times, in JSON order."""
     expanded = []
     for entry in shared:
         count = entry["count"]
-        expanded += [_old_json({k: v for k, v in entry.items() if k != "count"}, nodes)] * count
+        written = {k: v for k, v in entry.items() if k != "count"}
+        expanded += [_old_json(written, trees, nested)] * count
     return sorted(expanded, key=canonical_dumps)
 
 
@@ -449,22 +433,23 @@ def _old_digest(tree: dict) -> str:
 def _old_form(trace_obj: dict) -> dict:
     """The trace as format 1 wrote it: every self tree in full, the self update as a value.
 
-    Every tree is nested JSON, each shared entry is written as often as it
-    occurs, updates, shared entries and set members are in the order that
-    JSON sorts them, and each self tree has the ``self_digest`` that format 1
-    gave it.
+    Every tree is nested JSON, every dropped term is term JSON, each shared
+    entry is written as often as it occurs, updates, shared entries and set
+    members are in the order that JSON sorts them, and each self tree has the
+    ``self_digest`` that format 1 gave it.
     """
-    nodes = _nested(trace_obj["nodes"])
+    trees = trees_from_table(trace_obj["nodes"])
+    nested: dict = {}
     dropped = ("format", "steps", "nodes", "digest")
     old = {key: value for key, value in trace_obj.items() if key not in dropped}
-    initial, *after = (_nested(_table_of(tree))[-1] for tree in replay(trace_obj))
+    initial, *after = (old_tree_json(tree, nested) for tree in replay(trace_obj))
     old["initial"] = {"self_digest": _old_digest(initial), "self": initial}
     old["steps"] = []
     for record, tree in zip(trace_obj["steps"], after):
         old["steps"].append({
-            **_old_json(record, nodes),
-            "updates": sorted(_old_json(record["updates"], nodes), key=canonical_dumps),
-            "shared": _old_shared(record["shared"], nodes),
+            **_old_json(record, trees, nested),
+            "updates": sorted(_old_json(record["updates"], trees, nested), key=canonical_dumps),
+            "shared": _old_shared(record["shared"], trees, nested),
             "self_digest": _old_digest(tree),
             "self": tree,
         })
@@ -477,11 +462,11 @@ def _old_form(trace_obj: dict) -> dict:
 GOLDEN_TRACE_SHA256 = {
     "parity": (
         "eaf5d99e09e22ebcc3e124fb2fddb74e5e5c0893047d6d29e2c09ba48f557c76",
-        "f12cc271aaf96728bf1c295df1b69c263859d063250bdeea2dfa6d7ec67702ed",
+        "fd5da4a0bc6803d45ce41ae133d316439da3e6ef653137b20233ecac10c2d7d3",
     ),
     "join": (
         "549805cc7fd82a90a52cbaf4136f4b8c95c3d5987b244f8dd9175ea51f97d1df",
-        "6db1e2aaec70997b89b4d1d03319a5e0a90eb40fe636b1b4c2789171b2b65d19",
+        "6ab08e47efb752376b62fc793c63126879dd8ac455d90234e2d84c7fb08fc7b0",
     ),
 }
 
@@ -563,39 +548,38 @@ def _replay_traces() -> tuple:
 def test_replay_rebuilds_every_self_tree_from_the_trace_json():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        assert trace_obj["format"] == 7
+        assert trace_obj["format"] == 8
         assert trace_obj["digest"] == trace_digest(trace_obj), name
         expected = [trace.initial_state] + [s.after for s in trace.steps]
         replayed = list(replay(trace_obj))
         assert len(replayed) == len(expected), name
         for k, (tree, state) in enumerate(zip(replayed, expected)):
-            assert tree == state.self_tree, (name, k)
+            assert tree is state.self_tree, (name, k)
 
 
-def _shared_counter(shared: list, nodes: list) -> Counter:
+def _shared_counter(shared: list, trees: list) -> Counter:
     """Shared entries as canonical format-1 JSON, each counted as often as it occurs."""
     counter: Counter = Counter()
     for entry in shared:
         written = {key: value for key, value in entry.items() if key != "count"}
-        counter[canonical_dumps(_old_json(written, nodes))] += entry.get("count", 1)
+        counter[canonical_dumps(_old_json(written, trees, {}))] += entry.get("count", 1)
     return counter
 
 
 def test_shared_entries_read_back_with_their_counts_give_the_multiset():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        nodes = _nested(trace_obj["nodes"])
+        trees = trees_from_table(trace_obj["nodes"])
         for record, step_record in zip(trace_obj["steps"], trace.steps):
             assert all(type(e["count"]) is int and e["count"] >= 1 for e in record["shared"])
-            ids: dict = {}
-            table: list = []
+            doc = TracePrinter()
             shared = [
-                entry_to_json(e, ids, table)
+                entry_to_json(e, doc)
                 for e in step_record.multiset
                 if isinstance(e, SharedUpdate)
             ]
-            expected = _shared_counter(shared, _nested(table))
-            assert _shared_counter(record["shared"], nodes) == expected, (name, record["index"])
+            expected = _shared_counter(shared, trees_from_table(doc.entries))
+            assert _shared_counter(record["shared"], trees) == expected, (name, record["index"])
 
 
 def test_each_distinct_shared_entry_and_tree_is_written_once():
@@ -615,16 +599,16 @@ def test_each_distinct_shared_entry_and_tree_is_written_once():
 def test_every_update_is_written_as_entry_to_json_writes_it():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
-        nodes = _nested(trace_obj["nodes"])
+        trees = trees_from_table(trace_obj["nodes"])
         for record, step_record in zip(trace_obj["steps"], trace.steps):
             assert all(u.keys() == {"location", "value"} for u in record["updates"]), name
             if step_record.clashed:
                 continue
-            ids: dict = {}
-            table: list = []
-            written = [entry_to_json(u, ids, table) for u in step_record.result]
-            expected = sorted(canonical_dumps(_old_json(u, _nested(table))) for u in written)
-            read = sorted(canonical_dumps(_old_json(u, nodes)) for u in record["updates"])
+            doc = TracePrinter()
+            written = [entry_to_json(u, doc) for u in step_record.result]
+            own = trees_from_table(doc.entries)
+            expected = sorted(canonical_dumps(_old_json(u, own, {})) for u in written)
+            read = sorted(canonical_dumps(_old_json(u, trees, {})) for u in record["updates"])
             assert read == expected, (name, record["index"])
 
 
@@ -658,6 +642,7 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
     trace_obj = _parity_trace_obj()
     without = {key: value for key, value in trace_obj.items() if key != "format"}
     for other, fmt in (
+        (dict(trace_obj, format=7), 7),
         (dict(trace_obj, format=6), 6),
         (dict(trace_obj, format=5), 5),
         (dict(trace_obj, format=4), 4),
@@ -665,7 +650,7 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
         (dict(trace_obj, format=1), 1),
         (without, "missing"),
     ):
-        with pytest.raises(EngineError, match=rf"^not a format 7 trace \(format: {fmt}\)$"):
+        with pytest.raises(EngineError, match=rf"^not a format 8 trace \(format: {fmt}\)$"):
             list(replay(other))
     zeroed = dict(trace_obj, digest="0" * 64)
     with pytest.raises(EngineError, match="^the trace does not match its digest$"):
@@ -680,7 +665,7 @@ def test_replay_refuses_other_formats_and_mismatched_digests():
         with pytest.raises(EngineError, match="names a child that does not precede it"):
             list(replay(_resealed(looped)))
     with pytest.raises(EngineError, match="malformed trace"):
-        list(replay({"format": 7, "steps": []}))
+        list(replay({"format": 8, "steps": []}))
 
 
 def _parity_trace_obj() -> dict:
@@ -749,8 +734,23 @@ def test_replay_refuses_a_changed_trace_before_it_yields_a_tree(tamper):
         next(replay(tampered))
 
 
+def _set_first_dropped_text(text):
+    """Damage that writes ``text`` as the first dropped term of the node table."""
+    def damage(trace_obj):
+        next(e for e in trace_obj["nodes"] if len(e) == 3 and "dropped" in e[1])[1]["dropped"] = text
+    return damage
+
+
 # Each damage, and what its malformed-trace message says once the trace is resealed.
 MALFORMED_TRACES = {
+    # a dropped term whose text does not parse, or names a tree after its own entry
+    "unparsable_dropped_term": (
+        _set_first_dropped_text("mode() ="), "ParseError: unexpected end of input"
+    ),
+    "dropped_term_naming_a_later_tree": (
+        _set_first_dropped_text('f({"tree":99999})'), "StateError: tree id 99999 names no"
+    ),
+    "dropped_term_not_a_string": (_set_first_dropped_text(7), "TypeError: "),
     # a negative id must not wrap around to the last entry
     "negative_tree_id": (_set_initial_tree_id(-1), "StateError: tree id -1 names no"),
     "out_of_range_tree_id": (

@@ -27,6 +27,7 @@ from rsasm.frontend import (
     machine_to_source,
     parse,
     parse_program,
+    trees_from_table,
 )
 from rsasm import reflect
 from rsasm.reflect import (
@@ -51,7 +52,6 @@ from rsasm.structures import (
     TreeValue,
     UNDEF,
     Variable,
-    trees_from_table,
 )
 from rsasm.treealg import L_BOOL, L_LET, L_TERM, Tree
 
@@ -392,7 +392,7 @@ def test_cli_diff_self_rejects_a_point_outside_the_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: trace has 4 steps, no index ")
 
 
-@pytest.mark.parametrize("fmt", [3, 4, 5, 6])
+@pytest.mark.parametrize("fmt", [3, 4, 5, 6, 7])
 def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     trace_path = tmp_path / "trace.json"
     assert cli_main(["run", _program_path("parity"), "--trace", str(trace_path)]) == 0
@@ -401,7 +401,7 @@ def test_cli_diff_self_refuses_a_format_3_trace(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert cli_main(["diff-self", str(trace_path), "0", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: not a format 7 trace (format: {fmt})\n"
+    assert captured.err == f"error: not a format 8 trace (format: {fmt})\n"
     assert captured.out == ""
 
 

@@ -6,14 +6,15 @@ import itertools
 import json
 import random
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_state
+from conftest import make_state, old_term_json
 from test_acceptance import JoinCase, join_source
 from rsasm import generate, treealg
 from rsasm.background import COMMUTATIVE_OPERATORS
-from rsasm.engine import run
+from rsasm.engine import replay, run
 from rsasm.errors import ParseError, RsasmError
 from rsasm.frontend import (
     KEYWORDS,
@@ -23,7 +24,10 @@ from rsasm.frontend import (
     machine_to_source,
     parse,
     tokenize,
+    trees_from_table,
+    value_from_json,
 )
+from rsasm.printer import TracePrinter
 from rsasm.reflect import decode_rule, encode_rule, rule_of_self
 from rsasm.rules import (
     Assign,
@@ -50,6 +54,7 @@ from rsasm.structures import (
     FunctionApp,
     Iota,
     Location,
+    NODES_DOMAIN,
     NatVal,
     NodeRef,
     SetVal,
@@ -68,9 +73,6 @@ from rsasm.structures import (
     term_children,
     term_free_vars,
     term_substitute,
-    term_to_json,
-    trees_from_table,
-    value_from_json,
     value_to_json,
 )
 from rsasm.treealg import L_IF, L_LET, L_PAR, L_PARTIAL, L_UPDATE, XI, Tree, subst_tt
@@ -295,11 +297,11 @@ def test_substituting_a_variable_that_is_not_free_returns_the_very_object(rule, 
 # -- atom collection ------------------------------------------------------------------------
 
 
-def _with_table(to_json, x) -> list:
-    """``x`` written by ``to_json`` against a node table of its own, as ``[table, json]``."""
-    table: list = []
-    written = to_json(x, {}, table)
-    return [table, written]
+def _with_table(value) -> list:
+    """``value`` written against a node table of its own, as ``[table, json]``."""
+    doc = TracePrinter()
+    written = value_to_json(value, doc)
+    return [doc.entries, written]
 
 
 def _json_atoms(obj) -> set:
@@ -315,7 +317,7 @@ def _json_atoms(obj) -> set:
 def test_collected_atoms_cover_every_atom_of_a_term(term):
     collected: set = set()
     _collect_atoms(term, collected)
-    assert _json_atoms(_with_table(term_to_json, term)) <= collected
+    assert _json_atoms(old_term_json(term, {})) <= collected
 
 
 @given(rules)
@@ -323,7 +325,7 @@ def test_collected_atoms_of_a_rule_cover_its_terms(rule):
     collected: set = set()
     _collect_atoms_value(TreeValue(encode_rule(rule)), collected)
     for t in _rule_terms(rule):
-        assert _json_atoms(_with_table(term_to_json, t)) <= collected
+        assert _json_atoms(old_term_json(t, {})) <= collected
 
 
 @given(rules)
@@ -546,6 +548,16 @@ def test_parse_raises_only_parse_errors_on_mutated_bundled_programs(source):
     _parses_or_raises_parse_error(source)
 
 
+def test_the_end_of_input_after_a_trailing_comment_is_at_the_end_of_the_line():
+    # a comment advances the column like the blanks it could be replaced by
+    commented = "SIGNATURE\n  m/0\nRULE\n  PAR # open"
+    blank = commented.replace("# open", " " * len("# open"))
+    for source in (commented, blank):
+        assert tokenize(source)[-1].column == len("  PAR # open") + 1
+        with pytest.raises(ParseError, match=r"^PAR without ENDPAR \(line 4, column 13\)$"):
+            parse(source)
+
+
 # -- shared subtrees: hash-consing and node tables ----------------------------------------
 
 # labels that JSON escapes or writes outside ASCII, and the hole label
@@ -574,7 +586,7 @@ machine_self_trees = st.integers(0, 2**32 - 1).map(
 
 def _table_of(t: Tree) -> list:
     """The node table of ``t`` alone, its root last."""
-    return _with_table(value_to_json, TreeValue(t))[0]
+    return _with_table(TreeValue(t))[0]
 
 
 def _text(t: Tree) -> str:
@@ -637,7 +649,7 @@ def _tree_holders(tree: Tree):
 
 @given(st.one_of(trees.flatmap(_tree_holders), values))
 def test_a_value_holding_trees_reads_back_from_its_json(v):
-    table, written = _with_table(value_to_json, v)
+    table, written = _with_table(v)
     assert value_from_json(written, trees_from_table(table)) == v
     table, written = json.loads(canonical_dumps([table, written]))
     assert value_from_json(written, trees_from_table(table)) == v
@@ -804,3 +816,116 @@ def test_encoding_leaves_on_each_rule_node_of_a_parsed_program_the_rule_that_dec
     sources += [join_source(JoinCase(rng)) for _ in range(30)]
     for source in sources:
         _assert_each_rule_node_holds_what_decoding_gives(parse(source).initial_state.self_tree)
+
+
+# -- dropped terms as a trace's text ------------------------------------------------------
+
+
+def _read_back(term):
+    """``term`` written as a trace's text against a node table of its own, then read back."""
+    doc = TracePrinter()
+    written = value_to_json(DroppedTerm(term), doc)
+    table, written = json.loads(canonical_dumps([doc.entries, written]))
+    return written["dropped"], value_from_json(written, trees_from_table(table)).term
+
+
+def _assert_read_back(term):
+    text, read = _read_back(term)
+    assert read == term, text
+
+
+@given(terms_with_any_constant)
+def test_a_term_written_as_a_traces_text_reads_back_as_the_same_term(term):
+    _assert_read_back(term)
+
+
+A, B = Constant(Atom("a")), Constant(Atom("b"))
+TREE_AB = Tree("a", (Tree("b"),))
+
+# Terms that program text writes alike, or not at all, one group per kind of
+# ambiguity; a trace's text tells each apart and reads each back.
+AMBIGUOUS_TERMS = {
+    "bare_name": [Constant(Atom("o")), Variable("o"), FunctionApp("o", ())],
+    "tree": [
+        Constant(TreeValue(TREE_AB)),
+        FunctionApp("label_hedge", (A, FunctionApp("label_hedge", (B,)))),
+        Constant(TreeValue(Tree("a", (), NatVal(1)))),
+        FunctionApp("leaf", (A, Constant(NatVal(1)))),
+    ],
+    "set": [
+        Constant(SetVal(frozenset({Atom("a")}))),
+        FunctionApp("setadd", (FunctionApp("emptyset", ()), A, Constant(TRUE))),
+    ],
+    "tuple": [
+        Constant(TupleVal((TreeValue(Tree("a")), TreeValue(Tree("b"))))),
+        FunctionApp("concat", (Constant(TreeValue(Tree("a"))), Constant(TreeValue(Tree("b"))))),
+        Constant(TupleVal((Atom("a"),))),
+        A,
+        Constant(TupleVal(())),
+    ],
+    "node": [
+        Constant(NodeRef((1, 0))),
+        Constant(NodeRef(())),
+        FunctionApp("subtree", (Constant(NodeRef((1,))),)),
+    ],
+    "drop": [
+        Constant(SymbolName("f")),
+        Constant(DroppedTerm(FunctionApp("f", ()))),
+        Constant(DroppedTerm(Constant(Atom("f")))),
+        Constant(SymbolName("+")),
+        Constant(DroppedTerm(Constant(TRUE))),
+    ],
+    "connective": [
+        BoolConnective("and", (A,)),
+        BoolConnective("or", ()),
+        BoolConnective("and", (A, BoolConnective("and", (B, A)))),
+        BoolConnective("and", (A, B, A)),
+        A,
+        Equality(Iota("x", NODES_DOMAIN, Constant(TRUE)), A),
+        BoolConnective("and", (Iota("x", "D", Variable("x")), A)),
+    ],
+    "atom_name": [
+        Constant(Atom(name))
+        for name in ("IF", "XI", "true", "undef", "a b", "", "ü", 'q"t', "1a", "f$0", "mod", "Ab")
+    ]
+    + [Constant(TRUE), Constant(UNDEF), Constant(SymbolName("IF")), Constant(SymbolName("true"))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AMBIGUOUS_TERMS))
+def test_a_traces_text_tells_apart_what_program_text_writes_alike(kind):
+    texts = []
+    for term in AMBIGUOUS_TERMS[kind]:
+        text, read = _read_back(term)
+        assert read == term, text
+        texts.append(text)
+    assert len(set(texts)) == len(texts), texts
+
+
+def _dropped_terms(trace) -> set:
+    """The dropped terms of every self tree of a run."""
+    found, seen = set(), set()
+    stack = [trace.initial_state.self_tree] + [s.after.self_tree for s in trace.steps]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node.value, DroppedTerm):
+                found.add(node.value.term)
+            stack.extend(node.children)
+    return found
+
+
+def test_every_dropped_term_of_generated_and_bundled_traces_reads_back_and_replays():
+    rng = random.Random(2026)
+    traces = [run(generate.random_machine(rng)) for _ in range(200)]
+    traces += [run(parse(load_program(name))) for name in ("parity", "join")]
+    read = 0
+    for trace in traces:
+        for term in _dropped_terms(trace):
+            _assert_read_back(term)
+            read += 1
+        points = list(replay(json.loads(trace.to_json())))
+        expected = [trace.initial_state] + [s.after for s in trace.steps]
+        assert all(p is state.self_tree for p, state in zip(points, expected, strict=True))
+    assert read > 500  # 548 with this seed, counting the distinct terms of each trace

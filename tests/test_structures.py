@@ -11,6 +11,7 @@ from rsasm.background import TERM_FUNCTIONS
 from rsasm.engine import run
 from rsasm.frontend import load_program, parse
 from rsasm.errors import EvalError, IsoError, SignatureError, StateError
+from rsasm.printer import TracePrinter
 from rsasm.structures import (
     Atom,
     BoolConnective,
@@ -455,7 +456,7 @@ def test_iota_over_nodes_returns_a_ref_carrying_its_node():
     found = eval_term(state, Iota("w", NODES_DOMAIN, condition))
     assert found == NodeRef((0,))
     assert found.tree is state.self_tree and found.node is state.self_tree.children[0]
-    assert value_to_json(found, {}, []) == {"node": [0]} and repr(found) == "node@0"
+    assert value_to_json(found, TracePrinter()) == {"node": [0]} and repr(found) == "node@0"
 
 
 STALE_REF_PROGRAM = """
