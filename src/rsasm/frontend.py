@@ -57,10 +57,34 @@ from .structures import (
 )
 from .treealg import Tree
 
-KEYWORDS = frozenset(
-    "DOMAINS SIGNATURE PROJECTIONS INIT RULE OPTIONS IF THEN ELSE ENDIF PAR ENDPAR PARFOR"
-    " ENDPARFOR LET IN IOTA NODES CARD DROP RAISE AND OR NOT MOD XI".split()
-)
+KEYWORDS = {
+    "DOMAINS",
+    "SIGNATURE",
+    "PROJECTIONS",
+    "INIT",
+    "RULE",
+    "OPTIONS",
+    "IF",
+    "THEN",
+    "ELSE",
+    "ENDIF",
+    "PAR",
+    "ENDPAR",
+    "PARFOR",
+    "ENDPARFOR",
+    "LET",
+    "IN",
+    "IOTA",
+    "NODES",
+    "CARD",
+    "DROP",
+    "RAISE",
+    "AND",
+    "OR",
+    "NOT",
+    "MOD",
+    "XI",
+}
 
 # The reserved words, and the constants they name
 RESERVED_WORDS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
@@ -96,7 +120,8 @@ _SYMBOLS = {
 }
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, marks: bool = False) -> list[Token]:
+    """The tokens of program text, or with ``marks`` of a trace's text, which may hold a value's JSON."""
     tokens: list[Token] = []
     line, col = 1, 1
     i = 0
@@ -117,10 +142,10 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
                 col += 1
             continue
-        if ch == "{" and source.startswith('"', i + 1):  # a value's JSON: a trace's constant
+        if marks and ch == "{" and source.startswith('"', i + 1):
             try:
                 j = json.JSONDecoder().raw_decode(source, i)[1]
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"not a value's JSON: {exc}", line, col) from None
             tokens.append(Token("JSON", source[i:j], line, col))
             col, i = col + j - i, j
@@ -485,17 +510,18 @@ class Parser:
         return self.parse_or()
 
     def parse_or(self) -> Term:
-        return self._connective("or", self.parse_and)
+        term = self.parse_and()
+        parts = [term]
+        while self.take_keyword("OR"):
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else BoolConnective("or", tuple(parts))
 
     def parse_and(self) -> Term:
-        return self._connective("and", self.parse_not)
-
-    def _connective(self, op: str, parse_operand) -> Term:
-        """Operands joined by ``op``: the one operand, or one connective of them all."""
-        parts = [parse_operand()]
-        while self.take_keyword(op.upper()):
-            parts.append(parse_operand())
-        return parts[0] if len(parts) == 1 else BoolConnective(op, tuple(parts))
+        term = self.parse_not()
+        parts = [term]
+        while self.take_keyword("AND"):
+            parts.append(self.parse_not())
+        return parts[0] if len(parts) == 1 else BoolConnective("and", tuple(parts))
 
     def parse_not(self) -> Term:
         if self.take_keyword("NOT"):
@@ -575,18 +601,24 @@ class Parser:
                 cond = self.parse_term()
                 self._unbind(var)
                 return Iota(var, domain, cond)
-            if tok.text in ("CARD", "RAISE"):
+            if tok.text == "CARD":
                 self.next()
                 self.expect("LPAREN")
                 arg = self.parse_term()
                 self.expect("RPAREN")
-                return FunctionApp("card_of" if tok.text == "CARD" else "raise_eval", (arg,))
+                return FunctionApp("card_of", (arg,))
             if tok.text == "DROP":
                 self.next()
                 self.expect("LPAREN")
                 term = self.parse_droppable()
                 self.expect("RPAREN")
                 return term
+            if tok.text == "RAISE":
+                self.next()
+                self.expect("LPAREN")
+                arg = self.parse_term()
+                self.expect("RPAREN")
+                return FunctionApp("raise_eval", (arg,))
             if tok.text == "XI":
                 self.next()
                 return FunctionApp("hole", ())
@@ -597,9 +629,7 @@ class Parser:
         if name in RESERVED_WORDS:
             return Constant(RESERVED_WORDS[name])
         if marked and self._take("AT"):
-            if name != "var":
-                self.fail(f"unknown mark {name}@")
-            return Variable(self.ident("variable name"))
+            return self.parse_marked(name)
         if self.peek().kind == "LANGLE":
             return self.parse_tree_node(name)
         if self._take("LPAREN"):
@@ -612,6 +642,19 @@ class Parser:
                 self.fail(f"{name!r} takes {fn.arity} arguments, got {len(args)}")
             return FunctionApp(name, tuple(args))
         return self.resolve_ident(name)
+
+    def parse_marked(self, mark: str) -> Term:
+        """The term a trace's text writes as ``mark@…`` (the ``printer`` docstring)."""
+        if mark == "var":
+            return Variable(self.ident("variable name"))
+        self.expect("LPAREN")
+        items = self._items(self.parse_term, "RPAREN")
+        if mark == "dropped" and len(items) == 1:
+            return Constant(DroppedTerm(items[0]))
+        if mark not in ("set", "tuple") or not all(isinstance(t, Constant) for t in items):
+            self.fail(f"{mark}@(…) is not a mark of constants")
+        values = [t.value for t in items]
+        return Constant(SetVal(frozenset(values)) if mark == "set" else TupleVal(tuple(values)))
 
     def resolve_ident(self, name: str) -> Term:
         if self.trees is not None:
@@ -822,9 +865,6 @@ def load_program(name: str) -> str:
 # -- reading a trace's values -------------------------------------------------------
 
 
-_SCALARS = {"atom": Atom, "bool": BoolVal, "nat": NatVal, "symbol": SymbolName}
-
-
 def value_from_json(obj, trees: list[Tree]) -> Value:
     """The value ``structures.value_to_json`` wrote, a dropped term's text read by ``Parser``.
 
@@ -834,11 +874,16 @@ def value_from_json(obj, trees: list[Tree]) -> Value:
         raise StateError(f"malformed value object {obj!r}")
     if "undef" in obj:
         return UNDEF
-    for key, kind in _SCALARS.items():
-        if key in obj:
-            return kind(obj[key])
+    if "atom" in obj:
+        return Atom(obj["atom"])
+    if "bool" in obj:
+        return BoolVal(obj["bool"])
+    if "nat" in obj:
+        return NatVal(obj["nat"])
+    if "symbol" in obj:
+        return SymbolName(obj["symbol"])
     if "dropped" in obj:
-        parser = Parser(tokenize(obj["dropped"]), "trace", trees)
+        parser = Parser(tokenize(obj["dropped"], marks=True), "trace", trees)
         term = parser.parse_term()
         parser.expect("EOF")
         return DroppedTerm(term)

@@ -9,19 +9,21 @@ path joined by dots, the address tree difference uses.
 A trace writes each dropped term as program text too (``TracePrinter``), read
 back by the program parser (``frontend.value_from_json``) with no signature or
 scope, as the text carries marks only that reader accepts: a bare name is an
-atom; a nullary application is ``f()``; a variable is ``var@x``; a constant
-program text cannot write without a scope (a tree, a set, an atom named ``IF``)
-is its value's JSON, ``{"tree":3}`` naming a tree of the node table; an ``AND``
-or ``OR`` of fewer than two operands is ``AND(a)``; a tree is built by
-``label_hedge`` and ``leaf``.  Symbols and variables are named as parse names them.
+atom; a nullary application is ``f()``; a variable is ``var@x``; a set and a
+tuple constant are ``set@(a, b)`` and ``tuple@(a, b)``; a dropped term that
+``DROP(t)`` would read as another value (``reflect.drop``) is ``dropped@(t)``;
+a name that is not bare (an atom named ``IF``), a tree and a node are their
+value's JSON, ``{"tree":3}`` naming a tree of the node table; an ``AND`` or
+``OR`` of fewer than two operands is ``AND(a)``; a tree is built by
+``label_hedge`` and ``leaf``.  That JSON holds no text, so a text grows
+linearly with the nesting of the values it holds.  Symbols and variables are
+named as parse names them.
 """
 
 from __future__ import annotations
 
-import functools
-
 from . import background as bg
-from . import rules
+from . import reflect, rules
 from .errors import ParseError
 from .structures import (
     Atom,
@@ -57,10 +59,6 @@ _PREC_ADD = 5
 _PREC_MOD = 6
 _PREC_PRIMARY = 7
 
-# The operators and the keyword calls that print each function they apply
-_INFIX = {"+": ("+", _PREC_ADD), "-": ("-", _PREC_ADD), "mod": ("MOD", _PREC_MOD)}
-_KEYWORD_CALLS = {"card_of": "CARD", "raise_eval": "RAISE"}
-
 
 class SourcePrinter:
     """Render values, terms, trees and rules as program text.
@@ -84,10 +82,10 @@ class SourcePrinter:
             return value.name
         if isinstance(value, SymbolName) and (not self.marks or value.name in ("+", "-") or _bare(value.name)):
             return f"DROP({value.name})"
-        if self.marks:  # a value that program text writes only within a scope, or not at all
-            return canonical_dumps(value_to_json(value, self))
-        if isinstance(value, DroppedTerm):
+        if isinstance(value, DroppedTerm) and (not self.marks or isinstance(reflect.drop(value.term), DroppedTerm)):
             return f"DROP({self.term(value.term)})"
+        if self.marks:
+            return self._marked(value)
         if isinstance(value, TreeValue):
             return self.tree_literal(value.tree)
         if isinstance(value, NodeRef):
@@ -110,6 +108,17 @@ class SourcePrinter:
                 text = f"concat({text}, {item})"
             return text
         return repr(value)
+
+    def _marked(self, value: Value) -> str:
+        """A value of a trace's text that program text writes only within a scope, or not at all."""
+        if isinstance(value, DroppedTerm):
+            return f"dropped@({self.term(value.term)})"
+        if isinstance(value, SetVal):
+            members = sorted(value.members, key=value_sort_key)
+            return f"set@({', '.join(map(self.value_literal, members))})"
+        if isinstance(value, TupleVal):
+            return f"tuple@({', '.join(map(self.value_literal, value.items))})"
+        return canonical_dumps(value_to_json(value, self))
 
     def tree_literal(self, t: Tree) -> str:
         """A tree as a term; a value-carrying leaf is ``leaf(l, c)``, as ``l(c)`` would call ``l``."""
@@ -161,12 +170,18 @@ class SourcePrinter:
 
     def _application(self, term: FunctionApp) -> tuple[str, int]:
         name = term.symbol
-        if name in _INFIX and len(term.args) == 2:  # left-associative
-            text, level = _INFIX[name]
-            left, right = self.term(term.args[0], level), self.term(term.args[1], level + 1)
-            return f"{left} {text} {right}", level
-        if name in _KEYWORD_CALLS and len(term.args) == 1:
-            return f"{_KEYWORD_CALLS[name]}({self.term(term.args[0])})", _PREC_PRIMARY
+        if name in ("+", "-") and len(term.args) == 2:
+            left = self.term(term.args[0], _PREC_ADD)
+            right = self.term(term.args[1], _PREC_ADD + 1)
+            return f"{left} {name} {right}", _PREC_ADD
+        if name == "mod" and len(term.args) == 2:
+            left = self.term(term.args[0], _PREC_MOD)
+            right = self.term(term.args[1], _PREC_MOD + 1)
+            return f"{left} MOD {right}", _PREC_MOD
+        if name == "card_of" and len(term.args) == 1:
+            return f"CARD({self.term(term.args[0])})", _PREC_PRIMARY
+        if name == "raise_eval" and len(term.args) == 1:
+            return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
         if name == "hole" and not term.args:
             return "XI", _PREC_PRIMARY
         label = _atom_label(term)
@@ -192,13 +207,17 @@ class SourcePrinter:
 
     def rule(self, rule: rules.Rule, indent: int = 0) -> str:
         pad = "  " * indent
-        if isinstance(rule, (rules.Assign, rules.PartialAssign)):
-            target = rule.target
+        if isinstance(rule, rules.Assign):
             if rule.args:
-                target += f"({', '.join(self.term(a) for a in rule.args)})"
-            if isinstance(rule, rules.Assign):
-                return f"{pad}{target} := {self.term(rule.rhs)}"
-            return f"{pad}{target} <=[{rule.op}] {', '.join(self.term(a) for a in rule.operands)}"
+                args = ", ".join(self.term(a) for a in rule.args)
+                return f"{pad}{rule.target}({args}) := {self.term(rule.rhs)}"
+            return f"{pad}{rule.target} := {self.term(rule.rhs)}"
+        if isinstance(rule, rules.PartialAssign):
+            operands = ", ".join(self.term(a) for a in rule.operands)
+            if rule.args:
+                args = ", ".join(self.term(a) for a in rule.args)
+                return f"{pad}{rule.target}({args}) <=[{rule.op}] {operands}"
+            return f"{pad}{rule.target} <=[{rule.op}] {operands}"
         if isinstance(rule, rules.If):
             lines = [f"{pad}IF {self.term(rule.cond)} THEN", self.rule(rule.then, indent + 1)]
             if rule.orelse != rules.Par(()):
@@ -231,7 +250,6 @@ class TracePrinter(SourcePrinter):
         self.entries: list = []
 
 
-@functools.lru_cache(maxsize=4096)
 def _bare(name: str) -> bool:
     """True iff ``name`` reads back as a name: an ASCII identifier, no keyword or truth value."""
     ident = name.isascii() and name.isidentifier() and not (name.isalpha() and name.isupper())

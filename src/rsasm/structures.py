@@ -530,9 +530,14 @@ def value_to_json(value: Value, doc: TracePrinter) -> object:
     """
     if value is UNDEF:
         return {"undef": True}
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return {scalar[0]: getattr(value, scalar[1])}
+    if isinstance(value, Atom):
+        return {"atom": value.name}
+    if isinstance(value, BoolVal):
+        return {"bool": value.flag}
+    if isinstance(value, NatVal):
+        return {"nat": value.n}
+    if isinstance(value, SymbolName):
+        return {"symbol": value.name}
     if isinstance(value, DroppedTerm):
         return {"dropped": doc.term(value.term)}
     if isinstance(value, TreeValue):
@@ -545,12 +550,6 @@ def value_to_json(value: Value, doc: TracePrinter) -> object:
     if isinstance(value, NodeRef):
         return {"node": list(value.path)}
     raise StateError(f"cannot serialize value {value!r}")
-
-
-# The kinds of value written as one key holding one field, by type
-_SCALARS = {
-    Atom: ("atom", "name"), BoolVal: ("bool", "flag"), NatVal: ("nat", "n"), SymbolName: ("symbol", "name")
-}
 
 
 # The recursive walk of the table is a module function: a nested function that

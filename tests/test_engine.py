@@ -751,6 +751,12 @@ MALFORMED_TRACES = {
         _set_first_dropped_text('f({"tree":99999})'), "StateError: tree id 99999 names no"
     ),
     "dropped_term_not_a_string": (_set_first_dropped_text(7), "TypeError: "),
+    "dropped_term_with_a_mark_of_a_term": (
+        _set_first_dropped_text("f(set@(g(a)))"), "ParseError: set@(…) is not a mark of constants"
+    ),
+    "dropped_term_with_deep_json": (
+        _set_first_dropped_text('f({"a":' + "[" * 100_000), "ParseError: not a value's JSON"
+    ),
     # a negative id must not wrap around to the last entry
     "negative_tree_id": (_set_initial_tree_id(-1), "StateError: tree id -1 names no"),
     "out_of_range_tree_id": (

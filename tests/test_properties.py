@@ -497,6 +497,7 @@ _PROGRAM_WORDS = sorted(KEYWORDS) + [
 @given(st.text())
 @example("SIGNATURE\n  x/0\nRULE\n  x := \u00b2\n")
 @example("SIGNATURE\n  x/\u00b2\nRULE\n  PAR ENDPAR\n")
+@example('SIGNATURE\n  x/0\nRULE\n  x := {"a":' + "[" * 100_000)
 def test_parse_raises_only_parse_errors_on_arbitrary_text(source):
     _parses_or_raises_parse_error(source)
 
@@ -846,6 +847,14 @@ TREE_AB = Tree("a", (Tree("b"),))
 # ambiguity; a trace's text tells each apart and reads each back.
 AMBIGUOUS_TERMS = {
     "bare_name": [Constant(Atom("o")), Variable("o"), FunctionApp("o", ())],
+    "mark_name": [
+        Constant(Atom("set")),
+        Variable("set"),
+        FunctionApp("set", (A,)),
+        Constant(SetVal(frozenset({Atom("a")}))),
+        FunctionApp("var", ()),
+        Variable("var"),
+    ],
     "tree": [
         Constant(TreeValue(TREE_AB)),
         FunctionApp("label_hedge", (A, FunctionApp("label_hedge", (B,)))),
@@ -855,6 +864,8 @@ AMBIGUOUS_TERMS = {
     "set": [
         Constant(SetVal(frozenset({Atom("a")}))),
         FunctionApp("setadd", (FunctionApp("emptyset", ()), A, Constant(TRUE))),
+        Constant(SetVal(frozenset())),
+        Constant(SetVal(frozenset({DroppedTerm(FunctionApp("f", (A,))), TupleVal((Atom("a"),))}))),
     ],
     "tuple": [
         Constant(TupleVal((TreeValue(Tree("a")), TreeValue(Tree("b"))))),
@@ -874,6 +885,9 @@ AMBIGUOUS_TERMS = {
         Constant(DroppedTerm(Constant(Atom("f")))),
         Constant(SymbolName("+")),
         Constant(DroppedTerm(Constant(TRUE))),
+        Constant(DroppedTerm(FunctionApp("f", (A,)))),
+        Constant(DroppedTerm(Constant(DroppedTerm(FunctionApp("f", (A,)))))),
+        Constant(DroppedTerm(Constant(SetVal(frozenset({DroppedTerm(Constant(NatVal(1)))}))))),
     ],
     "connective": [
         BoolConnective("and", (A,)),
@@ -900,6 +914,16 @@ def test_a_traces_text_tells_apart_what_program_text_writes_alike(kind):
         assert read == term, text
         texts.append(text)
     assert len(set(texts)) == len(texts), texts
+
+
+def test_a_traces_text_grows_linearly_with_the_nesting_of_drops():
+    def trace_bytes(depth):
+        rhs = "DROP(" * depth + "m = 0" + ")" * depth
+        source = f"SIGNATURE\n  m/0\n  x/0\nRULE\n  x := {rhs}\nOPTIONS\n  max_steps = 1\n"
+        return len(run(parse(source)).to_json())
+
+    small, middle, large = map(trace_bytes, (5, 10, 20))
+    assert large - middle == 2 * (middle - small)
 
 
 def _dropped_terms(trace) -> set:
