@@ -28,7 +28,8 @@ from .errors import (
     StateError,
     TreeError,
 )
-from .frontend import load_program, machine_to_source, parse, parse_file
+from .frontend import load_program, parse, parse_file
+from .printer import machine_to_source
 from .reflect import (
     ReserveAllocator,
     beta,

@@ -24,7 +24,8 @@ from .engine import probe_bounded_exploration, probe_isomorphism_closure, replay
 from .errors import EngineError, RsasmError
 from .frontend import parse_file
 from .reflect import tree_diff
-from .structures import TreeValue, canonical_dumps, state_to_json
+from .printer import state_to_json
+from .structures import TreeValue, canonical_dumps
 
 
 def _check_writable(path: str, program: str) -> None:

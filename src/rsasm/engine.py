@@ -31,7 +31,6 @@ from .rules import (
     UpdateMultiset,
     UpdateSet,
     compute_update_multiset,
-    entry_to_json,
     execute,
     shared_sort_key,
 )
@@ -45,8 +44,6 @@ from .structures import (
     canonical_dumps,
     eval_term,
     location_sort_key,
-    location_to_json,
-    value_to_json,
 )
 
 # after reflect, whose import loads the modules below the parser in the order they need
@@ -68,7 +65,7 @@ class StepRecord:
     entries of its multiset; and the ``signature_added`` names.  Each
     distinct shared entry is written once, with its multiplicity as
     ``count``, in ``shared_sort_key`` order.  Every update, that of ``self``
-    included, is ``entry_to_json`` output, so a step that does not write
+    included, is ``TracePrinter.entry`` output, so a step that does not write
     ``self`` carries no self tree.
     Every tree in a record, a value or a location argument, is
     ``{"tree": id}``, an id into the trace's node table, which :meth:`to_json`
@@ -96,15 +93,15 @@ class StepRecord:
         # fixed by sort keys of the entries, never by the hash seed.
         if isinstance(self.result, UpdateSet):
             updates = sorted(self.result, key=lambda u: location_sort_key(u.location))
-            obj["updates"] = [entry_to_json(u, doc) for u in updates]
+            obj["updates"] = [doc.entry(u) for u in updates]
         else:
             obj["clash"] = {
-                "location": location_to_json(self.result.location, doc),
+                "location": doc.location(self.result.location),
                 "reason": self.result.reason,
             }
         counts = Counter(e for e in self.multiset if isinstance(e, SharedUpdate))
         obj["shared"] = [
-            dict(entry_to_json(e, doc), count=counts[e])
+            dict(doc.entry(e), count=counts[e])
             for e in sorted(counts, key=shared_sort_key)
         ]
         return obj
@@ -114,10 +111,10 @@ class StepRecord:
 class Trace:
     """A run: its initial state, its step records, and how it ended.
 
-    The trace JSON (format 8) holds ``format``, ``status``, the optional
-    ``detail``, the ``initial`` self tree, the step records (see
-    :class:`StepRecord`), ``nodes``, the one node table of
-    the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
+    The trace JSON (format 8), which one ``TracePrinter`` writes, holds
+    ``format``, ``status``, the optional ``detail``, the ``initial`` self
+    tree, the step records (see :class:`StepRecord`), ``nodes``, the one node
+    table of the trace (ATerm's shared term format: van den Brand, de Jong, Klint &
     Olivier, "Efficient annotated terms", 2000).  It holds each distinct tree
     of the trace once, as ``[label, value?, [child ids]]``, an entry after
     every entry it names; a tree anywhere in the trace, the initial self tree
@@ -146,7 +143,7 @@ class Trace:
         obj = {
             "format": TRACE_FORMAT,
             "status": self.status,
-            "initial": {"self": value_to_json(TreeValue(self.initial_state.self_tree), doc)},
+            "initial": {"self": doc.value(TreeValue(self.initial_state.self_tree))},
             "steps": [s.to_json(doc) for s in self.steps],
             "nodes": doc.entries,
         }
@@ -215,7 +212,7 @@ def replay(trace_obj: dict):
             raise EngineError("the trace does not match its digest")
         steps = trace_obj["steps"]
         trees = trees_from_table(trace_obj["nodes"])
-        self_location = location_to_json(SELF_LOCATION, TracePrinter())
+        self_location = TracePrinter().location(SELF_LOCATION)
         tree = _self_tree(trace_obj["initial"]["self"], trees)
         yield tree
         for record in steps:

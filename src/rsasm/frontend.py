@@ -1,12 +1,12 @@
-"""Program format: lexer, parser, machine construction, and ``machine_to_source``.
+"""The one reader: lexer, parser and machine construction, for programs and traces.
 
 A program has the sections DOMAINS, SIGNATURE, PROJECTIONS, INIT, RULE and
 OPTIONS, in that order; only SIGNATURE and RULE are required.  The parser
 builds the machine's initial state, including the self tree encoding the
 declared signature and rule.  Bounded per-element families (PARFOR) and set
 comprehensions are expanded at parse time over declared finite domains, so
-the engine only ever sees core rules.  The same parser reads a trace's
-values back (``value_from_json``), a dropped term as the text ``printer`` writes.
+the engine only ever sees core rules.  The same parser reads back the JSON
+``printer`` writes (``value_from_json``), a dropped term as its marked text.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from . import background as bg
 from .errors import ParseError, StateError
-from .printer import SourcePrinter
-from .reflect import MAX_NESTING, RULE_AT, build_self_tree, decode_rule, drop, rule_of_self
+from .reflect import MAX_NESTING, build_self_tree, drop
 from .rules import Assign, If, Let, Par, PartialAssign, Rule, rule_substitute
 from .structures import (
     Atom,
@@ -862,47 +861,52 @@ def load_program(name: str) -> str:
     )
 
 
-# -- reading a trace's values -------------------------------------------------------
+# -- reading JSON values ------------------------------------------------------------
 
 
 def value_from_json(obj, trees: list[Tree]) -> Value:
-    """The value ``structures.value_to_json`` wrote, a dropped term's text read by ``Parser``.
+    """The value ``printer.TracePrinter.value`` wrote, a dropped term's text read by ``Parser``.
 
-    ``trees`` holds the trees of the document's node table.
+    ``trees`` holds the trees of the document's node table.  An object has
+    exactly one key, and its payload the type the writer gives it; anything
+    else is malformed.
     """
-    if not isinstance(obj, dict) or len(obj) < 1:
+    if not isinstance(obj, dict) or len(obj) != 1:
         raise StateError(f"malformed value object {obj!r}")
-    if "undef" in obj:
+    [(kind, payload)] = obj.items()
+    if kind == "undef" and payload is True:
         return UNDEF
-    if "atom" in obj:
-        return Atom(obj["atom"])
-    if "bool" in obj:
-        return BoolVal(obj["bool"])
-    if "nat" in obj:
-        return NatVal(obj["nat"])
-    if "symbol" in obj:
-        return SymbolName(obj["symbol"])
-    if "dropped" in obj:
-        parser = Parser(tokenize(obj["dropped"], marks=True), "trace", trees)
+    if kind == "atom" and isinstance(payload, str):
+        return Atom(payload)
+    if kind == "symbol" and isinstance(payload, str):
+        return SymbolName(payload)
+    if kind == "dropped" and isinstance(payload, str):
+        parser = Parser(tokenize(payload, marks=True), "trace", trees)
         term = parser.parse_term()
         parser.expect("EOF")
         return DroppedTerm(term)
-    if "tree" in obj:
-        nid = obj["tree"]
-        if type(nid) is not int or not 0 <= nid < len(trees):
-            raise StateError(f"tree id {nid!r} names no node table entry")
-        return TreeValue(trees[nid])
-    if "tuple" in obj:
-        return TupleVal(tuple(value_from_json(v, trees) for v in obj["tuple"]))
-    if "set" in obj:
-        return SetVal(frozenset(value_from_json(v, trees) for v in obj["set"]))
-    if "node" in obj:
-        return NodeRef(tuple(obj["node"]))
+    if kind == "bool" and isinstance(payload, bool):
+        return BoolVal(payload)
+    if kind == "nat" and _is_nat(payload):
+        return NatVal(payload)
+    if kind == "node" and isinstance(payload, list) and all(map(_is_nat, payload)):
+        return NodeRef(tuple(payload))
+    if kind == "tree":
+        if not _is_nat(payload) or payload >= len(trees):
+            raise StateError(f"tree id {payload!r} names no node table entry")
+        return TreeValue(trees[payload])
+    if kind in ("tuple", "set") and isinstance(payload, list):
+        items = [value_from_json(v, trees) for v in payload]
+        return TupleVal(tuple(items)) if kind == "tuple" else SetVal(frozenset(items))
     raise StateError(f"malformed value object {obj!r}")
 
 
+def _is_nat(obj) -> bool:
+    return type(obj) is int and obj >= 0
+
+
 def trees_from_table(table) -> list[Tree]:
-    """The tree of every entry of a node table, by id (inverse of ``structures._table_id``).
+    """The tree of every entry of a node table, by id (inverse of ``printer.TracePrinter.tree_id``).
 
     An entry may name, as a child or as a tree in its value, only an entry before it.
     """
@@ -918,49 +922,3 @@ def trees_from_table(table) -> list[Tree]:
         value = value_from_json(entry[1], trees) if len(entry) == 3 else None
         trees.append(Tree(entry[0], tuple(trees[k] for k in kids), value))
     return trees
-
-
-# -- printing -------------------------------------------------------------------------
-
-
-def machine_to_source(machine: Machine) -> str:
-    """Render a machine back to program text (sections in canonical order)."""
-    state = machine.initial_state
-    printer = SourcePrinter(state.background.domains)
-    lines: list[str] = []
-    if state.background.domains:
-        lines.append("DOMAINS")
-        for name, members in state.background.domains:
-            inner = ", ".join(printer.value_literal(m) for m in members)
-            lines.append(f"  {name} = {{{inner}}}")
-        lines.append("")
-    lines.append("SIGNATURE")
-    for sym in state.signature.symbols:
-        if sym.name == "self":
-            continue
-        lines.append(f"  {sym.name}/{sym.arity}")
-    lines.append("")
-    if state.background.projections:
-        lines.append("PROJECTIONS")
-        for name, base in state.background.projections:
-            lines.append(f"  {name} = {base}")
-        lines.append("")
-    init_locs = [loc for loc in state.defined_locations() if loc != SELF_LOCATION]
-    if init_locs:
-        lines.append("INIT")
-        for loc in init_locs:
-            value = printer.value_literal(state.interp[loc])
-            if loc.args:
-                args = ", ".join(printer.value_literal(a) for a in loc.args)
-                lines.append(f"  {loc.symbol}({args}) = {value}")
-            else:
-                lines.append(f"  {loc.symbol} = {value}")
-        lines.append("")
-    lines.append("RULE")
-    rule = decode_rule(rule_of_self(state.self_tree), RULE_AT)
-    lines.append(printer.rule(rule, 1))
-    lines.append("")
-    lines.append("OPTIONS")
-    lines.append(f"  max_steps = {machine.max_steps}")
-    lines.append("")
-    return "\n".join(lines)

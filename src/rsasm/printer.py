@@ -1,4 +1,4 @@
-"""The one printer: values, terms, trees and rules as program text.
+"""The one writer: program text, and the JSON of traces and states.
 
 Every value and every term prints through ``SourcePrinter``, and it is their
 ``repr`` too, so error details, clash reasons and CLI output all show the
@@ -6,9 +6,10 @@ syntax a program is written in: ``a(DROP(m = 0))``, ``concat(a<>, b<>)``,
 ``x + 1 = 2``.  A node of the self tree prints as ``node@p``, its child-index
 path joined by dots, the address tree difference uses.
 
-A trace writes each dropped term as program text too (``TracePrinter``), read
-back by the program parser (``frontend.value_from_json``) with no signature or
-scope, as the text carries marks only that reader accepts: a bare name is an
+One ``TracePrinter`` writes a trace's or a state's JSON and its node table,
+and each dropped term in it as program text, read back by the program parser
+(``frontend``, the one reader) with no signature or scope, as the text
+carries marks only that reader accepts: a bare name is an
 atom; a nullary application is ``f()``; a variable is ``var@x``; a set and a
 tuple constant are ``set@(a, b)`` and ``tuple@(a, b)``; a dropped term that
 ``DROP(t)`` would read as another value (``reflect.drop``) is ``dropped@(t)``;
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from . import background as bg
 from . import reflect, rules
-from .errors import ParseError
+from .errors import ParseError, StateError
 from .structures import (
     Atom,
     BoolConnective,
@@ -34,20 +35,24 @@ from .structures import (
     Equality,
     FunctionApp,
     Iota,
+    Location,
+    Machine,
     NatVal,
     NodeRef,
     NODES_DOMAIN,
+    SELF_LOCATION,
     SetVal,
+    State,
     SymbolName,
     Term,
     TreeValue,
     TupleVal,
     UNDEF,
+    Update,
     Value,
     Variable,
     canonical_dumps,
     value_sort_key,
-    value_to_json,
 )
 from .treealg import Tree, XI
 
@@ -118,7 +123,7 @@ class SourcePrinter:
             return f"set@({', '.join(map(self.value_literal, members))})"
         if isinstance(value, TupleVal):
             return f"tuple@({', '.join(map(self.value_literal, value.items))})"
-        return canonical_dumps(value_to_json(value, self))
+        return canonical_dumps(self.value(value))
 
     def tree_literal(self, t: Tree) -> str:
         """A tree as a term; a value-carrying leaf is ``leaf(l, c)``, as ``l(c)`` would call ``l``."""
@@ -184,8 +189,8 @@ class SourcePrinter:
             return f"RAISE({self.term(term.args[0])})", _PREC_PRIMARY
         if name == "hole" and not term.args:
             return "XI", _PREC_PRIMARY
-        label = _atom_label(term)
-        if name == "label_hedge" and label is not None and not self.marks:
+        if name == "label_hedge" and not self.marks and _is_tree_item(term):
+            label = _atom_label(term)
             parts = ", ".join(self._term_item(child) for child in term.args[1:])
             return f"{label}<{parts}>", _PREC_PRIMARY
         if not term.args:
@@ -196,13 +201,11 @@ class SourcePrinter:
         return f"{name}({inner})", _PREC_PRIMARY
 
     def _term_item(self, term: Term) -> str:
-        """A child term of a tree literal's ``<…>``, where ``l(c)`` is a leaf."""
-        if isinstance(term, Constant) and isinstance(term.value, TreeValue):
+        """A child term of a tree literal's ``<…>``, where ``l(c)`` is a leaf (``_is_tree_item``)."""
+        if isinstance(term, Constant):
             return self._tree_item(term.value.tree)
-        if isinstance(term, FunctionApp) and term.symbol == "leaf" and len(term.args) == 2:
-            label = _atom_label(term)
-            if label is not None:
-                return f"{label}({self.term(term.args[1])})"
+        if term.symbol == "leaf":
+            return f"{_atom_label(term)}({self.term(term.args[1])})"
         return self.term(term)
 
     def rule(self, rule: rules.Rule, indent: int = 0) -> str:
@@ -240,20 +243,157 @@ class SourcePrinter:
 
 
 class TracePrinter(SourcePrinter):
-    """The printer of a trace's text, which keeps its JSON document's node table, ``entries``, and ``ids``."""
+    """The writer of one JSON document, a trace or a state, and of its node table.
+
+    ``entries`` is the node table, ``ids`` the id of each tree written into it
+    so far, so a tree that the document holds several times is written once; a
+    dropped term is text whose trees are ids into the same table.
+    """
 
     marks = True
 
     def __init__(self):
-        self.domains: dict = {}
         self.ids: dict[Tree, int] = {}
         self.entries: list = []
+
+    def value(self, value: Value) -> object:
+        """A value as JSON; each tree it holds is ``{"tree": id}``, an id into ``entries``."""
+        if value is UNDEF:
+            return {"undef": True}
+        if isinstance(value, Atom):
+            return {"atom": value.name}
+        if isinstance(value, BoolVal):
+            return {"bool": value.flag}
+        if isinstance(value, NatVal):
+            return {"nat": value.n}
+        if isinstance(value, SymbolName):
+            return {"symbol": value.name}
+        if isinstance(value, DroppedTerm):
+            return {"dropped": self.term(value.term)}
+        if isinstance(value, TreeValue):
+            return {"tree": self.tree_id(value.tree)}
+        if isinstance(value, TupleVal):
+            return {"tuple": [self.value(v) for v in value.items]}
+        if isinstance(value, SetVal):
+            return {"set": [self.value(v) for v in sorted(value.members, key=value_sort_key)]}
+        if isinstance(value, NodeRef):
+            return {"node": list(value.path)}
+        raise StateError(f"cannot serialize value {value!r}")
+
+    def tree_id(self, node: Tree) -> int:
+        """The id of ``node`` in ``entries``, whose entries are ``[label, value?, [child ids]]``.
+
+        A new subtree is appended after its children and the trees its leaf value
+        holds, so an entry names only entries before it.  Equal trees are one
+        object, so a subtree is looked up by identity, which is its value: the
+        table depends only on what is written into it, and in what order.
+        """
+        nid = self.ids.get(node)
+        if nid is None:
+            kids = [self.tree_id(c) for c in node.children]
+            entry: list = [node.label]
+            if node.value is not None:
+                entry.append(self.value(node.value))
+            entry.append(kids)
+            nid = self.ids[node] = len(self.entries)
+            self.entries.append(entry)
+        return nid
+
+    def location(self, loc: Location | NodeRef) -> object:
+        if isinstance(loc, NodeRef):
+            return self.value(loc)
+        return {"symbol": loc.symbol, "args": [self.value(a) for a in loc.args]}
+
+    def entry(self, entry: Update | rules.SharedUpdate) -> object:
+        """An update or a shared update as JSON."""
+        location = self.location(entry.location)
+        if isinstance(entry, Update):
+            return {"location": location, "value": self.value(entry.value)}
+        return {"location": location, "op": entry.op, "args": [self.value(a) for a in entry.args]}
+
+
+def state_to_json(state: State) -> dict:
+    """A state as JSON; every tree in it is an id into its one node table, ``nodes``."""
+    doc = TracePrinter()
+    obj = {
+        "signature": [[s.name, s.arity] for s in state.signature.symbols],
+        "base": sorted(a.name for a in state.base),
+        "domains": [
+            {"name": name, "members": [doc.value(m) for m in members]}
+            for name, members in state.background.domains
+        ],
+        "locations": [
+            [doc.location(loc), doc.value(state.interp[loc])] for loc in state.defined_locations()
+        ],
+    }
+    obj["nodes"] = doc.entries
+    return obj
+
+
+def machine_to_source(machine: Machine) -> str:
+    """Render a machine back to program text (sections in canonical order)."""
+    state = machine.initial_state
+    printer = SourcePrinter(state.background.domains)
+    lines: list[str] = []
+    if state.background.domains:
+        lines.append("DOMAINS")
+        for name, members in state.background.domains:
+            inner = ", ".join(printer.value_literal(m) for m in members)
+            lines.append(f"  {name} = {{{inner}}}")
+        lines.append("")
+    lines.append("SIGNATURE")
+    for sym in state.signature.symbols:
+        if sym.name == "self":
+            continue
+        lines.append(f"  {sym.name}/{sym.arity}")
+    lines.append("")
+    if state.background.projections:
+        lines.append("PROJECTIONS")
+        for name, base in state.background.projections:
+            lines.append(f"  {name} = {base}")
+        lines.append("")
+    init_locs = [loc for loc in state.defined_locations() if loc != SELF_LOCATION]
+    if init_locs:
+        lines.append("INIT")
+        for loc in init_locs:
+            value = printer.value_literal(state.interp[loc])
+            if loc.args:
+                args = ", ".join(printer.value_literal(a) for a in loc.args)
+                lines.append(f"  {loc.symbol}({args}) = {value}")
+            else:
+                lines.append(f"  {loc.symbol} = {value}")
+        lines.append("")
+    lines.append("RULE")
+    rule = reflect.decode_rule(reflect.rule_of_self(state.self_tree), reflect.RULE_AT)
+    lines.append(printer.rule(rule, 1))
+    lines.append("")
+    lines.append("OPTIONS")
+    lines.append(f"  max_steps = {machine.max_steps}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _bare(name: str) -> bool:
     """True iff ``name`` reads back as a name: an ASCII identifier, no keyword or truth value."""
     ident = name.isascii() and name.isidentifier() and not (name.isalpha() and name.isupper())
     return ident and name not in ("true", "false", "undef")
+
+
+def _is_tree_item(term: Term) -> bool:
+    """True iff ``term`` reads back as itself in a tree literal's ``<…>``: a tree constant,
+    ``XI``, or ``leaf`` or ``label_hedge`` of an atom label whose parts do."""
+    if isinstance(term, Constant):
+        return isinstance(term.value, TreeValue)
+    if not isinstance(term, FunctionApp):
+        return False
+    if term.symbol == "hole":
+        return not term.args
+    if _atom_label(term) is None:
+        return False
+    if term.symbol == "leaf" and len(term.args) == 2:  # in l(c), a bare name c is an atom or a symbol
+        c = term.args[1]
+        return not (isinstance(c, FunctionApp) and not c.args and c.symbol not in bg.TERM_FUNCTIONS)
+    return term.symbol == "label_hedge" and all(map(_is_tree_item, term.args[1:]))
 
 
 def _atom_label(term: FunctionApp) -> str | None:

@@ -34,11 +34,9 @@ from .structures import (
     Value,
     eval_term,
     location_sort_key,
-    location_to_json,
     term_free_vars,
     term_substitute,
     value_sort_key,
-    value_to_json,
 )
 from .treealg import memoized
 
@@ -152,15 +150,6 @@ def shared_sort_key(entry: SharedUpdate) -> tuple:
     """A total order on shared updates that never depends on the hash seed."""
     args = tuple(value_sort_key(a) for a in entry.args)
     return (location_sort_key(entry.location), entry.op, args)
-
-
-def entry_to_json(entry, doc) -> object:
-    """An update or shared update as JSON; its trees are ids into ``doc``'s node table (``value_to_json``)."""
-    location = location_to_json(entry.location, doc)
-    if isinstance(entry, Update):
-        return {"location": location, "value": value_to_json(entry.value, doc)}
-    args = [value_to_json(a, doc) for a in entry.args]
-    return {"location": location, "op": entry.op, "args": args}
 
 
 @dataclass(frozen=True, eq=False)

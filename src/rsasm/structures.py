@@ -517,62 +517,7 @@ def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
     return State(state.signature, state.base, interp, background)
 
 
-# -- canonical serialization -------------------------------------------------------
-
-
-def value_to_json(value: Value, doc: TracePrinter) -> object:
-    """A value as JSON; each tree it holds is ``{"tree": id}``, an id into ``doc.entries``.
-
-    ``doc``, the printer of the whole JSON document the value is part of,
-    keeps its node table and the id of each tree written into it so far, so
-    a tree that the document holds several times is written once; it writes a
-    dropped term as program text whose trees are ids into the same table.
-    """
-    if value is UNDEF:
-        return {"undef": True}
-    if isinstance(value, Atom):
-        return {"atom": value.name}
-    if isinstance(value, BoolVal):
-        return {"bool": value.flag}
-    if isinstance(value, NatVal):
-        return {"nat": value.n}
-    if isinstance(value, SymbolName):
-        return {"symbol": value.name}
-    if isinstance(value, DroppedTerm):
-        return {"dropped": doc.term(value.term)}
-    if isinstance(value, TreeValue):
-        return {"tree": _table_id(value.tree, doc)}
-    if isinstance(value, TupleVal):
-        return {"tuple": [value_to_json(v, doc) for v in value.items]}
-    if isinstance(value, SetVal):
-        members = sorted(value.members, key=value_sort_key)
-        return {"set": [value_to_json(v, doc) for v in members]}
-    if isinstance(value, NodeRef):
-        return {"node": list(value.path)}
-    raise StateError(f"cannot serialize value {value!r}")
-
-
-# The recursive walk of the table is a module function: a nested function that
-# calls itself is a reference cycle, which would keep every tree it reaches,
-# and the memos kept on them, alive until a full garbage collection.
-def _table_id(node: Tree, doc: TracePrinter) -> int:
-    """The id of ``node`` in ``doc.entries``, whose entries are ``[label, value?, [child ids]]``.
-
-    A new subtree is appended after its children and the trees its leaf value
-    holds, so an entry names only entries before it.  Equal trees are one
-    object, so a subtree is looked up by identity, which is its value: the
-    table depends only on what is written into it, and in what order.
-    """
-    nid = doc.ids.get(node)
-    if nid is None:
-        kids = [_table_id(c, doc) for c in node.children]
-        entry: list = [node.label]
-        if node.value is not None:
-            entry.append(value_to_json(node.value, doc))
-        entry.append(kids)
-        nid = doc.ids[node] = len(doc.entries)
-        doc.entries.append(entry)
-    return nid
+# -- canonical order and text ------------------------------------------------------
 
 
 def canonical_dumps(obj: object) -> str:
@@ -599,7 +544,7 @@ def value_sort_key(value: Value) -> tuple:
 def _composite_sort_key(value: Value) -> tuple:
     """``(6, text)``: the canonical text of ``[table, json]``, the value alone in a document."""
     doc = _printer.TracePrinter()
-    obj = value_to_json(value, doc)
+    obj = doc.value(value)
     return (6, canonical_dumps([doc.entries, obj]))
 
 
@@ -609,36 +554,9 @@ def location_sort_key(loc: Location | NodeRef) -> tuple:
     return (0, loc.symbol, tuple(value_sort_key(a) for a in loc.args))
 
 
-def location_to_json(loc: Location | NodeRef, doc: TracePrinter) -> object:
-    if isinstance(loc, NodeRef):
-        return value_to_json(loc, doc)
-    return {"symbol": loc.symbol, "args": [value_to_json(a, doc) for a in loc.args]}
-
-
-def state_to_json(state: State) -> dict:
-    """A state as JSON; every tree in it is an id into its one node table, ``nodes``."""
-    doc = _printer.TracePrinter()
-    obj = {
-        "signature": [[s.name, s.arity] for s in state.signature.symbols],
-        "base": sorted(a.name for a in state.base),
-        "domains": [
-            {"name": name, "members": [value_to_json(m, doc) for m in members]}
-            for name, members in state.background.domains
-        ],
-        "locations": [
-            [location_to_json(loc, doc), value_to_json(state.interp[loc], doc)]
-            for loc in state.defined_locations()
-        ],
-    }
-    obj["nodes"] = doc.entries
-    return obj
-
-
 # -- term evaluation ----------------------------------------------------------------
 
 if TYPE_CHECKING:
-    from .printer import TracePrinter
-
     # A compiled term: ``(state, env, reads) -> Value``.  Not built at run
     # time: typing caches a subscripted ``Callable``, and the cached alias
     # would keep this module alive after a fresh import replaces it.

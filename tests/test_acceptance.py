@@ -71,7 +71,6 @@ from rsasm.structures import (
     DroppedTerm,
     canonical_dumps,
     term_substitute,
-    value_to_json,
 )
 from rsasm.frontend import trees_from_table, value_from_json
 from rsasm.printer import TracePrinter
@@ -382,7 +381,7 @@ def test_criterion_4_difference_terms_replay_after_json():
     for _ in range(200):
         t, t2 = _self_pair(rng)
         doc = TracePrinter()
-        written = value_to_json(DroppedTerm(tree_diff(t, t2)), doc)
+        written = doc.value(DroppedTerm(tree_diff(t, t2)))
         obj, table = json.loads(canonical_dumps([written, doc.entries]))
         theta = value_from_json(obj, trees_from_table(table)).term
         assert eval_algebra(theta, t) == t2

@@ -31,7 +31,7 @@ from rsasm.engine import (
 )
 from rsasm.errors import EngineError, ReflectError
 from rsasm.frontend import load_program, parse, trees_from_table, value_from_json
-from rsasm.printer import TracePrinter
+from rsasm.printer import TracePrinter, state_to_json
 from rsasm.reflect import (
     decode_rule,
     decode_signature,
@@ -47,7 +47,6 @@ from rsasm.rules import (
     PartialAssign,
     SharedUpdate,
     compute_update_multiset,
-    entry_to_json,
 )
 from rsasm.structures import (
     Atom,
@@ -66,8 +65,6 @@ from rsasm.structures import (
     canonical_dumps,
     diff_states,
     eval_term,
-    state_to_json,
-    value_to_json,
 )
 from rsasm.treealg import L_BOOL, L_IF, L_LET, L_PAR, L_PARTIAL, L_RULE, L_UPDATE, Tree, subst_tt
 from test_acceptance import JoinCase, join_source
@@ -395,7 +392,7 @@ def _sha256(text: str) -> str:
 def _table_of(tree: Tree) -> list:
     """The node table of ``tree`` alone, its root last."""
     doc = TracePrinter()
-    value_to_json(TreeValue(tree), doc)
+    doc.value(TreeValue(tree))
     return doc.entries
 
 
@@ -573,11 +570,7 @@ def test_shared_entries_read_back_with_their_counts_give_the_multiset():
         for record, step_record in zip(trace_obj["steps"], trace.steps):
             assert all(type(e["count"]) is int and e["count"] >= 1 for e in record["shared"])
             doc = TracePrinter()
-            shared = [
-                entry_to_json(e, doc)
-                for e in step_record.multiset
-                if isinstance(e, SharedUpdate)
-            ]
+            shared = [doc.entry(e) for e in step_record.multiset if isinstance(e, SharedUpdate)]
             expected = _shared_counter(shared, trees_from_table(doc.entries))
             assert _shared_counter(record["shared"], trees) == expected, (name, record["index"])
 
@@ -596,7 +589,7 @@ def test_each_distinct_shared_entry_and_tree_is_written_once():
     assert len(set(entries)) == len(entries)
 
 
-def test_every_update_is_written_as_entry_to_json_writes_it():
+def test_every_update_is_written_as_the_printer_writes_it():
     for name, trace in _replay_traces():
         trace_obj = json.loads(trace.to_json())
         trees = trees_from_table(trace_obj["nodes"])
@@ -605,7 +598,7 @@ def test_every_update_is_written_as_entry_to_json_writes_it():
             if step_record.clashed:
                 continue
             doc = TracePrinter()
-            written = [entry_to_json(u, doc) for u in step_record.result]
+            written = [doc.entry(u) for u in step_record.result]
             own = trees_from_table(doc.entries)
             expected = sorted(canonical_dumps(_old_json(u, own, {})) for u in written)
             read = sorted(canonical_dumps(_old_json(u, trees, {})) for u in record["updates"])
@@ -741,6 +734,13 @@ def _set_first_dropped_text(text):
     return damage
 
 
+def _set_first_leaf_value(value):
+    """Damage that writes ``value`` as the value of the first leaf of the node table."""
+    def damage(trace_obj):
+        next(e for e in trace_obj["nodes"] if len(e) == 3)[1] = value
+    return damage
+
+
 # Each damage, and what its malformed-trace message says once the trace is resealed.
 MALFORMED_TRACES = {
     # a dropped term whose text does not parse, or names a tree after its own entry
@@ -750,7 +750,9 @@ MALFORMED_TRACES = {
     "dropped_term_naming_a_later_tree": (
         _set_first_dropped_text('f({"tree":99999})'), "StateError: tree id 99999 names no"
     ),
-    "dropped_term_not_a_string": (_set_first_dropped_text(7), "TypeError: "),
+    "dropped_term_not_a_string": (
+        _set_first_dropped_text(7), "StateError: malformed value object {'dropped': 7}"
+    ),
     "dropped_term_with_a_mark_of_a_term": (
         _set_first_dropped_text("f(set@(g(a)))"), "ParseError: set@(…) is not a mark of constants"
     ),
@@ -768,6 +770,23 @@ MALFORMED_TRACES = {
     "float_tree_id": (_set_initial_tree_id(0.0), "tree id 0.0 names no"),
     "negative_self_value_tree_id": (_set_self_value({"tree": -1}), "tree id -1 names no"),
     "self_value_not_a_tree": (_set_self_value({"atom": "other"}), "self is Atom, not a tree"),
+    # values of the wrong type, or with more than one key
+    "bool_nat": (_set_first_leaf_value({"nat": True}), "malformed value object {'nat': True}"),
+    "string_bool": (_set_first_leaf_value({"bool": "x"}), "malformed value object {'bool': 'x'}"),
+    "null_symbol": (
+        _set_first_leaf_value({"symbol": None}), "malformed value object {'symbol': None}"
+    ),
+    "string_node_path": (
+        _set_first_leaf_value({"node": ["a"]}), "malformed value object {'node': ['a']}"
+    ),
+    "two_keys": (
+        _set_first_leaf_value({"atom": "a", "nat": 1}),
+        "malformed value object {'atom': 'a', 'nat': 1}",
+    ),
+    "false_undef": (
+        _set_first_leaf_value({"undef": False}), "malformed value object {'undef': False}"
+    ),
+    "int_atom": (_set_first_leaf_value({"atom": 5}), "malformed value object {'atom': 5}"),
     # node table entries that are not trees
     "non_string_label": (lambda obj: _initial_root(obj).__setitem__(0, 5), "got 5"),
     "empty_label": (lambda obj: _initial_root(obj).__setitem__(0, ""), "got ''"),
@@ -897,3 +916,30 @@ def test_a_run_that_nests_a_set_each_step_is_written_printed_and_replayed_in_qua
     repr(trace.final_state)
     assert len(list(replay(json.loads(text)))) == n + 1
     assert calls <= bound
+
+
+def _states_to_read_back():
+    for name in ("parity", "join"):
+        trace = run(parse(load_program(name), name))
+        yield trace.initial_state
+        yield trace.final_state
+    for seed in range(20):
+        yield generate.random_machine(random.Random(seed)).initial_state
+
+
+def test_a_state_json_reads_back_as_the_state():
+    for state in _states_to_read_back():
+        obj = json.loads(canonical_dumps(state_to_json(state)))
+        trees = trees_from_table(obj["nodes"])
+
+        def read(written):
+            return value_from_json(written, trees)
+
+        domains = {d["name"]: tuple(map(read, d["members"])) for d in obj["domains"]}
+        assert domains == dict(state.background.domains)
+        locations = {
+            Location(loc["symbol"], tuple(map(read, loc["args"]))): read(value)
+            for loc, value in obj["locations"]
+        }
+        assert len(locations) == len(obj["locations"])
+        assert locations == {loc: state.interp[loc] for loc in state.defined_locations()}

@@ -24,12 +24,12 @@ from rsasm.frontend import (
     _collect_atoms_value,
     build_machine,
     load_program,
-    machine_to_source,
     parse,
     parse_program,
     trees_from_table,
 )
 from rsasm import reflect
+from rsasm.printer import machine_to_source
 from rsasm.reflect import (
     RULE_AT,
     build_self_tree,
@@ -233,6 +233,25 @@ def test_pretty_print_parse_fixpoint_on_bundled_programs():
         assert reparsed.max_steps == machine.max_steps
         # a second round stays stable
         assert machine_to_source(reparsed) == printed
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        "x := label_hedge(a, f(1))",
+        "LET t = leaf(k, 1) IN\n    x := label_hedge(a, t)",
+        "x := label_hedge(b, concat(leaf(k, 2), leaf(k, 3)))",
+        "x := label_hedge(a, leaf(k, g))",
+    ],
+)
+def test_pretty_print_parse_fixpoint_on_a_tree_whose_child_is_no_tree_literal(rule):
+    # inside <…> a child reads back only as XI, l<…>, l(t) or l; anything else prints as a call
+    machine = parse(f"SIGNATURE\n  x/0\n  f/1\n  g/0\nRULE\n  {rule}\n")
+    printed = machine_to_source(machine)
+    assert "label_hedge(" in printed
+    reparsed = parse(printed)
+    assert reparsed.initial_state == machine.initial_state
+    assert machine_to_source(reparsed) == printed
 
 
 def test_parse_errors_carry_location():

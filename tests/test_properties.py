@@ -21,13 +21,12 @@ from rsasm.frontend import (
     _collect_atoms,
     _collect_atoms_value,
     load_program,
-    machine_to_source,
     parse,
     tokenize,
     trees_from_table,
     value_from_json,
 )
-from rsasm.printer import TracePrinter
+from rsasm.printer import TracePrinter, machine_to_source
 from rsasm.reflect import decode_rule, encode_rule, rule_of_self
 from rsasm.rules import (
     Assign,
@@ -73,7 +72,6 @@ from rsasm.structures import (
     term_children,
     term_free_vars,
     term_substitute,
-    value_to_json,
 )
 from rsasm.treealg import L_IF, L_LET, L_PAR, L_PARTIAL, L_UPDATE, XI, Tree, subst_tt
 
@@ -300,7 +298,7 @@ def test_substituting_a_variable_that_is_not_free_returns_the_very_object(rule, 
 def _with_table(value) -> list:
     """``value`` written against a node table of its own, as ``[table, json]``."""
     doc = TracePrinter()
-    written = value_to_json(value, doc)
+    written = doc.value(value)
     return [doc.entries, written]
 
 
@@ -825,7 +823,7 @@ def test_encoding_leaves_on_each_rule_node_of_a_parsed_program_the_rule_that_dec
 def _read_back(term):
     """``term`` written as a trace's text against a node table of its own, then read back."""
     doc = TracePrinter()
-    written = value_to_json(DroppedTerm(term), doc)
+    written = doc.value(DroppedTerm(term))
     table, written = json.loads(canonical_dumps([doc.entries, written]))
     return written["dropped"], value_from_json(written, trees_from_table(table)).term
 

@@ -396,7 +396,8 @@ def test_tree_diff_signature_growth_is_single_right_extend():
     theta = tree_diff(t1, t2)
     text = SourcePrinter().term(theta)
     assert text.count("right_extend") == 1
-    assert text.startswith("self<right_extend(subtree(node@0), func<name(DROP(g)), arity(2)>)")
+    prefix = "label_hedge(self, right_extend(subtree(node@0), func<name(DROP(g)), arity(2)>)"
+    assert text.startswith(prefix)
     assert eval_algebra(theta, t1) == t2
 
 
