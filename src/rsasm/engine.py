@@ -1,6 +1,7 @@
 """The execution loop: decode self, execute, collapse, apply; runs and probes.
 
-Every step decodes the signature and rule from the tree stored at ``self``.
+Every step decodes the rule from the tree stored at ``self``; a state decodes
+its signature from that tree when it is built.
 Decoding is memoized on each tree object; a step that rewrites the
 representation makes a new tree, so it changes the machine's behaviour from
 the next step on.  A run ends at a fixpoint (empty collapsed update set), at
@@ -14,16 +15,14 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ParseError, ReflectError, RsasmError, StateError, TreeError
+from .errors import EngineError, ParseError, ReflectError, RsasmError, SignatureError, StateError, TreeError
 from .reflect import (
     RULE_AT,
     beta,
     decode_rule,
-    decode_signature,
     is_rule_encoding,
     is_self_shaped,
     rule_of_self,
-    signature_of_self,
 )
 from .rules import (
     ClashReport,
@@ -151,13 +150,8 @@ class Trace:
             obj["detail"] = self.detail
         return obj
 
-    def to_json_obj(self) -> dict:
-        obj = self._body()
-        obj["digest"] = trace_digest(obj)
-        return obj
-
     def to_json(self) -> str:
-        """``canonical_dumps(self.to_json_obj())``, each member serialized once.
+        """The trace JSON as canonical text, each member serialized once.
 
         The digest is taken over the member texts, which are then joined again
         with the digest's own member.
@@ -237,28 +231,25 @@ def _self_tree(obj, trees: list):
 
 
 def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
-    """One machine step: decode, execute, collapse, apply; ``index`` numbers the record."""
-    tree = state.self_tree
-    signature = decode_signature(signature_of_self(tree))
-    rule = decode_rule(rule_of_self(tree), RULE_AT)
-    exec_state = state.with_signature(signature)
+    """One machine step: decode the rule, execute, collapse, apply; ``index`` numbers the record.
 
-    result, multiset = execute(rule, exec_state)
+    The successor's signature, the one its own ``self`` declares, must extend the state's.
+    """
+    rule = decode_rule(rule_of_self(state.self_tree), RULE_AT)
+    result, multiset = execute(rule, state)
     if isinstance(result, ClashReport):
-        successor = exec_state
+        successor = state
         added: tuple[str, ...] = ()
     else:
-        applied = apply_update_set(exec_state, result)
         try:
-            new_signature = decode_signature(signature_of_self(applied.self_tree))
+            successor = apply_update_set(state, result)
         except ReflectError:
             raise EngineError("step left self without the self-representation shape") from None
-        if not signature.is_subsignature_of(new_signature):
+        except SignatureError:  # the new signature drops or changes a location still defined
+            successor = None
+        if successor is None or not state.signature.is_subsignature_of(successor.signature):
             raise EngineError("step shrank or changed the decoded signature")
-        successor = applied.with_signature(new_signature)
-        added = tuple(
-            sorted(new_signature.names() - signature.names())
-        )
+        added = tuple(sorted(successor.signature.names() - state.signature.names()))
     record = StepRecord(
         index=index,
         after=successor,

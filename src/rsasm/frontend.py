@@ -817,7 +817,7 @@ def build_machine(program: ProgramSource, max_steps: int | None = None) -> Machi
     )
     interp = dict(program.init)
     interp[SELF_LOCATION] = TreeValue(self_tree)
-    state = State(program.signature, frozenset(atoms), interp, background)
+    state = State(frozenset(atoms), interp, background)
 
     if max_steps is None:
         max_steps = program.options.get("max_steps", DEFAULT_MAX_STEPS)

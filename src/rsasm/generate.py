@@ -132,7 +132,7 @@ def random_machine(rng: random.Random) -> Machine:
     )
     self_tree = build_self_tree(SIGNATURE, rule)
     interp = {SELF_LOCATION: TreeValue(self_tree)}
-    state = State(SIGNATURE, frozenset(ATOMS), interp, BACKGROUND)
+    state = State(frozenset(ATOMS), interp, BACKGROUND)
     machine = Machine(perturb_state(state, rng), max_steps=6, name=f"m{rng.getrandbits(24)}")
     return machine
 
@@ -158,7 +158,7 @@ def perturb_state(state: State, rng: random.Random) -> State:
     for atom in ATOMS:
         if rng.random() < 0.8:
             interp[Location("u0", (atom,))] = pools["u0"]()
-    return State(state.signature, state.base, interp, state.background)
+    return State(state.base, interp, state.background)
 
 
 def mutate_outside(state: State, reads: set, rng: random.Random) -> State:
@@ -184,7 +184,7 @@ def mutate_outside(state: State, reads: set, rng: random.Random) -> State:
             if new != old:
                 interp[loc] = new
                 break
-    return State(state.signature, state.base, interp, state.background)
+    return State(state.base, interp, state.background)
 
 
 def random_permutation(state: State, rng: random.Random) -> dict[Atom, Atom]:

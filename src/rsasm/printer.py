@@ -112,7 +112,7 @@ class SourcePrinter:
             for item in items[1:]:
                 text = f"concat({text}, {item})"
             return text
-        return repr(value)
+        raise StateError(f"cannot print a {type(value).__name__} as a value")
 
     def _marked(self, value: Value) -> str:
         """A value of a trace's text that program text writes only within a scope, or not at all."""
@@ -142,36 +142,34 @@ class SourcePrinter:
         return f"{t.label}<>"
 
     def term(self, term: Term, prec: int = 0) -> str:
-        text, level = self._term(term)
-        if level < prec:
-            return f"({text})"
-        return text
-
-    def _term(self, term: Term) -> tuple[str, int]:
+        """``term`` as text, in parentheses if it binds more loosely than ``prec``."""
         if isinstance(term, Constant):
-            return self.value_literal(term.value), _PREC_PRIMARY
+            return self.value_literal(term.value)
         if isinstance(term, Variable):
-            return (f"var@{term.name}" if self.marks else term.name), _PREC_PRIMARY
-        if isinstance(term, Equality):
+            return f"var@{term.name}" if self.marks else term.name
+        if isinstance(term, FunctionApp):
+            text, level = self._application(term)
+        elif isinstance(term, Equality):
             left = self.term(term.left, _PREC_ADD)
             right = self.term(term.right, _PREC_ADD)
-            return f"{left} = {right}", _PREC_EQ
-        if isinstance(term, BoolConnective):
+            text, level = f"{left} = {right}", _PREC_EQ
+        elif isinstance(term, BoolConnective):
             if term.op == "not":
-                return f"NOT {self.term(term.operands[0], _PREC_NOT)}", _PREC_NOT
-            if self.marks and len(term.operands) < 2:
-                return f"{term.op.upper()}({', '.join(map(self.term, term.operands))})", _PREC_PRIMARY
-            joiner = " AND " if term.op == "and" else " OR "
-            level = _PREC_AND if term.op == "and" else _PREC_OR
-            inner = joiner.join(self.term(a, level + 1) for a in term.operands)
-            return inner, level
-        if isinstance(term, Iota):
+                text, level = f"NOT {self.term(term.operands[0], _PREC_NOT)}", _PREC_NOT
+            elif self.marks and len(term.operands) < 2:
+                inner = ", ".join(map(self.term, term.operands))
+                text, level = f"{term.op.upper()}({inner})", _PREC_PRIMARY
+            else:
+                joiner = " AND " if term.op == "and" else " OR "
+                level = _PREC_AND if term.op == "and" else _PREC_OR
+                text = joiner.join(self.term(a, level + 1) for a in term.operands)
+        elif isinstance(term, Iota):
             # the condition reaches as far as a term can: as an operand, an IOTA is in parentheses
             domain = "NODES" if term.domain == NODES_DOMAIN else term.domain
-            return f"IOTA {term.var} IN {domain} . {self.term(term.condition)}", 0
-        if isinstance(term, FunctionApp):
-            return self._application(term)
-        raise ParseError(f"cannot print a {type(term).__name__} as a term")
+            text, level = f"IOTA {term.var} IN {domain} . {self.term(term.condition)}", 0
+        else:
+            raise ParseError(f"cannot print a {type(term).__name__} as a term")
+        return f"({text})" if level < prec else text
 
     def _application(self, term: FunctionApp) -> tuple[str, int]:
         name = term.symbol
@@ -278,7 +276,7 @@ class TracePrinter(SourcePrinter):
             return {"set": [self.value(v) for v in sorted(value.members, key=value_sort_key)]}
         if isinstance(value, NodeRef):
             return {"node": list(value.path)}
-        raise StateError(f"cannot serialize value {value!r}")
+        raise StateError(f"cannot write a {type(value).__name__} as JSON")
 
     def tree_id(self, node: Tree) -> int:
         """The id of ``node`` in ``entries``, whose entries are ``[label, value?, [child ids]]``.

@@ -34,7 +34,6 @@ from .structures import (
     NatVal,
     NodeRef,
     SELF_LOCATION,
-    SELF_SYMBOL,
     SetVal,
     Signature,
     FunctionSymbol,
@@ -594,9 +593,9 @@ def tree_diff(t: Tree, t2: Tree) -> Term:
 
 
 def eval_algebra(theta: Term, t: Tree) -> Tree:
-    """The tree ``theta`` evaluates to in a state whose ``self`` holds the self tree ``t``."""
+    """The tree ``theta`` evaluates to in the state whose one location, ``self``, holds ``t``."""
     _require_self_shaped(t, "subject tree")
-    state = State(Signature((SELF_SYMBOL,)), frozenset(), {SELF_LOCATION: TreeValue(t)})
+    state = State(frozenset(), {SELF_LOCATION: TreeValue(t)})
     value = eval_term(state, theta)
     if not isinstance(value, TreeValue):
         raise TreeError(f"a tree-difference term evaluated to {value!r}, not to a tree")

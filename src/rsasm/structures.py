@@ -355,41 +355,38 @@ EMPTY_BACKGROUND = BackgroundConfig()
 
 @dataclass(frozen=True)
 class State:
-    """A structure: signature interpretation with finitely many defined locations."""
+    """A structure over the signature its ``self`` declares, with finitely many defined locations."""
 
-    signature: Signature
     base: frozenset[Atom]
     interp: dict[Location, Value]
     background: BackgroundConfig = EMPTY_BACKGROUND
-    # The tree bound at ``self``, read once at construction.
+    # The tree bound at ``self`` and the signature it declares, read once at construction.
     self_tree: Tree = field(init=False, repr=False, compare=False)
+    signature: Signature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        selfval = self.interp.get(SELF_LOCATION)
+        if not isinstance(selfval, TreeValue) or selfval.tree.label != treealg.L_SELF:
+            raise StateError("state must bind 'self' to a self-representation tree")
+        signature = _reflect.decode_signature(_reflect.signature_of_self(selfval.tree))
         cleaned = {}
         for loc, value in self.interp.items():
             if value is UNDEF:
                 continue
-            arity = self.signature.arity_of(loc.symbol)
+            arity = signature.arity_of(loc.symbol)
             if arity is None:
-                raise StateError(f"location symbol {loc.symbol!r} not in signature")
+                raise SignatureError(f"location symbol {loc.symbol!r} not in signature")
             if arity != len(loc.args):
-                raise StateError(f"location {loc!r} violates arity {arity}")
+                raise SignatureError(f"location {loc!r} violates arity {arity}")
             cleaned[loc] = value
-        selfval = cleaned.get(SELF_LOCATION)
-        if not isinstance(selfval, TreeValue) or selfval.tree.label != treealg.L_SELF:
-            raise StateError("state must bind 'self' to a self-representation tree")
         object.__setattr__(self, "interp", cleaned)
         object.__setattr__(self, "self_tree", selfval.tree)
+        object.__setattr__(self, "signature", signature)
 
     __hash__ = None  # type: ignore[assignment]
 
     def value_at(self, loc: Location) -> Value:
         return self.interp.get(loc, UNDEF)
-
-    def with_signature(self, signature: Signature) -> "State":
-        if signature == self.signature:
-            return self
-        return replace(self, signature=signature)
 
     def defined_locations(self) -> list[Location]:
         return sorted(self.interp, key=location_sort_key)
@@ -514,7 +511,7 @@ def apply_isomorphism(state: State, sigma: dict[Atom, Atom]) -> State:
         for name, members in state.background.domains
     )
     background = replace(state.background, domains=domains)
-    return State(state.signature, state.base, interp, background)
+    return State(state.base, interp, background)
 
 
 # -- canonical order and text ------------------------------------------------------
@@ -855,7 +852,8 @@ def _projection(
     return row[pos.n - 1]
 
 
-# The background term functions and the printer import this module, so they
-# are bound last.
+# The background term functions, the printer and the decoder of self import
+# this module, so they are bound last.
 from . import background as _bg  # noqa: E402
 from . import printer as _printer  # noqa: E402
+from . import reflect as _reflect  # noqa: E402

@@ -61,7 +61,7 @@ def make_state(
     tree = build_self_tree(signature, rule)
     full = dict(interp or {})
     full[SELF_LOCATION] = TreeValue(tree)
-    return State(signature, frozenset(base), full, BackgroundConfig(domains=tuple(domains)))
+    return State(frozenset(base), full, BackgroundConfig(domains=tuple(domains)))
 
 
 LABELS = ("alpha", "beta", "gamma", "delta")

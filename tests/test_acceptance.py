@@ -366,7 +366,6 @@ def test_criterion_4_tree_diff_and_update_rule():
             rule = tree_update_rule(t, t2)
             state = make_state(signature=Signature((SELF_SYMBOL,)), rule=Par(()))
             state = state.__class__(
-                state.signature,
                 state.base,
                 {SELF_LOCATION: TreeValue(t)},
                 state.background,

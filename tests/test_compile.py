@@ -20,7 +20,7 @@ from rsasm import generate, structures
 from rsasm.engine import run
 from rsasm.errors import EvalError, RuleError, SignatureError
 from rsasm.frontend import load_program, parse
-from rsasm.reflect import decode_rule, decode_signature, raise_, rule_of_self, signature_of_self
+from rsasm.reflect import decode_rule, raise_, rule_of_self
 from rsasm.rules import (
     Assign,
     If,
@@ -297,9 +297,7 @@ def _terms_with_envs(rule, env=None):
 
 def assert_state_agrees(state):
     """The decoded rule of ``state`` and every subterm of it, compiled against the oracle."""
-    tree = state.self_tree
-    state = state.with_signature(decode_signature(signature_of_self(tree)))
-    rule = decode_rule(rule_of_self(tree))
+    rule = decode_rule(rule_of_self(state.self_tree))
     assert_rule_agrees(rule, state)
     scopes = {}  # id of a scope -> (the scope, its environment)
     seen = set()
@@ -447,9 +445,7 @@ def test_a_compiled_term_is_kept_per_signature_and_reads_the_background_when_run
     assert compiles == [without.signature, with_f.signature]
     # the same signature with f declared a projection of R: the background is
     # read when the closure runs, so the kept closure serves this state too
-    projected = State(
-        with_f.signature, with_f.base, with_f.interp, BackgroundConfig(projections=(("f", "R"),))
-    )
+    projected = State(with_f.base, with_f.interp, BackgroundConfig(projections=(("f", "R"),)))
     assert eval_term(projected, term) == Atom("b")
     assert len(compiles) == 2
     for state in (without, with_f, projected):

@@ -56,7 +56,6 @@ from rsasm.structures import (
     Location,
     NatVal,
     NodeRef,
-    Signature,
     TreeValue,
     UNDEF,
     Update,
@@ -210,17 +209,17 @@ RULE
     assert trees_from_table(trace_obj["nodes"])[arg["tree"]] == Tree("b", (Tree("a"),))
 
 
-def test_a_clash_ends_the_run_even_where_the_stored_signature_lags_self():
-    # The self tree declares ``extra``, the stored signature does not, so the
-    # step's state differs from the stored one; the clash still ends the run.
+def test_a_state_declares_what_its_self_tree_declares_and_a_clash_still_ends_the_run():
+    # ``extra`` is declared only by the self tree, and no location holds it
     clashing = Par(tuple(Assign("card", (), Constant(NatVal(n))) for n in (1, 2)))
-    declared = make_state({"card": 0, "extra": 0}, {Location("card"): NatVal(0)}, rule=clashing)
-    state = declared.with_signature(Signature(declared.signature.symbols[:-1]))
-    assert state.signature.arity_of("extra") is None
+    state = make_state({"card": 0, "extra": 0}, {Location("card"): NatVal(0)}, rule=clashing)
+    assert state.signature.arity_of("extra") == 0
+    assert state.signature == decode_signature(signature_of_self(state.self_tree))
     trace = run(Machine(state, max_steps=5))
     assert (trace.status, trace.detail) == ("error", "clash_stall")
     assert len(trace.steps) == 1 and trace.steps[0].clashed
     assert trace.final_state.interp == state.interp
+    assert trace.final_state.signature.arity_of("extra") == 0
 
 
 def test_run_respects_max_steps():
@@ -521,13 +520,14 @@ def test_step_1_runs_the_rule_that_parse_encoded_and_other_trees_still_decode(mo
 
 def test_a_trace_is_written_as_the_canonical_text_of_its_json_object():
     # to_json joins member texts it has also hashed; the text must still be
-    # canonical_dumps of the object, key order included ("detail" < "digest")
+    # canonical_dumps of the object it reads as, key order included ("detail" < "digest")
     traces = [run(parse(load_program(name), name)) for name in ("parity", "join")]
     traces += [run(generate.random_machine(random.Random(seed))) for seed in range(30)]
     faulty = run(parse(FAULTY_PROGRAM, "faulty"))
     assert faulty.detail
     for trace in traces + [faulty]:
-        assert trace.to_json() == canonical_dumps(trace.to_json_obj())
+        text = trace.to_json()
+        assert canonical_dumps(json.loads(text)) == text
     assert list(json.loads(faulty.to_json()))[:2] == ["detail", "digest"]
 
 
@@ -828,6 +828,25 @@ def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():
     assert trace.detail == "step 1: step left self without the self-representation shape"
     assert trace.steps == ()
     assert json.loads(trace.to_json())["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "kept, init",
+    [
+        ("y/0", "x = 0"),  # drops x, which is defined
+        ("y/0", "y = 0"),  # drops x, which is undefined
+        ("x/1", "x = 0"),  # changes the arity of x, which is defined
+    ],
+)
+def test_a_step_that_shrinks_or_changes_the_signature_ends_the_run_as_an_error(kept, init):
+    name, arity = kept.split("/")
+    source = (
+        f"SIGNATURE\n  x/0\n  y/0\nINIT\n  {init}\nRULE\n  LET o = child_n(root_node(), 1) IN\n"
+        f"    o := signature<func<name(DROP(self)), arity(0)>, func<name(DROP({name})), arity({arity})>>\n"
+    )
+    trace = run(parse(source, "shrink"))
+    assert (trace.status, trace.detail) == ("error", "step 1: step shrank or changed the decoded signature")
+    assert trace.steps == ()
 
 
 def test_program_fault_ends_the_run_as_an_error_outcome():

@@ -42,7 +42,7 @@ from rsasm.structures import (
     Variable,
     is_consistent,
 )
-from rsasm.treealg import XI, Tree, subtree
+from rsasm.treealg import XI, Tree, subst_tt, subtree
 
 
 def test_assign_yields_single_update():
@@ -517,6 +517,18 @@ def _node_clash_entries(state):
             "node write at node@1.0.0 disagrees with a plain update",
         ),
     ]
+
+
+def test_a_plain_update_of_self_wins_where_every_node_write_agrees_with_it():
+    state = _node_state()
+    node = (1, 0, 0)
+    # the new self tree differs from the current one also away from ``node``
+    written = subst_tt(state.self_tree, (1, 0, 1), Tree("rule", (Tree("if"),)))
+    written = subst_tt(written, node, Tree("rule", (Tree("let"),)))
+    plain = Update(SELF_LOCATION, TreeValue(written))
+    agreeing = Update(NodeRef(node), TreeValue(subtree(written, node)))
+    for order in ((plain, agreeing), (agreeing, plain)):
+        assert collapse(UpdateMultiset(order), state) == UpdateSet(frozenset({plain}))
 
 
 def test_splice_clash_reasons_print_node_paths_as_nodes():

@@ -28,11 +28,14 @@ from rsasm.structures import (
     SELF_LOCATION,
     SetVal,
     Signature,
+    SymbolName,
     TRUE,
     TreeValue,
+    TupleVal,
     UNDEF,
     Update,
     UpdateSet,
+    Value,
     Variable,
     apply_isomorphism,
     apply_update_set,
@@ -41,6 +44,7 @@ from rsasm.structures import (
     is_consistent,
     rename_term,
     rename_value,
+    value_sort_key,
 )
 from rsasm.treealg import Tree
 
@@ -338,12 +342,30 @@ def test_set_values_are_order_insensitive():
     assert hash(s1) == hash(s2)
 
 
-def test_state_requires_self_tree():
-    from rsasm.structures import Signature, State, BackgroundConfig
+def test_node_refs_sort_by_path_after_symbols_and_before_composite_values():
+    values = [TupleVal(()), NodeRef((1,)), SymbolName("f"), NodeRef((0, 2)), NodeRef(())]
+    expected = [SymbolName("f"), NodeRef(()), NodeRef((0, 2)), NodeRef((1,)), TupleVal(())]
+    assert sorted(values, key=value_sort_key) == expected
 
-    sig = Signature((__import__("rsasm.structures", fromlist=["SELF_SYMBOL"]).SELF_SYMBOL,))
+
+class _Opaque(Value):
+    """A value of a kind that neither printer knows."""
+
+    __slots__ = ()
+
+
+def test_a_value_of_an_unknown_kind_is_refused_by_both_printers():
+    with pytest.raises(StateError, match="cannot print a _Opaque as a value"):
+        repr(_Opaque())
+    with pytest.raises(StateError, match="cannot write a _Opaque as JSON"):
+        TracePrinter().value(_Opaque())
+
+
+def test_state_requires_self_tree():
+    from rsasm.structures import State, BackgroundConfig
+
     with pytest.raises(StateError):
-        State(sig, frozenset(), {}, BackgroundConfig())
+        State(frozenset(), {}, BackgroundConfig())
 
 
 def test_iota_over_self_nodes():
@@ -522,9 +544,10 @@ def test_a_stored_node_ref_reads_the_rewritten_self_tree():
 def test_a_state_keeps_the_tree_bound_at_self():
     state = make_state({"n0": 0}, {Location("n0"): NatVal(1)})
     grown = generate.random_machine(random.Random(4)).initial_state.self_tree
-    wider = Signature(state.signature.symbols + (FunctionSymbol("n1", 0),))
+    wider = make_state({"n0": 0, "n1": 0}, {Location("n0"): NatVal(1)})
+    assert wider.signature == Signature(state.signature.symbols + (FunctionSymbol("n1", 0),))
     successors = [
-        state.with_signature(wider),
+        wider,
         apply_update_set(state, upd((SELF_LOCATION, TreeValue(grown)))),
         apply_update_set(state, upd((Location("n0"), NatVal(2)))),
         dataclasses.replace(state, interp={SELF_LOCATION: TreeValue(grown)}),

@@ -29,6 +29,7 @@ from rsasm.structures import (
 )
 from rsasm.treealg import (
     Context,
+    L_RULE,
     L_SELF,
     Tree,
     TRIVIAL_CONTEXT,
@@ -228,18 +229,28 @@ def _node_term(name, *paths):
     return FunctionApp(name, tuple(Constant(NodeRef(p)) for p in paths))
 
 
+RULE_REGION = (1, 0)
+
+
+def _holding(t):
+    """A state whose self tree holds ``t`` as its rule region, at ``node@1.0``."""
+    signature, _ = _STATE.self_tree.children
+    self_tree = Tree(L_SELF, (signature, Tree(L_RULE, (t,))))
+    return State(frozenset(), {SELF_LOCATION: TreeValue(self_tree)})
+
+
 def test_context_of_term_punches_a_descendant_out_of_its_ancestor():
     rng = random.Random(23)
     for _ in range(30):
         t = Tree(L_SELF, tuple(random_tree(rng, 8) for _ in range(rng.randrange(1, 4))))
-        state = State(_STATE.signature, frozenset(), {SELF_LOCATION: TreeValue(t)})
+        state = _holding(t)
         paths = _paths(t)
         missing = [p + (len(subtree(t, p).children),) for p in paths]
         for p1 in paths + missing + [m + (0,) for m in missing]:
             for p2 in paths + missing:
-                ctx = eval_term(state, _node_term("context_of", p1, p2))
+                ctx = eval_term(state, _node_term("context_of", RULE_REGION + p1, RULE_REGION + p2))
                 if len(p1) < len(p2) and p2[: len(p1)] == p1 and t.find(p2) is not None:
-                    below = _node_term("subtree", p2)
+                    below = _node_term("subtree", RULE_REGION + p2)
                     injected = FunctionApp("inject_hedge", (Constant(ctx), below))
                     assert eval_term(state, injected) == TreeValue(subtree(t, p1))
                 else:
@@ -251,13 +262,13 @@ def test_context_of_term_keeps_a_context_to_one_hole():
     for _ in range(30):
         c = random_context(rng, 10)
         t = Tree(L_SELF, (c.tree,))
-        state = State(_STATE.signature, frozenset(), {SELF_LOCATION: TreeValue(t)})
+        state = _holding(t)
         hole, paths = (0,) + c.hole_path, _paths(t)
         for p1 in paths:
             for p2 in paths:
                 if not (len(p1) < len(p2) and p2[: len(p1)] == p1):
                     continue
-                term = _node_term("context_of", p1, p2)
+                term = _node_term("context_of", RULE_REGION + p1, RULE_REGION + p2)
                 if hole[: len(p1)] == p1 and hole[: len(p2)] != p2:
                     with pytest.raises(TreeError, match="exactly one hole, found 2"):
                         eval_term(state, term)
