@@ -1,9 +1,10 @@
 """Executable reflective sequential abstract state machines.
 
 The program of a machine lives as a tree value in the distinguished location
-``self`` of its own state; every step decodes the signature and rule from that
-tree, executes the rule, and applies the collapsed update set.  Programs can
-therefore extend their own signature and rewrite their own rule mid-run.
+``self`` of its own state, whose signature is the one that tree declares; every
+step decodes the rule from it, executes the rule, and applies the collapsed
+update set.  Programs can therefore extend their own signature and rewrite
+their own rule mid-run.
 """
 
 from .engine import (

@@ -15,7 +15,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EngineError, ParseError, ReflectError, RsasmError, SignatureError, StateError, TreeError
+from .errors import EngineError, ParseError, ReflectError, RsasmError, StateError, TreeError, UndeclaredLocationError
 from .reflect import (
     RULE_AT,
     beta,
@@ -245,9 +245,9 @@ def step(state: State, index: int = 0) -> tuple[State, StepRecord]:
             successor = apply_update_set(state, result)
         except ReflectError:
             raise EngineError("step left self without the self-representation shape") from None
-        except SignatureError:  # the new signature drops or changes a location still defined
-            successor = None
-        if successor is None or not state.signature.is_subsignature_of(successor.signature):
+        except UndeclaredLocationError:  # the new signature drops or changes a defined location
+            raise EngineError("step shrank or changed the decoded signature") from None
+        if not state.signature.is_subsignature_of(successor.signature):
             raise EngineError("step shrank or changed the decoded signature")
         added = tuple(sorted(successor.signature.names() - state.signature.names()))
     record = StepRecord(

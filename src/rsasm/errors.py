@@ -21,6 +21,10 @@ class StateError(RsasmError):
     """Invalid state construction or incompatible states."""
 
 
+class UndeclaredLocationError(StateError):
+    """A defined location whose symbol the state's signature lacks or declares at another arity."""
+
+
 class IsoError(RsasmError):
     """Mapping passed as an isomorphism is not a bijection on the base set."""
 

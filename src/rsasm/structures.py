@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import treealg
-from .errors import EvalError, IsoError, SignatureError, StateError
+from .errors import EvalError, IsoError, SignatureError, StateError, UndeclaredLocationError
 from .treealg import Tree
 
 # -- values --------------------------------------------------------------------
@@ -353,7 +353,7 @@ class BackgroundConfig:
 EMPTY_BACKGROUND = BackgroundConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
     """A structure over the signature its ``self`` declares, with finitely many defined locations."""
 
@@ -364,22 +364,29 @@ class State:
     self_tree: Tree = field(init=False, repr=False, compare=False)
     signature: Signature = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        selfval = self.interp.get(SELF_LOCATION)
+    def __init__(self, base, interp, background=EMPTY_BACKGROUND, shifted=EMPTY_BACKGROUND) -> None:
+        stated = None
+        if isinstance(base, Signature):  # State(signature, base, interp, background), checked below
+            stated, base, interp, background = base, interp, background, shifted
+        selfval = interp.get(SELF_LOCATION)
         if not isinstance(selfval, TreeValue) or selfval.tree.label != treealg.L_SELF:
             raise StateError("state must bind 'self' to a self-representation tree")
         signature = _reflect.decode_signature(_reflect.signature_of_self(selfval.tree))
+        if stated is not None and stated != signature:
+            raise StateError("stated signature is not the one 'self' declares")
         cleaned = {}
-        for loc, value in self.interp.items():
+        for loc, value in interp.items():
             if value is UNDEF:
                 continue
             arity = signature.arity_of(loc.symbol)
             if arity is None:
-                raise SignatureError(f"location symbol {loc.symbol!r} not in signature")
+                raise UndeclaredLocationError(f"location symbol {loc.symbol!r} not in signature")
             if arity != len(loc.args):
-                raise SignatureError(f"location {loc!r} violates arity {arity}")
+                raise UndeclaredLocationError(f"location {loc!r} violates arity {arity}")
             cleaned[loc] = value
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "interp", cleaned)
+        object.__setattr__(self, "background", background)
         object.__setattr__(self, "self_tree", selfval.tree)
         object.__setattr__(self, "signature", signature)
 

@@ -840,13 +840,19 @@ def test_a_step_that_breaks_the_self_shape_ends_the_run_as_an_error():
 )
 def test_a_step_that_shrinks_or_changes_the_signature_ends_the_run_as_an_error(kept, init):
     name, arity = kept.split("/")
-    source = (
-        f"SIGNATURE\n  x/0\n  y/0\nINIT\n  {init}\nRULE\n  LET o = child_n(root_node(), 1) IN\n"
-        f"    o := signature<func<name(DROP(self)), arity(0)>, func<name(DROP({name})), arity({arity})>>\n"
-    )
-    trace = run(parse(source, "shrink"))
-    assert (trace.status, trace.detail) == ("error", "step 1: step shrank or changed the decoded signature")
-    assert trace.steps == ()
+    for self_entry, said in [
+        ("func<name(DROP(self)), arity(0)>, ", "step shrank or changed the decoded signature"),
+        # a signature without the nullary self is refused as it is decoded
+        ("", "signature must contain the nullary symbol 'self'"),
+        ("func<name(DROP(self)), arity(1)>, ", "signature must contain the nullary symbol 'self'"),
+    ]:
+        source = (
+            f"SIGNATURE\n  x/0\n  y/0\nINIT\n  {init}\nRULE\n  LET o = child_n(root_node(), 1) IN\n"
+            f"    o := signature<{self_entry}func<name(DROP({name})), arity({arity})>>\n"
+        )
+        trace = run(parse(source, "shrink"))
+        assert (trace.status, trace.detail) == ("error", f"step 1: {said}")
+        assert trace.steps == ()
 
 
 def test_program_fault_ends_the_run_as_an_error_outcome():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from rsasm import generate
 from rsasm.background import TERM_FUNCTIONS
 from rsasm.engine import run
 from rsasm.frontend import load_program, parse
-from rsasm.errors import EvalError, IsoError, SignatureError, StateError
+from rsasm.errors import EvalError, IsoError, SignatureError, StateError, UndeclaredLocationError
 from rsasm.printer import TracePrinter
 from rsasm.structures import (
     Atom,
@@ -28,6 +29,7 @@ from rsasm.structures import (
     SELF_LOCATION,
     SetVal,
     Signature,
+    State,
     SymbolName,
     TRUE,
     TreeValue,
@@ -366,6 +368,31 @@ def test_state_requires_self_tree():
 
     with pytest.raises(StateError):
         State(frozenset(), {}, BackgroundConfig())
+
+
+def test_a_state_takes_a_leading_signature_only_if_self_declares_it():
+    state = make_state({"n0": 0, "f": 1}, {Location("n0"): NatVal(1)})
+    stated = State(state.signature, state.base, state.interp, state.background)
+    assert stated == state and stated.signature == state.signature
+    assert stated.background is state.background
+    narrower = Signature(state.signature.symbols[:-1])
+    with pytest.raises(StateError, match="^stated signature is not the one 'self' declares$"):
+        State(narrower, state.base, state.interp, state.background)
+
+
+@pytest.mark.parametrize(
+    "loc, said",
+    [
+        (Location("g"), "location symbol 'g' not in signature"),
+        (Location("f"), "location f violates arity 1"),
+    ],
+    ids=["undeclared", "arity"],
+)
+def test_a_location_its_signature_does_not_declare_is_a_state_error(loc, said):
+    state = make_state({"n0": 0, "f": 1})
+    with pytest.raises(UndeclaredLocationError, match=re.escape(said)) as raised:
+        State(state.base, {**state.interp, loc: NatVal(1)}, state.background)
+    assert isinstance(raised.value, StateError)
 
 
 def test_iota_over_self_nodes():
